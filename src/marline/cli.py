@@ -240,9 +240,14 @@ def _build_grids(parser: configparser.ConfigParser) -> dict:
     grids = {}
     for key in ("ensemble_size", "forgetting_factor", "performance_index"):
         if parser.has_option("grid", key):
-            values = _parse_grid_range(parser.get("grid", key))
-            if key == "ensemble_size":
-                values = [int(v) for v in values]
+            try:
+                values = _parse_grid_range(parser.get("grid", key))
+                if key == "ensemble_size":
+                    if any(v != int(v) for v in values):
+                        raise ValueError("ensemble sizes must be whole numbers")
+                    values = [int(v) for v in values]
+            except (ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"bad [grid] {key}: {exc}") from exc
             grids[key] = values
     return grids or default_grids()
 

@@ -56,9 +56,11 @@ def check_dims(features: np.ndarray, expected: int, context: str) -> None:
         )
 
 
-def uniform_distribution() -> np.ndarray:
-    """Uninformed prior over the two classes."""
-    return np.array([0.5, 0.5])
+def check_features(features: np.ndarray, expected: int, context: str) -> None:
+    """``check_dims``, then raise DataError unless every feature is finite."""
+    check_dims(features, expected, context)
+    if not np.isfinite(features).all():
+        raise DataError(f"{context}: features must be finite, got {features.tolist()}")
 
 
 def argmax_label(scores: np.ndarray) -> int:

@@ -20,10 +20,8 @@ from .core import (
     Example,
     argmax_label,
     check_dims,
-    uniform_distribution,
 )
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MIN_VARIANCE = 1e-12
 _MIN_SPLIT_GAIN = 1e-10
 _N_SPLIT_CANDIDATES = 10
@@ -73,8 +71,6 @@ class GaussianEstimator:
         self.max_value = -math.inf
 
     def add(self, value: float, weight: float) -> None:
-        if weight <= 0.0:
-            return
         if value < self.min_value:
             self.min_value = value
         if value > self.max_value:
@@ -89,11 +85,6 @@ class GaussianEstimator:
         if self.weight_sum <= 1.0:
             return 0.0
         return max(self._m2 / (self.weight_sum - 1.0), 0.0)
-
-    def log_pdf(self, value: float) -> float:
-        var = max(self.variance, _MIN_VARIANCE)
-        diff = value - self.mean
-        return -0.5 * math.log(2.0 * math.pi * var) - diff * diff / (2.0 * var)
 
     def cdf(self, value: float) -> float:
         var = self.variance
@@ -115,7 +106,8 @@ def _entropy(weights: list[float]) -> float:
 
 
 class _LeafNode:
-    """Growing leaf holding class counts and per-attribute Gaussian stats."""
+    """Growing leaf holding class counts and per-attribute Gaussian stats; its
+    naive-Bayes terms are cached until it learns again."""
 
     __slots__ = (
         "class_weights",
@@ -123,6 +115,7 @@ class _LeafNode:
         "weight_at_last_attempt",
         "mc_correct_weight",
         "nb_correct_weight",
+        "_nb_terms",
     )
 
     def __init__(self, n_features: int) -> None:
@@ -133,59 +126,64 @@ class _LeafNode:
         self.weight_at_last_attempt = 0.0
         self.mc_correct_weight = 0.0
         self.nb_correct_weight = 0.0
+        self._nb_terms: list | None = None
 
     @property
     def total_weight(self) -> float:
         return self.class_weights[NEG] + self.class_weights[POS]
 
-    def majority_distribution(self) -> np.ndarray:
+    def majority_distribution(self) -> tuple[float, float]:
         total = self.total_weight
         if total <= 0.0:
-            return uniform_distribution()
-        return np.array(
-            [self.class_weights[NEG] / total, self.class_weights[POS] / total]
-        )
+            return (0.5, 0.5)
+        return (self.class_weights[NEG] / total, self.class_weights[POS] / total)
 
-    def naive_bayes_distribution(self, features: np.ndarray) -> np.ndarray:
+    def _naive_bayes_terms(self) -> list[tuple[float, list]]:
+        """Per class, its log prior and, per attribute, (mean, -log(2*pi*var)/2,
+        2*var). A class without weight, which then has none in any attribute
+        either, gets (-inf, [])."""
         total = self.total_weight
-        if total <= 0.0:
-            return uniform_distribution()
-        logits = [-math.inf, -math.inf]
-        for label in (NEG, POS):
-            prior = self.class_weights[label]
+        terms = []
+        for label, prior in enumerate(self.class_weights):
             if prior <= 0.0:
+                terms.append((-math.inf, []))
                 continue
-            logit = math.log(prior / total)
-            for j, value in enumerate(features):
-                est = self.estimators[j][label]
-                if est.weight_sum > 0.0:
-                    logit += est.log_pdf(float(value))
-            logits[label] = logit
+            attributes = []
+            for per_class in self.estimators:
+                var = max(per_class[label].variance, _MIN_VARIANCE)
+                log_norm = -0.5 * math.log(2.0 * math.pi * var)
+                attributes.append((per_class[label].mean, log_norm, 2.0 * var))
+            terms.append((math.log(prior / total), attributes))
+        return terms
+
+    def naive_bayes_distribution(self, values: list[float]) -> tuple[float, float]:
+        if self._nb_terms is None:
+            self._nb_terms = self._naive_bayes_terms()
+        logits = []
+        for logit, attributes in self._nb_terms:
+            for value, (mean, log_norm, two_var) in zip(values, attributes):
+                diff = value - mean
+                logit += log_norm - diff * diff / two_var
+            logits.append(logit)
         top = max(logits)
         if top == -math.inf:
-            return uniform_distribution()
-        raw = np.array([math.exp(l - top) for l in logits])
-        return raw / raw.sum()
+            return (0.5, 0.5)
+        r0 = math.exp(logits[NEG] - top)
+        r1 = math.exp(logits[POS] - top)
+        return (r0 / (r0 + r1), r1 / (r0 + r1))
 
-    def distribution(self, features: np.ndarray, params: HoeffdingTreeParams) -> np.ndarray:
-        if params.leaf_prediction == "majority":
-            return self.majority_distribution()
-        if self.mc_correct_weight > self.nb_correct_weight:
-            return self.majority_distribution()
-        return self.naive_bayes_distribution(features)
-
-    def learn(self, features: np.ndarray, label: int, weight: float) -> None:
+    def learn(self, values: list[float], label: int, weight: float, nb_adaptive: bool) -> None:
         # Track which leaf predictor is doing better, judged before absorbing
-        # the example it is judged on.
-        mc_pred = argmax_label(self.majority_distribution())
-        nb_pred = argmax_label(self.naive_bayes_distribution(features))
-        if mc_pred == label:
-            self.mc_correct_weight += weight
-        if nb_pred == label:
-            self.nb_correct_weight += weight
+        # the example it is judged on. Only nb_adaptive leaves read the result.
+        if nb_adaptive:
+            if argmax_label(self.majority_distribution()) == label:
+                self.mc_correct_weight += weight
+            if argmax_label(self.naive_bayes_distribution(values)) == label:
+                self.nb_correct_weight += weight
         self.class_weights[label] += weight
-        for j, value in enumerate(features):
-            self.estimators[j][label].add(float(value), weight)
+        for j, value in enumerate(values):
+            self.estimators[j][label].add(value, weight)
+        self._nb_terms = None
 
     def best_split_per_attribute(self) -> list[tuple[float, float]]:
         """For each attribute, (best info gain, threshold achieving it)."""
@@ -229,11 +227,6 @@ class _SplitNode:
         self.left: _LeafNode | _SplitNode = _LeafNode(n_features)
         self.right: _LeafNode | _SplitNode = _LeafNode(n_features)
 
-    def route(self, features: np.ndarray) -> _LeafNode | _SplitNode:
-        if features[self.attribute] <= self.threshold:
-            return self.left
-        return self.right
-
 
 class HoeffdingTree:
     """Incremental decision tree for binary classification on numeric data.
@@ -252,13 +245,13 @@ class HoeffdingTree:
         self._root: _LeafNode | _SplitNode = _LeafNode(n_features)
         self.n_splits = 0
 
-    def _sort_to_leaf(self, features: np.ndarray) -> tuple[_LeafNode, _SplitNode | None, bool]:
+    def _sort_to_leaf(self, values: list[float]) -> tuple[_LeafNode, _SplitNode | None, bool]:
         parent: _SplitNode | None = None
         went_left = False
         node = self._root
         while isinstance(node, _SplitNode):
             parent = node
-            went_left = features[node.attribute] <= node.threshold
+            went_left = values[node.attribute] <= node.threshold
             node = node.left if went_left else node.right
         return node, parent, went_left
 
@@ -267,8 +260,9 @@ class HoeffdingTree:
         check_dims(example.features, self.n_features, "HoeffdingTree.train")
         if weight <= 0.0:
             return
-        leaf, parent, went_left = self._sort_to_leaf(example.features)
-        leaf.learn(example.features, example.label, weight)
+        values = example.features.tolist()
+        leaf, parent, went_left = self._sort_to_leaf(values)
+        leaf.learn(values, example.label, weight, self.params.leaf_prediction == "nb_adaptive")
         if leaf.total_weight - leaf.weight_at_last_attempt >= self.params.grace_period:
             leaf.weight_at_last_attempt = leaf.total_weight
             self._attempt_split(leaf, parent, went_left)
@@ -293,12 +287,19 @@ class HoeffdingTree:
                 parent.right = split
             self.n_splits += 1
 
+    def predict_pair(self, values: list[float]) -> tuple[float, float]:
+        """``(p_neg, p_pos)`` at the leaf a list of ``n_features`` floats routes to."""
+        leaf = self._sort_to_leaf(values)[0]
+        majority = self.params.leaf_prediction == "majority"
+        if majority or leaf.mc_correct_weight > leaf.nb_correct_weight:
+            return leaf.majority_distribution()
+        return leaf.naive_bayes_distribution(values)
+
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class distribution at the leaf ``features`` routes to."""
         features = np.asarray(features, dtype=float)
         check_dims(features, self.n_features, "HoeffdingTree.predict")
-        leaf, _, _ = self._sort_to_leaf(features)
-        return leaf.distribution(features, self.params)
+        return np.array(self.predict_pair(features.tolist()))
 
     def predict_label(self, features: np.ndarray) -> int:
         return argmax_label(self.predict(features))
@@ -335,14 +336,21 @@ class _EnsembleBase:
     def ensemble_size(self) -> int:
         return len(self.sub_classifiers)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Unweighted mean of the members' class distributions."""
+    def member_distributions(self, features: np.ndarray) -> np.ndarray:
+        """``(k, 2)`` class distributions of the k members, in member order."""
         features = np.asarray(features, dtype=float)
         check_dims(features, self.n_features, f"{type(self).__name__}.predict")
-        total = np.zeros(2)
-        for tree in self.sub_classifiers:
-            total += tree.predict(features)
-        return total / len(self.sub_classifiers)
+        values = features.tolist()
+        return np.array([tree.predict_pair(values) for tree in self.sub_classifiers])
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Unweighted mean of the members' class distributions."""
+        neg = pos = 0.0
+        for p_neg, p_pos in self.member_distributions(features).tolist():
+            neg += p_neg
+            pos += p_pos
+        k = len(self.sub_classifiers)
+        return np.array([neg / k, pos / k])
 
     def predict_label(self, features: np.ndarray) -> int:
         return argmax_label(self.predict(features))
@@ -383,12 +391,13 @@ class OnlineBoosting(_EnsembleBase):
     def train(self, example: Example, rng: np.random.Generator) -> None:
         check_dims(example.features, self.n_features, "OnlineBoosting.train")
         self.trained_count += 1
+        values = example.features.tolist()
         lam = 1.0
         for m, tree in enumerate(self.sub_classifiers):
             k = float(rng.poisson(lam))
             if k > 0.0:
                 tree.train(example, k)
-            correct = argmax_label(tree.predict(example.features)) == example.label
+            correct = argmax_label(tree.predict_pair(values)) == example.label
             if correct:
                 self.lambda_correct[m] += lam
             else:

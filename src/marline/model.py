@@ -18,14 +18,14 @@ from .core import (
     DataError,
     Example,
     argmax_label,
-    check_dims,
+    check_features,
 )
 from .drift import DETECTOR_KINDS, DriftStatus, make_detector
 from .learners import ENSEMBLE_KINDS, HoeffdingTreeParams, make_ensemble
 from .mapping import CentroidTracker, build_align_map, project_example
 
 SNAPSHOT_FORMAT = "marline-model"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 DEFAULT_TARGET_ID = "T"
 
@@ -93,16 +93,6 @@ class ConceptState:
         self.lambda_correct[:] = 0.0
         self.lambda_wrong[:] = 0.0
         self.performance[:] = 1.0
-
-    def member_correct_probs(self, features: np.ndarray, label: int) -> np.ndarray:
-        return np.array(
-            [tree.predict(features)[label] for tree in self.ensemble.sub_classifiers]
-        )
-
-    def member_distributions(self, features: np.ndarray) -> np.ndarray:
-        return np.array(
-            [tree.predict(features) for tree in self.ensemble.sub_classifiers]
-        )
 
 
 class StreamPool:
@@ -191,7 +181,7 @@ class MarlineModel:
     def observe(self, stream_id: str, example: Example, rng: np.random.Generator) -> bool:
         """Process one example from ``stream_id``; returns True if this
         example triggered a drift on its stream."""
-        check_dims(example.features, self.config.n_features, "MarlineModel.observe")
+        check_features(example.features, self.config.n_features, "MarlineModel.observe")
         pool = self.pools.get(stream_id)
         if pool is None:
             pool = StreamPool(stream_id, self.config)
@@ -232,10 +222,9 @@ class MarlineModel:
 
         concepts = self._all_concepts()
         probs = [
-            concept.member_correct_probs(
-                self._projected(example.features, concept, is_current_target, v_tgt, c_tgt_pos),
-                example.label,
-            )
+            concept.ensemble.member_distributions(
+                self._projected(example.features, concept, is_current_target, v_tgt, c_tgt_pos)
+            )[:, example.label]
             for concept, is_current_target in concepts
         ]
         flat_p = np.concatenate(probs)
@@ -243,12 +232,7 @@ class MarlineModel:
         flat_lw = np.concatenate([c.lambda_wrong for c, _ in concepts])
         flat_a = np.concatenate([c.performance for c, _ in concepts])
         new_lc, new_lw, new_a, _, _ = update_performance_stats(
-            flat_lc,
-            flat_lw,
-            flat_a,
-            flat_p,
-            self.config.forgetting_factor,
-            self.config.eps_clamp,
+            flat_lc, flat_lw, flat_a, flat_p, self.config.forgetting_factor, self.config.eps_clamp
         )
         k = self.config.ensemble_size
         for i, (concept, _) in enumerate(concepts):
@@ -270,7 +254,7 @@ class MarlineModel:
         or on an exact score tie; remaining ties resolve to NEG.
         """
         features = np.asarray(features, dtype=float)
-        check_dims(features, self.config.n_features, "MarlineModel.predict")
+        check_features(features, self.config.n_features, "MarlineModel.predict")
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return Prediction(NEG, np.array([0.5, 0.5]), cold_start=True)
@@ -288,10 +272,8 @@ class MarlineModel:
             w = weights[i * k : (i + 1) * k]
             if not w.any():
                 continue
-            projected = self._projected(
-                features, concept, is_current_target, v_tgt, c_tgt_pos
-            )
-            scores += w @ concept.member_distributions(projected)
+            projected = self._projected(features, concept, is_current_target, v_tgt, c_tgt_pos)
+            scores += w @ concept.ensemble.member_distributions(projected)
         if scores[NEG] == scores[POS]:
             return self._fallback(target_pool, features)
         return Prediction(argmax_label(scores), scores)

@@ -202,3 +202,21 @@ def test_grid_range_parsing_matches_published_counts(tmp_path):
     assert len(sigmas) == 10
     sizes = _parse_grid_range("1:1:30")
     assert len(sizes) == 30
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("ensemble_size=a,b", "could not convert string to float: 'a'"),
+        ("forgetting_factor=0.9:x:1", "could not convert string to float: 'x'"),
+        ("ensemble_size=1:nan:3", "cannot convert float NaN to integer"),
+        ("ensemble_size=inf", "cannot convert float infinity to integer"),
+        ("ensemble_size=1.5,2", "ensemble sizes must be whole numbers"),
+    ],
+)
+def test_malformed_grid_axis_is_a_usage_error(tmp_path, capsys, axis, message):
+    config = write_config(tmp_path / "grid.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    code = main(["grid", "--config", config, "--out", str(out), "--set", f"grid.{axis}"])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ class StubTree:
     def train(self, example, weight=1.0):
         self.train_calls.append((example, weight))
 
-    def predict(self, features):
-        return self.distribution.copy()
+    def predict_pair(self, values):
+        return tuple(self.distribution.tolist())
 
 
 class StubRng:
@@ -271,6 +272,68 @@ def test_ensemble_distributions_sum_to_one():
         ens.train(ex, rng)
         dist = ens.predict(ex.features)
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_leaf_distribution(tree, x):
+    """The distribution at the leaf ``x`` reaches, recomputed from the leaf's
+    statistics with no cached terms, in the same order of float operations."""
+    node = tree._root
+    while hasattr(node, "threshold"):
+        node = node.left if x[node.attribute] <= node.threshold else node.right
+    weights = node.class_weights
+    total = weights[NEG] + weights[POS]
+    nb_leaf = tree.params.leaf_prediction == "nb_adaptive"
+    if not nb_leaf or node.mc_correct_weight > node.nb_correct_weight:
+        return np.array([weights[NEG] / total, weights[POS] / total] if total > 0 else [0.5, 0.5])
+    logits = [-math.inf, -math.inf]
+    for label in (NEG, POS):
+        if weights[label] <= 0.0:
+            continue
+        logit = math.log(weights[label] / total)
+        for j, value in enumerate(x):
+            est = node.estimators[j][label]
+            var = max(est.variance, 1e-12)
+            diff = float(value) - est.mean
+            logit += -0.5 * math.log(2.0 * math.pi * var) - diff * diff / (2.0 * var)
+        logits[label] = logit
+    top = max(logits)
+    if top == -math.inf:
+        return np.array([0.5, 0.5])
+    raw = np.array([math.exp(l - top) for l in logits])
+    return raw / raw.sum()
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+@pytest.mark.parametrize("leaf_prediction", ["nb_adaptive", "majority"])
+def test_member_distributions_equal_per_tree_predictions(kind, leaf_prediction):
+    params = HoeffdingTreeParams(grace_period=50, leaf_prediction=leaf_prediction)
+    ens = make_ensemble(kind, 2, 4, params)
+    rng = np.random.default_rng(20)
+    stream = gaussian_stream(rng, 1200, np.array([0.0, 0.0]), np.array([3.0, 3.0]))
+    probes = np.random.default_rng(21).standard_normal((40, 2)) * 2 + 1.0
+
+    def check(ensemble):
+        trees = ensemble.sub_classifiers
+        for p in probes:
+            expected = np.array([t.predict(p) for t in trees])
+            assert np.array_equal(ensemble.member_distributions(p), expected)
+            for tree, row in zip(trees, expected):
+                assert np.array_equal(row, reference_leaf_distribution(tree, p))
+            total = np.zeros(2)
+            for row in expected:
+                total += row
+            assert np.array_equal(ensemble.predict(p), total / len(trees))
+
+    for ex in stream[:400]:
+        ens.train(ex, rng)
+    check(ens)
+    # More training must drop the cached terms of every leaf it reaches.
+    for ex in stream[400:]:
+        ens.train(ex, rng)
+    check(ens)
+    assert any(t.n_splits for t in ens.sub_classifiers)
+    # A snapshot pickles the ensemble, cached terms included.
+    check(pickle.loads(pickle.dumps(ens)))
 
 
 # ----------------------------------------------------------------------

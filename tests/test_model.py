@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from marline.core import NEG, POS, DimensionMismatchError, Example
+from marline.core import NEG, POS, DataError, DimensionMismatchError, Example
 from marline.drift import DriftStatus
 from marline.model import (
     MarlineConfig,
@@ -30,9 +30,9 @@ class StubTree:
     def train(self, example, weight=1.0):
         pass
 
-    def predict(self, features):
-        self.seen_features.append(np.asarray(features, dtype=float))
-        return self.distribution.copy()
+    def predict_pair(self, values):
+        self.seen_features.append(np.asarray(values, dtype=float))
+        return tuple(self.distribution.tolist())
 
 
 class StubDetector:
@@ -394,6 +394,23 @@ def test_duplicate_clone_concept_leaves_argmax_unchanged():
         assert base.predict(p).label == cloned.predict(p).label
 
 
+def test_non_finite_features_are_rejected_before_touching_state():
+    rng = np.random.default_rng(12)
+    model = MarlineModel(small_config())
+    for ex in alternating_stream(rng, 20, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("T", ex, rng)
+        model.observe("S1", ex, rng)
+    before = model.predict(np.array([7.0, 8.0]))
+    with pytest.raises(DataError):
+        model.observe("S1", Example(np.array([np.nan, 2.0]), POS), rng)
+    after = model.predict(np.array([7.0, 8.0]))
+    assert np.all(np.isfinite(after.scores))
+    assert np.array_equal(before.scores, after.scores)
+    for bad in ([np.inf, 0.0], [0.0, np.nan]):
+        with pytest.raises(DataError):
+            model.predict(np.array(bad))
+
+
 # ----------------------------------------------------------------------
 # source weight ratio
 # ----------------------------------------------------------------------
@@ -449,6 +466,19 @@ def test_snapshot_round_trip_preserves_predictions(tmp_path):
         assert a.label == b.label
         assert np.array_equal(a.scores, b.scores)
     assert restored.source_weight_ratio() == model.source_weight_ratio()
+
+
+def test_snapshot_rejects_version_one(tmp_path):
+    import pickle
+
+    path = str(tmp_path / "v1.bin")
+    with open(path, "wb") as fh:
+        pickle.dump(
+            {"format": "marline-model", "version": 1, "model": MarlineModel(small_config())},
+            fh,
+        )
+    with pytest.raises(DataError, match="unsupported snapshot version 1"):
+        MarlineModel.load(path)
 
 
 def test_snapshot_rejects_garbage(tmp_path):
