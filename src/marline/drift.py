@@ -8,6 +8,7 @@ bit sequence.
 
 from __future__ import annotations
 
+import inspect
 import math
 from enum import Enum
 
@@ -147,12 +148,19 @@ class HddmA:
         return self.status
 
 
-DETECTOR_KINDS = ("ddm", "hddm_a")
+_DETECTORS = {"ddm": DDM, "hddm_a": HddmA}
+DETECTOR_KINDS = tuple(_DETECTORS)
 
 
 def make_detector(kind: str, **params):
-    if kind == "ddm":
-        return DDM(**params)
-    if kind == "hddm_a":
-        return HddmA(**params)
-    raise ConfigurationError(f"unknown detector kind {kind!r}")
+    if kind not in _DETECTORS:
+        raise ConfigurationError(f"unknown detector kind {kind!r}")
+    detector = _DETECTORS[kind]
+    accepted = inspect.signature(detector).parameters
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise ConfigurationError(
+            f"detector {kind!r} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(accepted)}"
+        )
+    return detector(**params)

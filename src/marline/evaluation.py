@@ -28,7 +28,6 @@ from .streams import (
     ingest_csv,
     interleave,
     reseed_dataset,
-    truncate_after_last_target,
 )
 
 APPROACHES = (
@@ -67,6 +66,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown evaluation {self.evaluation!r}")
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed_base}")
         if not 0.0 < self.window_fraction <= 1.0:
             raise ConfigurationError("window_fraction must be in (0, 1]")
 
@@ -307,10 +308,9 @@ def build_schedule(spec: ExperimentSpec, run_index: int) -> StreamSchedule:
             StreamData(f"S{i + 1}", tuple(ingest_csv(src)))
             for i, src in enumerate(dataset.sources)
         ]
-    schedule = interleave(
+    return interleave(
         target, tuple(sources), spec.interleave_policy, spec.warmup_fraction
     )
-    return truncate_after_last_target(schedule)
 
 
 def _model_seed(spec: ExperimentSpec, run_index: int) -> np.random.SeedSequence:

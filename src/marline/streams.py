@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,22 +84,40 @@ class SyntheticStreamSpec:
         return self.concepts[0].n_features
 
 
+class _LazyExamples(Sequence):
+    """Read-only examples over a drawn feature matrix.
+
+    Item ``i`` builds its ``Example`` on first access and returns that same
+    object afterwards, so rows nobody reads are never built. Slices return
+    tuples. The features are marked non-writeable: every example is a view
+    into the shared matrix.
+    """
+
+    __slots__ = ("_features", "_labels", "_built")
+
+    def __init__(self, features: np.ndarray, labels: list[int]) -> None:
+        features.flags.writeable = False
+        self._features = features
+        self._labels = labels
+        self._built: list[Example | None] = [None] * len(labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        example = self._built[index]
+        if example is None:
+            example = Example(self._features[index], self._labels[index])
+            self._built[index] = example
+        return example
+
+
 @dataclass(frozen=True)
 class GeneratedStream:
-    examples: tuple[Example, ...]
+    examples: Sequence[Example]
     drift_marks: tuple[int, ...]  # index of the first example of each new concept
-
-
-def _sample(
-    concept_means: tuple[np.ndarray, np.ndarray],
-    cov_diag: np.ndarray,
-    label: int,
-    rng: np.random.Generator,
-) -> Example:
-    features = concept_means[label] + rng.standard_normal(cov_diag.shape[0]) * np.sqrt(
-        cov_diag
-    )
-    return Example(features, label)
 
 
 def _incremental_stages(start: GaussianConceptSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -120,33 +139,39 @@ def _incremental_stages(start: GaussianConceptSpec) -> list[tuple[np.ndarray, np
 
 def generate_synthetic(spec: SyntheticStreamSpec) -> GeneratedStream:
     """Materialise a synthetic stream: strictly alternating NEG/POS labels,
-    seeded sampling, and ground-truth drift marks at each concept change."""
-    rng = np.random.default_rng(spec.seed)
-    examples: list[Example] = []
-    marks: list[int] = []
+    seeded sampling, and ground-truth drift marks at each concept change.
 
+    The whole stream is drawn with one ``standard_normal((n, d))`` call, which
+    consumes the generator exactly as n calls of ``standard_normal(d)`` do.
+    """
     if spec.drift_type == "incremental":
         cov = np.asarray(spec.concepts[0].cov_diag, dtype=float)
-        stages = _incremental_stages(spec.concepts[0])
-        period = int(spec.increment_period)
-        for stage_idx, means in enumerate(stages):
-            if stage_idx > 0:
-                marks.append(len(examples))
-            for t in range(period):
-                examples.append(_sample(means, cov, t % 2, rng))
-        return GeneratedStream(tuple(examples), tuple(marks))
-
-    for concept_idx, concept in enumerate(spec.concepts):
-        if concept_idx > 0:
-            marks.append(len(examples))
-        means = (
-            np.asarray(concept.mean_neg, dtype=float),
-            np.asarray(concept.mean_pos, dtype=float),
-        )
-        cov = np.asarray(concept.cov_diag, dtype=float)
-        for t in range(2 * spec.class_size):
-            examples.append(_sample(means, cov, t % 2, rng))
-    return GeneratedStream(tuple(examples), tuple(marks))
+        segments = [
+            (np.stack(means), cov, int(spec.increment_period))
+            for means in _incremental_stages(spec.concepts[0])
+        ]
+    else:
+        segments = [
+            (
+                np.array([concept.mean_neg, concept.mean_pos], dtype=float),
+                np.asarray(concept.cov_diag, dtype=float),
+                2 * spec.class_size,
+            )
+            for concept in spec.concepts
+        ]
+    n = sum(length for _, _, length in segments)
+    features = np.random.default_rng(spec.seed).standard_normal((n, spec.n_features))
+    labels: list[int] = []
+    marks: list[int] = []
+    for means, cov, length in segments:
+        start = len(labels)
+        if start > 0:
+            marks.append(start)
+        segment_labels = np.arange(length) % 2
+        rows = features[start : start + length]
+        rows[...] = means[segment_labels] + rows * np.sqrt(cov)
+        labels.extend(segment_labels.tolist())
+    return GeneratedStream(_LazyExamples(features, labels), tuple(marks))
 
 
 # ----------------------------------------------------------------------
@@ -362,12 +387,18 @@ def ingest_csv(spec: CsvStreamSpec) -> list[Example]:
     targets = []
     for idx, row in rows:
         try:
-            targets.append(float(row[spec.target_column]))
+            target = float(row[spec.target_column])
         except (TypeError, ValueError):
             raise DataError(
                 f"{spec.path}: row {idx}: non-numeric target "
                 f"{row[spec.target_column]!r}"
             ) from None
+        if not math.isfinite(target):
+            raise DataError(
+                f"{spec.path}: row {idx}: non-finite target "
+                f"{row[spec.target_column]!r}"
+            )
+        targets.append(target)
     median = statistics.median(targets)
 
     examples = []
@@ -414,7 +445,7 @@ class StreamSchedule:
 @dataclass(frozen=True)
 class StreamData:
     stream_id: str
-    examples: tuple[Example, ...]
+    examples: Sequence[Example]
     drift_marks: tuple[int, ...] = ()
 
 
@@ -424,12 +455,15 @@ def interleave(
     policy: str = "round_robin",
     warmup_fraction: float = 0.1,
 ) -> StreamSchedule:
-    """Merge source and target streams into one arrival order.
+    """Merge source and target streams into one arrival order, ending at the
+    last target example.
 
     round_robin: one example from each source, then one from the target,
-    cycling; exhausted streams are skipped. target_paced: the leading
-    ``warmup_fraction`` of every source arrives first, then sources are
-    drip-fed one example after each target example until the target ends.
+    cycling; exhausted sources are skipped. target_paced: the leading
+    ``warmup_fraction`` of every source (of its full length) arrives first,
+    then sources are drip-fed one example after each target example but the
+    last. Source examples that would follow the last target example can never
+    influence a scored prediction, so they are never read.
     """
     if policy not in INTERLEAVE_POLICIES:
         raise ConfigurationError(f"unknown interleave policy {policy!r}")
@@ -448,7 +482,7 @@ def interleave(
     if policy == "round_robin":
         cursors = {s.stream_id: 0 for s in (*sources, target)}
         order = [*sources, target]
-        while any(cursors[s.stream_id] < len(s.examples) for s in order):
+        while cursors[target.stream_id] < len(target.examples):
             for stream in order:
                 i = cursors[stream.stream_id]
                 if i < len(stream.examples):
@@ -464,8 +498,11 @@ def interleave(
                 emit(stream.stream_id, i, stream.examples[i])
             cursors[stream.stream_id] = n_warm
         rotation = 0
+        last = len(target.examples) - 1
         for t, example in enumerate(target.examples):
             emit(target.stream_id, t, example)
+            if t == last:
+                break
             for offset in range(len(sources)):
                 stream = sources[(rotation + offset) % len(sources)]
                 i = cursors[stream.stream_id]
@@ -476,18 +513,6 @@ def interleave(
                     break
 
     return StreamSchedule(tuple(entries), tuple(marks), target.stream_id)
-
-
-def truncate_after_last_target(schedule: StreamSchedule) -> StreamSchedule:
-    """Drop trailing non-target entries; they can never influence a scored
-    prediction, so results are unchanged."""
-    last = max(
-        (i for i, (sid, _) in enumerate(schedule.entries) if sid == schedule.target_id),
-        default=-1,
-    )
-    entries = schedule.entries[: last + 1]
-    marks = tuple((sid, i) for sid, i in schedule.drift_marks if i <= last)
-    return StreamSchedule(entries, marks, schedule.target_id)
 
 
 def export_schedule_csv(schedule: StreamSchedule, path: str) -> None:

@@ -220,3 +220,29 @@ def test_malformed_grid_axis_is_a_usage_error(tmp_path, capsys, axis, message):
     code = main(["grid", "--config", config, "--out", str(out), "--set", f"grid.{axis}"])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    code = main(["run", "--config", config, "--out", str(out), "--seed", "-3"])
+    assert code == EXIT_USAGE
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config_is_a_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG.replace("seed = 11", "seed = -3"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_detector_key_of_another_detector_is_a_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", config, "--out", str(out), "--set", "model.min_observations=5"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "detector 'hddm_a' does not take min_observations" in err

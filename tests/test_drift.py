@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from marline.core import ConfigurationError
 from marline.drift import DDM, DriftStatus, HddmA, make_detector
 
 
@@ -169,3 +170,7 @@ def test_make_detector_dispatch():
     assert isinstance(make_detector("hddm_a", drift_confidence=0.01), HddmA)
     with pytest.raises(Exception):
         make_detector("adwin")
+    with pytest.raises(ConfigurationError, match="detector 'ddm' does not take drift_confidence"):
+        make_detector("ddm", drift_confidence=0.01)
+    with pytest.raises(ConfigurationError, match="detector 'hddm_a' does not take warning_level"):
+        make_detector("hddm_a", drift_confidence=0.01, warning_level=2.0)

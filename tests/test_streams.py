@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,12 +17,12 @@ from marline.streams import (
     RowFilter,
     StreamData,
     SyntheticStreamSpec,
+    _incremental_stages,
     benchmark_dataset,
     export_schedule_csv,
     generate_synthetic,
     ingest_csv,
     interleave,
-    truncate_after_last_target,
 )
 
 
@@ -102,8 +106,6 @@ def test_identical_seed_gives_byte_identical_streams():
 
 
 def test_different_seeds_give_different_samples():
-    from dataclasses import replace
-
     spec = benchmark_dataset("no_drift_similar", 50).target
     a = generate_synthetic(replace(spec, seed=1))
     b = generate_synthetic(replace(spec, seed=2))
@@ -119,6 +121,69 @@ def test_empirical_covariance_matches_spec_diagonal():
         assert var == pytest.approx([1.0, 2.0], rel=0.1)
     wide = generate_synthetic(benchmark_dataset("no_drift_similar", 5000).target)
     assert class_var(wide.examples, NEG) == pytest.approx([2.0, 2.0], rel=0.1)
+
+
+def reference_stream(spec):
+    """The per-example generator: one ``standard_normal(d)`` per example."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.drift_type == "incremental":
+        cov = np.asarray(spec.concepts[0].cov_diag, dtype=float)
+        segments = [
+            (means, cov, spec.increment_period)
+            for means in _incremental_stages(spec.concepts[0])
+        ]
+    else:
+        segments = [
+            (
+                (np.asarray(c.mean_neg, dtype=float), np.asarray(c.mean_pos, dtype=float)),
+                np.asarray(c.cov_diag, dtype=float),
+                2 * spec.class_size,
+            )
+            for c in spec.concepts
+        ]
+    features, labels, marks = [], [], []
+    for means, cov, length in segments:
+        if features:
+            marks.append(len(features))
+        for t in range(length):
+            label = t % 2
+            features.append(means[label] + rng.standard_normal(cov.shape[0]) * np.sqrt(cov))
+            labels.append(label)
+    return np.array(features), labels, tuple(marks)
+
+
+@pytest.mark.parametrize("family", BENCHMARK_FAMILIES)
+def test_vectorised_generator_equals_the_per_example_loop(family):
+    for class_size in (1, 7):
+        dataset = benchmark_dataset(family, class_size)
+        specs = [dataset.target, *(replace(s, class_size=class_size) for s in dataset.sources)]
+        if dataset.target.drift_type == "incremental":
+            specs.append(replace(dataset.target, increment_period=2 * class_size + 1))
+        for seed in (0, 1, 12345):
+            for spec in specs:
+                spec = replace(spec, seed=seed)
+                features, labels, marks = reference_stream(spec)
+                generated = generate_synthetic(spec)
+                assert generated.drift_marks == marks
+                assert np.array_equal(
+                    np.array([e.features for e in generated.examples]), features
+                )
+                assert [e.label for e in generated.examples] == labels
+
+
+def test_generated_examples_are_built_on_access_and_read_only():
+    generated = generate_synthetic(benchmark_dataset("abrupt_similar", 5).target)
+    examples = generated.examples
+    assert len(examples) == 20
+    first = examples[3]
+    assert examples[3] is first
+    assert examples[-17] is first
+    assert examples[2:4] == (examples[2], first)
+    assert type(first.label) is int
+    with pytest.raises(ValueError):
+        first.features[0] = 0.0
+    with pytest.raises(IndexError):
+        examples[20]
 
 
 def test_spec_validation_errors():
@@ -198,6 +263,15 @@ def test_non_numeric_cell_reports_row_number(tmp_path):
     path2 = write_csv(tmp_path / "badtgt.csv", ["a", "cnt"], [[1, 2], [2, "x"]])
     with pytest.raises(DataError, match="row 3"):
         ingest_csv(CsvStreamSpec(path2, ("a",), "cnt"))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_target_reports_row_number(tmp_path, bad):
+    path = write_csv(
+        tmp_path / "nantgt.csv", ["a", "cnt"], [[1, 2], [2, 5], [3, bad], [4, 1]]
+    )
+    with pytest.raises(DataError, match="row 4: non-finite target"):
+        ingest_csv(CsvStreamSpec(path, ("a",), "cnt"))
 
 
 def test_empty_filter_result_is_a_configuration_error(tmp_path):
@@ -312,8 +386,65 @@ def test_empty_target_is_rejected():
 def test_truncation_drops_trailing_source_entries():
     target = StreamData("T", (ex(0),))
     source = StreamData("S1", tuple(ex(10 + i) for i in range(5)))
-    schedule = truncate_after_last_target(interleave(target, (source,)))
+    schedule = interleave(target, (source,))
     assert [sid for sid, _ in schedule.entries] == ["S1", "T"]
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "target_paced"])
+def test_interleave_ends_at_the_last_target_entry(policy):
+    target = StreamData("T", tuple(ex(i) for i in range(3)), drift_marks=(2,))
+    sources = (
+        StreamData("S1", tuple(ex(10 + i) for i in range(8)), drift_marks=(6,)),
+        StreamData("S2", tuple(ex(20 + i) for i in range(8)), drift_marks=(7,)),
+    )
+    schedule = interleave(target, sources, policy=policy, warmup_fraction=0.25)
+    kinds = [sid for sid, _ in schedule.entries]
+    assert kinds[-1] == "T"
+    assert kinds.count("T") == 3
+    assert schedule.target_drift_indices() == (len(kinds) - 1,)
+    # marks of source examples that would come after the target are gone
+    assert all(sid == "T" for sid, _ in schedule.drift_marks)
+
+
+class CountingExamples(Sequence):
+    """A stream that records the highest index read."""
+
+    def __init__(self, examples):
+        self.examples = examples
+        self.highest = -1
+
+    def __len__(self):
+        return len(self.examples)
+
+    def __getitem__(self, index):
+        assert isinstance(index, int) and index >= 0
+        self.highest = max(self.highest, index)
+        return self.examples[index]
+
+
+@pytest.mark.parametrize(
+    "policy, fraction, expected",
+    [
+        # S1 S2 T S1 S2 T S1 S2 T
+        ("round_robin", 0.1, [2, 2]),
+        # ceil(0.1 * 50) = 5 warm-up each, then S1 after T0 and S2 after T1
+        ("target_paced", 0.1, [5, 5]),
+        ("target_paced", 0.37, [19, 19]),
+        ("target_paced", 0.0, [0, 0]),
+    ],
+)
+def test_interleave_reads_no_source_item_past_the_last_target(policy, fraction, expected):
+    target = StreamData("T", tuple(ex(i) for i in range(3)))
+    counters = [CountingExamples(tuple(ex(100 * j + i) for i in range(50))) for j in (1, 2)]
+    sources = tuple(StreamData(f"S{j + 1}", c) for j, c in enumerate(counters))
+    schedule = interleave(target, sources, policy=policy, warmup_fraction=fraction)
+    kinds = [sid for sid, _ in schedule.entries]
+    assert kinds[-1] == "T"
+    assert [c.highest for c in counters] == expected
+    assert [c.highest for c in counters] == [kinds.count("S1") - 1, kinds.count("S2") - 1]
+    if policy == "target_paced":
+        n_warm = math.ceil(fraction * 50)
+        assert kinds[: 2 * n_warm] == ["S1"] * n_warm + ["S2"] * n_warm
 
 
 def test_export_schedule_csv_layout(tmp_path):
