@@ -18,11 +18,9 @@ from .core import (
 from .drift import DDM, DriftStatus, HddmA, make_detector
 from .evaluation import (
     ExperimentSpec,
-    PrequentialTrace,
     grid_search,
     run_experiment,
-    run_prequential,
-    run_sliding_window,
+    run_schedule,
 )
 from .learners import (
     HoeffdingTree,
@@ -81,7 +79,6 @@ __all__ = [
     "OnlineBagging",
     "OnlineBoosting",
     "Prediction",
-    "PrequentialTrace",
     "RowFilter",
     "StreamData",
     "StreamSchedule",
@@ -98,8 +95,7 @@ __all__ = [
     "make_ensemble",
     "project_example",
     "run_experiment",
-    "run_prequential",
-    "run_sliding_window",
+    "run_schedule",
     "sub_classifier_weights",
     "update_performance_stats",
     "__version__",

@@ -11,7 +11,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,15 +70,6 @@ class ExperimentSpec:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed_base}")
         if not 0.0 < self.window_fraction <= 1.0:
             raise ConfigurationError("window_fraction must be in (0, 1]")
-
-
-@dataclass
-class PrequentialTrace:
-    """Running prequential accuracy, with counters zeroed at each reset."""
-
-    per_step_accuracy: list[float]
-    reset_points: list[int]
-    final_per_segment_accuracy: list[float]
 
 
 @dataclass
@@ -189,16 +180,23 @@ def build_approach(spec: ExperimentSpec, target_id: str, model_seed) -> object:
 # ----------------------------------------------------------------------
 
 
-def _run_schedule(
+def run_schedule(
     approach,
     schedule: StreamSchedule,
     reset_at_drifts: bool,
-    window: int | None,
+    window_fraction: float,
 ) -> RunTrace:
     """Single pass over a schedule: score each target example before the
-    approach sees it, then hand every example over for training."""
-    if not any(sid == schedule.target_id for sid, _ in schedule.entries):
+    approach sees it, then hand every example over for training.
+
+    Running accuracy restarts at each ground-truth target drift mark when
+    ``reset_at_drifts`` is set; windowed accuracy is the mean correctness over
+    the trailing ``max(1, ceil(window_fraction * n_target))`` target steps.
+    """
+    n_target = sum(1 for sid, _ in schedule.entries if sid == schedule.target_id)
+    if n_target == 0:
         raise ConfigurationError("schedule contains no target examples")
+    window = max(1, math.ceil(window_fraction * n_target))
     reset_indices = set(schedule.target_drift_indices()) if reset_at_drifts else set()
     ratio_fn = getattr(approach, "source_weight_ratio", lambda: None)
 
@@ -206,7 +204,7 @@ def _run_schedule(
     seg_correct = 0
     seg_total = 0
     segment = 0
-    recent: deque[int] = deque(maxlen=window) if window else deque(maxlen=1)
+    recent: deque[int] = deque(maxlen=window)
     for index, (stream_id, example) in enumerate(schedule.entries):
         if stream_id == schedule.target_id:
             if index in reset_indices and seg_total > 0:
@@ -232,35 +230,6 @@ def _run_schedule(
     if seg_total > 0:
         trace.final_per_segment_accuracy.append(seg_correct / seg_total)
     return trace
-
-
-def run_prequential(
-    approach_factory: Callable[[], object],
-    schedule: StreamSchedule,
-    reset_at_drifts: bool = True,
-) -> PrequentialTrace:
-    """Prequential accuracy over the schedule's target examples, with the
-    running counters zeroed at each ground-truth target drift mark."""
-    trace = _run_schedule(approach_factory(), schedule, reset_at_drifts, window=None)
-    return PrequentialTrace(
-        per_step_accuracy=trace.running,
-        reset_points=trace.reset_points,
-        final_per_segment_accuracy=trace.final_per_segment_accuracy,
-    )
-
-
-def run_sliding_window(
-    approach_factory: Callable[[], object],
-    schedule: StreamSchedule,
-    window_fraction: float,
-) -> list[float]:
-    """Mean correctness over the trailing window at each target step."""
-    n_target = sum(1 for sid, _ in schedule.entries if sid == schedule.target_id)
-    window = max(1, math.ceil(window_fraction * n_target))
-    trace = _run_schedule(
-        approach_factory(), schedule, reset_at_drifts=False, window=window
-    )
-    return trace.windowed
 
 
 # ----------------------------------------------------------------------
@@ -320,15 +289,8 @@ def _model_seed(spec: ExperimentSpec, run_index: int) -> np.random.SeedSequence:
 def _execute_run(spec: ExperimentSpec, run_index: int) -> RunTrace:
     schedule = build_schedule(spec, run_index)
     approach = build_approach(spec, schedule.target_id, _model_seed(spec, run_index))
-    window = max(
-        1,
-        math.ceil(
-            spec.window_fraction
-            * sum(1 for sid, _ in schedule.entries if sid == schedule.target_id)
-        ),
-    )
     reset = spec.evaluation == "prequential_reset"
-    return _run_schedule(approach, schedule, reset_at_drifts=reset, window=window)
+    return run_schedule(approach, schedule, reset, spec.window_fraction)
 
 
 def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentResult:

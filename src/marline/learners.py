@@ -301,9 +301,6 @@ class HoeffdingTree:
         check_dims(features, self.n_features, "HoeffdingTree.predict")
         return np.array(self.predict_pair(features.tolist()))
 
-    def predict_label(self, features: np.ndarray) -> int:
-        return argmax_label(self.predict(features))
-
 
 class _EnsembleBase:
     """Shared plumbing for the fixed-size online ensembles."""
@@ -351,9 +348,6 @@ class _EnsembleBase:
             pos += p_pos
         k = len(self.sub_classifiers)
         return np.array([neg / k, pos / k])
-
-    def predict_label(self, features: np.ndarray) -> int:
-        return argmax_label(self.predict(features))
 
 
 class OnlineBagging(_EnsembleBase):

@@ -25,7 +25,7 @@ from .learners import ENSEMBLE_KINDS, HoeffdingTreeParams, make_ensemble
 from .mapping import CentroidTracker, build_align_map, project_example
 
 SNAPSHOT_FORMAT = "marline-model"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 DEFAULT_TARGET_ID = "T"
 
@@ -57,6 +57,9 @@ class MarlineConfig:
             raise ConfigurationError(
                 f"detector must be one of {DETECTOR_KINDS}, got {self.detector!r}"
             )
+        # Build one detector now, so that parameters it does not take are
+        # rejected even where no model is ever made.
+        make_detector(self.detector, **self.detector_params)
         if not 0.0 < self.forgetting_factor <= 1.0:
             raise ConfigurationError("forgetting_factor must be in (0, 1]")
         if not 0.0 <= self.performance_index <= 1.0:
@@ -73,8 +76,8 @@ class Prediction:
 
 
 class ConceptState:
-    """One concept of one stream: its ensemble, centroid tracker, and the
-    per-sub-classifier performance stats on the current target concept."""
+    """One concept of one stream: its ensemble and centroid tracker. The
+    performance stats of its sub-classifiers live in the owning model."""
 
     def __init__(self, config: MarlineConfig) -> None:
         self.ensemble = make_ensemble(
@@ -84,15 +87,6 @@ class ConceptState:
             config.tree,
         )
         self.tracker = CentroidTracker(config.n_features, config.forgetting_factor)
-        k = config.ensemble_size
-        self.lambda_correct = np.zeros(k)
-        self.lambda_wrong = np.zeros(k)
-        self.performance = np.ones(k)
-
-    def reset_stats(self) -> None:
-        self.lambda_correct[:] = 0.0
-        self.lambda_wrong[:] = 0.0
-        self.performance[:] = 1.0
 
 
 class StreamPool:
@@ -103,7 +97,7 @@ class StreamPool:
 
     def __init__(self, stream_id: str, config: MarlineConfig) -> None:
         self.stream_id = stream_id
-        self.concepts = [ConceptState(config)]
+        self.concepts: list[ConceptState] = []
         self.detector = make_detector(config.detector, **dict(config.detector_params))
 
     @property
@@ -173,6 +167,14 @@ class MarlineModel:
         self.config = config
         self.target_id = target_id
         self.pools: dict[str, StreamPool] = {}
+        # Every concept in pool-major order (pools first seen first, each
+        # pool's concepts oldest first), and one ensemble_size block of
+        # stats per concept in the same order. The order fixes the summation
+        # order of the performance update and the vote.
+        self.concepts: list[ConceptState] = []
+        self.lambda_correct = np.zeros(0)
+        self.lambda_wrong = np.zeros(0)
+        self.performance = np.ones(0)
 
     # ------------------------------------------------------------------
     # training
@@ -184,8 +186,7 @@ class MarlineModel:
         check_features(example.features, self.config.n_features, "MarlineModel.observe")
         pool = self.pools.get(stream_id)
         if pool is None:
-            pool = StreamPool(stream_id, self.config)
-            self.pools[stream_id] = pool
+            pool = self._new_concept(stream_id)
 
         # Drift monitoring uses the newest ensemble's prediction on the
         # example before anything trains on it.
@@ -193,12 +194,12 @@ class MarlineModel:
         status = pool.detector.update(predicted == example.label)
         drift = status is DriftStatus.DRIFT
         if drift:
-            pool.concepts.append(ConceptState(self.config))
+            self._new_concept(stream_id)
             pool.detector.reset()
             if stream_id == self.target_id:
-                for other in self.pools.values():
-                    for concept in other.concepts:
-                        concept.reset_stats()
+                self.lambda_correct.fill(0.0)
+                self.lambda_wrong.fill(0.0)
+                self.performance.fill(1.0)
 
         pool.current.ensemble.train(example, rng)
         pool.current.tracker.update(example)
@@ -217,29 +218,26 @@ class MarlineModel:
         target_pool = self.pools.get(self.target_id)
         if target_pool is None or not target_pool.current.tracker.both_classes_seen:
             return
-        v_tgt = target_pool.current.tracker.concept_vector()
-        c_tgt_pos = target_pool.current.tracker.centroid(POS)
+        target = target_pool.current
+        v_tgt = target.tracker.concept_vector()
+        c_tgt_pos = target.tracker.centroid(POS)
 
-        concepts = self._all_concepts()
-        probs = [
-            concept.ensemble.member_distributions(
-                self._projected(example.features, concept, is_current_target, v_tgt, c_tgt_pos)
-            )[:, example.label]
-            for concept, is_current_target in concepts
-        ]
-        flat_p = np.concatenate(probs)
-        flat_lc = np.concatenate([c.lambda_correct for c, _ in concepts])
-        flat_lw = np.concatenate([c.lambda_wrong for c, _ in concepts])
-        flat_a = np.concatenate([c.performance for c, _ in concepts])
-        new_lc, new_lw, new_a, _, _ = update_performance_stats(
-            flat_lc, flat_lw, flat_a, flat_p, self.config.forgetting_factor, self.config.eps_clamp
+        p_correct = np.concatenate(
+            [
+                concept.ensemble.member_distributions(
+                    self._projected(example.features, concept, concept is target, v_tgt, c_tgt_pos)
+                )[:, example.label]
+                for concept in self.concepts
+            ]
         )
-        k = self.config.ensemble_size
-        for i, (concept, _) in enumerate(concepts):
-            sl = slice(i * k, (i + 1) * k)
-            concept.lambda_correct[:] = new_lc[sl]
-            concept.lambda_wrong[:] = new_lw[sl]
-            concept.performance[:] = new_a[sl]
+        self.lambda_correct, self.lambda_wrong, self.performance, _, _ = update_performance_stats(
+            self.lambda_correct,
+            self.lambda_wrong,
+            self.performance,
+            p_correct,
+            self.config.forgetting_factor,
+            self.config.eps_clamp,
+        )
 
     # ------------------------------------------------------------------
     # prediction
@@ -259,20 +257,20 @@ class MarlineModel:
         if target_pool is None:
             return Prediction(NEG, np.array([0.5, 0.5]), cold_start=True)
 
-        weights = self._flat_weights()
-        if not target_pool.current.tracker.both_classes_seen or not weights.any():
+        weights = sub_classifier_weights(self.performance, self.config.performance_index)
+        target = target_pool.current
+        if not target.tracker.both_classes_seen or not weights.any():
             return self._fallback(target_pool, features)
 
-        v_tgt = target_pool.current.tracker.concept_vector()
-        c_tgt_pos = target_pool.current.tracker.centroid(POS)
-        concepts = self._all_concepts()
+        v_tgt = target.tracker.concept_vector()
+        c_tgt_pos = target.tracker.centroid(POS)
         k = self.config.ensemble_size
         scores = np.zeros(2)
-        for i, (concept, is_current_target) in enumerate(concepts):
+        for i, concept in enumerate(self.concepts):
             w = weights[i * k : (i + 1) * k]
             if not w.any():
                 continue
-            projected = self._projected(features, concept, is_current_target, v_tgt, c_tgt_pos)
+            projected = self._projected(features, concept, concept is target, v_tgt, c_tgt_pos)
             scores += w @ concept.ensemble.member_distributions(projected)
         if scores[NEG] == scores[POS]:
             return self._fallback(target_pool, features)
@@ -284,14 +282,13 @@ class MarlineModel:
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return 0.0
-        weights = self._flat_weights()
+        weights = sub_classifier_weights(self.performance, self.config.performance_index)
         if not weights.any():
             return 0.0
         k = self.config.ensemble_size
-        concepts = self._all_concepts()
         ratio = 0.0
-        for i, (_, is_current_target) in enumerate(concepts):
-            if not is_current_target:
+        for i, concept in enumerate(self.concepts):
+            if concept is not target_pool.current:
                 ratio += float(weights[i * k : (i + 1) * k].sum())
         return min(max(ratio, 0.0), 1.0)
 
@@ -328,19 +325,20 @@ class MarlineModel:
     # internals
     # ------------------------------------------------------------------
 
-    def _all_concepts(self) -> list[tuple[ConceptState, bool]]:
-        """Every concept of every pool in deterministic order, flagged with
-        whether it is the current target concept."""
-        out: list[tuple[ConceptState, bool]] = []
-        for stream_id, pool in self.pools.items():
-            last = len(pool.concepts) - 1
-            for j, concept in enumerate(pool.concepts):
-                out.append((concept, stream_id == self.target_id and j == last))
-        return out
-
-    def _flat_weights(self) -> np.ndarray:
-        alphas = np.concatenate([c.performance for c, _ in self._all_concepts()])
-        return sub_classifier_weights(alphas, self.config.performance_index)
+    def _new_concept(self, stream_id: str) -> StreamPool:
+        """Start a fresh concept on ``stream_id``, creating its pool on first
+        sight, with fresh stats after the pool's earlier concepts."""
+        pool = self.pools.get(stream_id)
+        if pool is None:
+            pool = self.pools[stream_id] = StreamPool(stream_id, self.config)
+        pool.concepts.append(ConceptState(self.config))
+        self.concepts = [c for p in self.pools.values() for c in p.concepts]
+        k = self.config.ensemble_size
+        at = self.concepts.index(pool.current) * k
+        self.lambda_correct = np.insert(self.lambda_correct, at, np.zeros(k))
+        self.lambda_wrong = np.insert(self.lambda_wrong, at, np.zeros(k))
+        self.performance = np.insert(self.performance, at, np.ones(k))
+        return pool
 
     def _projected(
         self,

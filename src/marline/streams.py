@@ -469,6 +469,8 @@ def interleave(
         raise ConfigurationError(f"unknown interleave policy {policy!r}")
     if not target.examples:
         raise ConfigurationError("target stream is empty")
+    if not 0.0 <= warmup_fraction <= 1.0:
+        raise ConfigurationError("warmup_fraction must be in [0, 1]")
 
     mark_sets = {s.stream_id: set(s.drift_marks) for s in (*sources, target)}
     entries: list[tuple[str, Example]] = []
@@ -489,8 +491,6 @@ def interleave(
                     emit(stream.stream_id, i, stream.examples[i])
                     cursors[stream.stream_id] = i + 1
     else:
-        if not 0.0 <= warmup_fraction <= 1.0:
-            raise ConfigurationError("warmup_fraction must be in [0, 1]")
         cursors = {s.stream_id: 0 for s in sources}
         for stream in sources:
             n_warm = math.ceil(warmup_fraction * len(stream.examples))

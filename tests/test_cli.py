@@ -246,3 +246,24 @@ def test_detector_key_of_another_detector_is_a_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "detector 'hddm_a' does not take min_observations" in err
+
+
+def test_generate_rejects_a_key_of_another_detector(tmp_path, capsys):
+    config = write_config(tmp_path / "gen.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    code = main(
+        ["generate", "--config", config, "--out", str(out), "--set", "model.min_observations=5"]
+    )
+    assert code == EXIT_USAGE
+    assert "detector 'hddm_a' does not take min_observations" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_out_of_range_warmup_fraction_is_a_usage_error_under_round_robin(tmp_path, capsys):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", config, "--out", str(out), "--set", "experiment.warmup_fraction=7"]
+    )
+    assert code == EXIT_USAGE
+    assert "warmup_fraction must be in [0, 1]" in capsys.readouterr().err

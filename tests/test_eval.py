@@ -13,8 +13,7 @@ from marline.evaluation import (
     ExperimentSpec,
     grid_search,
     run_experiment,
-    run_prequential,
-    run_sliding_window,
+    run_schedule,
 )
 from marline.model import MarlineConfig
 from marline.streams import StreamData, StreamSchedule, benchmark_dataset, interleave
@@ -87,16 +86,16 @@ class SpyStub:
 
 def test_perfect_predictor_scores_one_everywhere():
     schedule = target_schedule([0, 1, 0, 1, 1, 0])
-    trace = run_prequential(FeatureEchoStub, schedule)
-    assert trace.per_step_accuracy == [1.0] * 6
+    trace = run_schedule(FeatureEchoStub(), schedule, True, 1.0)
+    assert trace.running == [1.0] * 6
     assert trace.final_per_segment_accuracy == [1.0]
     assert trace.reset_points == []
 
 
 def test_always_wrong_with_reset_zeroes_both_segments():
     schedule = target_schedule([0, 1, 0, 1], marks=[2])
-    trace = run_prequential(AlwaysWrongStub, schedule)
-    assert trace.per_step_accuracy == [0.0, 0.0, 0.0, 0.0]
+    trace = run_schedule(AlwaysWrongStub(), schedule, True, 1.0)
+    assert trace.running == [0.0, 0.0, 0.0, 0.0]
     assert trace.final_per_segment_accuracy == [0.0, 0.0]
     assert trace.reset_points == [2]
 
@@ -105,20 +104,20 @@ def test_counters_zero_exactly_at_the_reset_point():
     # Wrong, wrong before the mark; correct, correct after: the running
     # accuracy must restart from the mark rather than average across it.
     schedule = target_schedule([0, 1, 0, 1], marks=[2])
-    trace = run_prequential(lambda: ScriptedStub([0, 0, 1, 1]), schedule)
-    assert trace.per_step_accuracy == [0.0, 0.0, 1.0, 1.0]
+    trace = run_schedule(ScriptedStub([0, 0, 1, 1]), schedule, True, 1.0)
+    assert trace.running == [0.0, 0.0, 1.0, 1.0]
     assert trace.final_per_segment_accuracy == [0.0, 1.0]
 
 
 def test_running_accuracy_is_the_hand_computed_mean():
     schedule = target_schedule([0, 1, 0, 1])
-    trace = run_prequential(lambda: ScriptedStub([1, 0, 1, 0]), schedule)
-    assert trace.per_step_accuracy == pytest.approx([1.0, 0.5, 2 / 3, 0.5])
+    trace = run_schedule(ScriptedStub([1, 0, 1, 0]), schedule, True, 1.0)
+    assert trace.running == pytest.approx([1.0, 0.5, 2 / 3, 0.5])
 
 
 def test_resets_ignored_when_disabled():
     schedule = target_schedule([0, 1, 0, 1], marks=[2])
-    trace = run_prequential(AlwaysWrongStub, schedule, reset_at_drifts=False)
+    trace = run_schedule(AlwaysWrongStub(), schedule, False, 1.0)
     assert trace.final_per_segment_accuracy == [0.0]
     assert trace.reset_points == []
 
@@ -127,20 +126,20 @@ def test_source_examples_are_never_scored():
     target = StreamData("T", (ex(0, 0), ex(1, 1)))
     source = StreamData("S1", (ex(0, 10), ex(1, 11), ex(0, 12)))
     schedule = interleave(target, (source,))
-    trace = run_prequential(FeatureEchoStub, schedule)
-    assert len(trace.per_step_accuracy) == 2
+    trace = run_schedule(FeatureEchoStub(), schedule, True, 1.0)
+    assert len(trace.running) == 2
 
 
 def test_empty_target_schedule_is_rejected():
     schedule = StreamSchedule(entries=(("S1", ex(0)),), drift_marks=(), target_id="T")
     with pytest.raises(ConfigurationError):
-        run_prequential(FeatureEchoStub, schedule)
+        run_schedule(FeatureEchoStub(), schedule, True, 1.0)
 
 
 def test_strict_test_then_train_ordering():
     schedule = target_schedule([0, 1, 0, 1, 0])
     spy = SpyStub()
-    run_prequential(lambda: spy, schedule)
+    run_schedule(spy, schedule, True, 1.0)
     seen_observe = set()
     scored = set()
     for kind, uid in spy.log:
@@ -159,8 +158,8 @@ def test_segment_accuracy_depends_only_on_its_own_segment():
     base = target_schedule([0, 1, 0, 1, 0, 1], marks=[3])
     flipped = target_schedule([1, 0, 1, 1, 0, 1], marks=[3])
     stub_bits = [0, 1, 0, 1, 1, 0]
-    t1 = run_prequential(lambda: ScriptedStub(stub_bits), base)
-    t2 = run_prequential(lambda: ScriptedStub(stub_bits), flipped)
+    t1 = run_schedule(ScriptedStub(stub_bits), base, True, 1.0)
+    t2 = run_schedule(ScriptedStub(stub_bits), flipped, True, 1.0)
     assert t1.final_per_segment_accuracy[1] == t2.final_per_segment_accuracy[1]
 
 
@@ -172,14 +171,14 @@ def test_segment_accuracy_depends_only_on_its_own_segment():
 def test_window_of_one_replays_the_correctness_bits():
     bits = [1, 0, 1, 1, 0]
     schedule = target_schedule([0, 1, 0, 1, 0])
-    series = run_sliding_window(lambda: ScriptedStub(bits), schedule, 1e-9)
+    series = run_schedule(ScriptedStub(bits), schedule, False, 1e-9).windowed
     assert series == [float(b) for b in bits]
 
 
 def test_sliding_window_matches_brute_force_oracle():
     bits = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0]
     schedule = target_schedule([i % 2 for i in range(10)])
-    series = run_sliding_window(lambda: ScriptedStub(bits), schedule, 0.3)
+    series = run_schedule(ScriptedStub(bits), schedule, False, 0.3).windowed
     window = 3
     expected = [
         float(np.mean(bits[max(0, t - window + 1) : t + 1])) for t in range(len(bits))
@@ -198,7 +197,7 @@ def test_constant_predictor_converges_to_half_on_balanced_stream():
         def observe(self, stream_id, example):
             pass
 
-    series = run_sliding_window(AlwaysNeg, schedule, 0.1)
+    series = run_schedule(AlwaysNeg(), schedule, False, 0.1).windowed
     window = 40
     assert abs(series[-1] - 0.5) <= 1.0 / window
 
@@ -327,3 +326,10 @@ def test_grid_rejects_unknown_fields_and_empty_axes():
         grid_search(spec, {"learning_rate": [0.1]})
     with pytest.raises(ConfigurationError):
         grid_search(spec, {"ensemble_size": []})
+
+
+def test_every_public_name_resolves():
+    import marline
+
+    for name in marline.__all__:
+        assert hasattr(marline, name), name

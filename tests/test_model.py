@@ -14,7 +14,6 @@ from marline.drift import DriftStatus
 from marline.model import (
     MarlineConfig,
     MarlineModel,
-    StreamPool,
     sub_classifier_weights,
     update_performance_stats,
 )
@@ -80,8 +79,7 @@ def install_stub_concept(model, stream_id, dists, c_neg=(0.0, 0.0), c_pos=(1.0, 
     assert len(dists) == model.config.ensemble_size
     pool = model.pools.get(stream_id)
     if pool is None:
-        pool = StreamPool(stream_id, model.config)
-        model.pools[stream_id] = pool
+        pool = model._new_concept(stream_id)
     concept = pool.current
     concept.ensemble.sub_classifiers = [StubTree(d) for d in dists]
     seed_tracker(concept.tracker, c_neg, c_pos)
@@ -124,11 +122,11 @@ def test_worked_update_example_against_exact_fractions():
 
 def test_worked_update_example_through_the_model():
     model = MarlineModel(small_config())
-    concept = install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
+    install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
     model.update_weights(Example(np.array([0.5, 0.5]), POS))
-    assert concept.lambda_correct == pytest.approx([4 / 9, 2 / 9], abs=1e-12)
-    assert concept.lambda_wrong == pytest.approx([1 / 6, 1 / 2], abs=1e-12)
-    assert concept.performance == pytest.approx([8 / 11, 4 / 13], abs=1e-12)
+    assert model.lambda_correct == pytest.approx([4 / 9, 2 / 9], abs=1e-12)
+    assert model.lambda_wrong == pytest.approx([1 / 6, 1 / 2], abs=1e-12)
+    assert model.performance == pytest.approx([8 / 11, 4 / 13], abs=1e-12)
 
 
 def test_fully_confident_ensemble_barely_moves_the_stats():
@@ -228,8 +226,8 @@ def test_first_example_creates_a_fresh_pool():
     pool = model.pools["S1"]
     assert pool.concept_count == 1
     assert len(pool.current.ensemble.sub_classifiers) == 3
-    assert pool.current.performance == pytest.approx([1.0, 1.0, 1.0])
-    assert pool.current.lambda_correct == pytest.approx([0.0, 0.0, 0.0])
+    assert model.performance == pytest.approx([1.0, 1.0, 1.0])
+    assert model.lambda_correct == pytest.approx([0.0, 0.0, 0.0])
 
 
 def test_target_drift_resets_every_stat_in_every_pool():
@@ -239,20 +237,14 @@ def test_target_drift_resets_every_stat_in_every_pool():
         model.observe("S1", ex, rng)
         model.observe("T", ex, rng)
     # Stats have moved away from initialisation by now.
-    assert any(
-        concept.lambda_correct.sum() > 0
-        for pool in model.pools.values()
-        for concept in pool.concepts
-    )
+    assert model.lambda_correct.sum() > 0
     model.pools["T"].detector = StubDetector(fire_at={1})
     drift = model.observe("T", Example(np.array([9.0, 9.0]), POS), rng)
     assert drift
     assert model.pools["T"].concept_count == 2
-    for pool in model.pools.values():
-        for concept in pool.concepts:
-            assert np.max(concept.lambda_correct) == 0.0
-            assert np.max(concept.lambda_wrong) == 0.0
-            assert np.min(concept.performance) == 1.0
+    assert np.max(model.lambda_correct) == 0.0
+    assert np.max(model.lambda_wrong) == 0.0
+    assert np.min(model.performance) == 1.0
 
 
 def test_source_drift_does_not_touch_other_pools():
@@ -261,12 +253,12 @@ def test_source_drift_does_not_touch_other_pools():
     for ex in alternating_stream(rng, 40, (0.0, 0.0), (3.0, 3.0)):
         model.observe("S1", ex, rng)
         model.observe("T", ex, rng)
-    target_stats = model.pools["T"].current.lambda_correct.copy()
+    target_stats = model.lambda_correct[2:].copy()  # pools S1, T
     model.pools["S1"].detector = StubDetector(fire_at={1})
     model.observe("S1", Example(np.array([9.0, 9.0]), POS), rng)
     assert model.pools["S1"].concept_count == 2
     assert model.pools["T"].concept_count == 1
-    assert np.array_equal(model.pools["T"].current.lambda_correct, target_stats)
+    assert np.array_equal(model.lambda_correct[4:], target_stats)
 
 
 def test_streams_train_only_their_own_pools():
@@ -326,8 +318,8 @@ def test_uniform_weights_collapse_to_base_ensemble_mean():
 
 def test_single_dominant_sub_classifier_decides_alone():
     model = MarlineModel(small_config(performance_index=0.5))
-    concept = install_stub_concept(model, "T", [[0.9, 0.1], [0.3, 0.7]])
-    concept.performance[:] = [0.9, 0.2]  # only the first clears the index
+    install_stub_concept(model, "T", [[0.9, 0.1], [0.3, 0.7]])
+    model.performance[:] = [0.9, 0.2]  # only the first clears the index
     prediction = model.predict(np.array([0.3, 0.3]))
     assert prediction.label == NEG
     assert prediction.scores == pytest.approx([0.9, 0.1])
@@ -335,12 +327,10 @@ def test_single_dominant_sub_classifier_decides_alone():
 
 def test_scores_equal_explicit_double_sum_over_concepts():
     model = MarlineModel(small_config())
-    target = install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
-    s1 = install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
-    s2 = install_stub_concept(model, "S2", [[0.1, 0.9], [0.7, 0.3]])
-    target.performance[:] = [0.8, 0.6]
-    s1.performance[:] = [0.4, 0.2]
-    s2.performance[:] = [0.9, 0.1]
+    install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
+    install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
+    install_stub_concept(model, "S2", [[0.1, 0.9], [0.7, 0.3]])
+    model.performance[:] = [0.8, 0.6, 0.4, 0.2, 0.9, 0.1]  # pools T, S1, S2
     alphas = np.array([0.4, 0.2, 0.9, 0.1, 0.8, 0.6])  # pool insertion order
     dists = np.array(
         [[0.9, 0.1], [0.5, 0.5], [0.1, 0.9], [0.7, 0.3], [0.2, 0.8], [0.6, 0.4]]
@@ -353,8 +343,7 @@ def test_scores_equal_explicit_double_sum_over_concepts():
 
 def test_warmup_falls_back_to_target_ensemble():
     model = MarlineModel(small_config())
-    pool = StreamPool("T", model.config)
-    model.pools["T"] = pool
+    pool = model._new_concept("T")
     pool.current.ensemble.sub_classifiers = [StubTree([0.7, 0.3]), StubTree([0.9, 0.1])]
     pool.current.tracker.update(Example(np.zeros(2), NEG))  # one class only
     prediction = model.predict(np.array([0.3, 0.3]))
@@ -364,8 +353,8 @@ def test_warmup_falls_back_to_target_ensemble():
 
 def test_all_weights_zero_falls_back_to_target_ensemble():
     model = MarlineModel(small_config(performance_index=0.99))
-    concept = install_stub_concept(model, "T", [[0.1, 0.9], [0.3, 0.7]])
-    concept.performance[:] = [0.5, 0.5]  # nothing clears the index
+    install_stub_concept(model, "T", [[0.1, 0.9], [0.3, 0.7]])
+    model.performance[:] = [0.5, 0.5]  # nothing clears the index
     prediction = model.predict(np.array([0.3, 0.3]))
     assert prediction.scores == pytest.approx([0.2, 0.8])
     assert prediction.label == POS
@@ -389,6 +378,12 @@ def test_duplicate_clone_concept_leaves_argmax_unchanged():
     dup_pool = copy.deepcopy(cloned.pools["T"])
     dup_pool.stream_id = "S_dup"
     cloned.pools["S_dup"] = dup_pool
+    # Register the clone's concepts and a copy of the target's stats, as
+    # MarlineModel._new_concept would for a pool seen after "T".
+    cloned.concepts.extend(dup_pool.concepts)
+    cloned.lambda_correct = np.tile(cloned.lambda_correct, 2)
+    cloned.lambda_wrong = np.tile(cloned.lambda_wrong, 2)
+    cloned.performance = np.tile(cloned.performance, 2)
     probes = np.random.default_rng(8).standard_normal((100, 2)) * 2 + 1.5
     for p in probes:
         assert base.predict(p).label == cloned.predict(p).label
@@ -424,25 +419,152 @@ def test_ratio_zero_with_only_the_current_target_concept():
 
 def test_ratio_one_when_all_weight_sits_on_a_source():
     model = MarlineModel(small_config(performance_index=0.5))
-    target = install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
-    source = install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
-    target.performance[:] = [0.1, 0.2]
-    source.performance[:] = [0.9, 0.3]
+    install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
+    install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
+    model.performance[:] = [0.1, 0.2, 0.9, 0.3]  # pools T, S1
     assert model.source_weight_ratio() == pytest.approx(1.0)
 
 
 def test_ratio_is_the_sum_over_non_current_concepts():
     model = MarlineModel(small_config())
-    target = install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
-    s1 = install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
-    s2 = install_stub_concept(model, "S2", [[0.1, 0.9], [0.7, 0.3]])
-    target.performance[:] = [0.5, 0.3]
-    s1.performance[:] = [0.25, 0.15]
-    s2.performance[:] = [0.2, 0.1]
+    install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
+    install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
+    install_stub_concept(model, "S2", [[0.1, 0.9], [0.7, 0.3]])
+    model.performance[:] = [0.5, 0.3, 0.25, 0.15, 0.2, 0.1]  # pools T, S1, S2
     total = 0.5 + 0.3 + 0.25 + 0.15 + 0.2 + 0.1
     expected = (0.25 + 0.15 + 0.2 + 0.1) / total
     assert model.source_weight_ratio() == pytest.approx(expected, abs=1e-12)
     assert 0.0 <= model.source_weight_ratio() <= 1.0
+
+
+# ----------------------------------------------------------------------
+# flat stats against a per-concept reference
+# ----------------------------------------------------------------------
+
+
+class PerConceptReference:
+    """The weighting and vote with stats kept per concept: gather them into
+    flat arrays in pool order, update, and scatter them back."""
+
+    def __init__(self, model):
+        self.model = model
+        self.stats = {}  # id(concept) -> [lambda_correct, lambda_wrong, performance]
+
+    def concepts(self):
+        """Every concept in pool order, flagged if it is the current target."""
+        model = self.model
+        out = []
+        for stream_id, pool in model.pools.items():
+            for j, concept in enumerate(pool.concepts):
+                is_current = stream_id == model.target_id and j == len(pool.concepts) - 1
+                out.append((concept, is_current))
+                if id(concept) not in self.stats:
+                    k = model.config.ensemble_size
+                    self.stats[id(concept)] = [np.zeros(k), np.zeros(k), np.ones(k)]
+        return out
+
+    def observed(self, stream_id, example, drift):
+        """Mirror ``model.observe`` after it returned ``drift``."""
+        model = self.model
+        concepts = self.concepts()
+        if stream_id != model.target_id:
+            return
+        if drift:
+            for stats in self.stats.values():
+                stats[0][:] = 0.0
+                stats[1][:] = 0.0
+                stats[2][:] = 1.0
+        target = model.pools[model.target_id].current
+        if not target.tracker.both_classes_seen:
+            return
+        v_tgt = target.tracker.concept_vector()
+        c_tgt_pos = target.tracker.centroid(POS)
+        probs = [
+            concept.ensemble.member_distributions(
+                model._projected(example.features, concept, current, v_tgt, c_tgt_pos)
+            )[:, example.label]
+            for concept, current in concepts
+        ]
+        flat = [np.concatenate([self.stats[id(c)][i] for c, _ in concepts]) for i in range(3)]
+        new = update_performance_stats(
+            *flat, np.concatenate(probs), model.config.forgetting_factor, model.config.eps_clamp
+        )
+        k = model.config.ensemble_size
+        for n, (concept, _) in enumerate(concepts):
+            for i in range(3):
+                self.stats[id(concept)][i][:] = new[i][n * k : (n + 1) * k]
+
+    def flat(self, i):
+        return np.concatenate([self.stats[id(c)][i] for c, _ in self.concepts()])
+
+    def weights(self):
+        return sub_classifier_weights(self.flat(2), self.model.config.performance_index)
+
+    def scores(self, features):
+        model = self.model
+        if model.target_id not in model.pools:
+            return np.array([0.5, 0.5])
+        target = model.pools[model.target_id].current
+        weights = self.weights()
+        if not target.tracker.both_classes_seen or not weights.any():
+            return target.ensemble.predict(features)
+        v_tgt = target.tracker.concept_vector()
+        c_tgt_pos = target.tracker.centroid(POS)
+        k = model.config.ensemble_size
+        scores = np.zeros(2)
+        for n, (concept, current) in enumerate(self.concepts()):
+            w = weights[n * k : (n + 1) * k]
+            if w.any():
+                projected = model._projected(features, concept, current, v_tgt, c_tgt_pos)
+                scores += w @ concept.ensemble.member_distributions(projected)
+        if scores[NEG] == scores[POS]:
+            return target.ensemble.predict(features)
+        return scores
+
+    def ratio(self):
+        if self.model.target_id not in self.model.pools:
+            return 0.0
+        weights = self.weights()
+        if not weights.any():
+            return 0.0
+        k = self.model.config.ensemble_size
+        ratio = 0.0
+        for n, (_, current) in enumerate(self.concepts()):
+            if not current:
+                ratio += float(weights[n * k : (n + 1) * k].sum())
+        return min(max(ratio, 0.0), 1.0)
+
+
+def test_flat_stats_match_the_per_concept_reference_bit_for_bit():
+    # Pools are first seen in the order S1, T, S2, so a drift on S1 puts its
+    # new block between older blocks. Block order fixes the order of every
+    # sum, so any other order shows up in the last bits.
+    rng = np.random.default_rng(21)
+    model = MarlineModel(small_config(ensemble_size=5, performance_index=0.3))
+    reference = PerConceptReference(model)
+    means = {
+        "S1": ((0.0, 0.0), (3.0, 3.0)),
+        "T": ((0.5, 0.0), (3.0, 2.5)),
+        "S2": ((1.0, 1.0), (4.0, 4.0)),
+    }
+    streams = {sid: alternating_stream(rng, 240, *m) for sid, m in means.items()}
+    forced = {60: "S1", 100: "S2", 140: "T", 180: "S1"}
+    probe = np.array([1.7, 1.4])
+    for t in range(240):
+        for sid in ("S1", "T", "S2"):
+            if sid in model.pools:  # only forced drifts
+                fire_at = {1} if forced.get(t) == sid else ()
+                model.pools[sid].detector = StubDetector(fire_at)
+            example = streams[sid][t]
+            drift = model.observe(sid, example, rng)
+            assert drift == (t in forced and forced[t] == sid)
+            reference.observed(sid, example, drift)
+            assert np.array_equal(model.lambda_correct, reference.flat(0))
+            assert np.array_equal(model.lambda_wrong, reference.flat(1))
+            assert np.array_equal(model.performance, reference.flat(2))
+            assert np.array_equal(model.predict(probe).scores, reference.scores(probe))
+            assert model.source_weight_ratio() == reference.ratio()
+    assert [model.pools[sid].concept_count for sid in ("S1", "T", "S2")] == [3, 2, 2]
 
 
 # ----------------------------------------------------------------------
@@ -471,14 +593,19 @@ def test_snapshot_round_trip_preserves_predictions(tmp_path):
 def test_snapshot_rejects_version_one(tmp_path):
     import pickle
 
-    path = str(tmp_path / "v1.bin")
-    with open(path, "wb") as fh:
-        pickle.dump(
-            {"format": "marline-model", "version": 1, "model": MarlineModel(small_config())},
-            fh,
-        )
-    with pytest.raises(DataError, match="unsupported snapshot version 1"):
-        MarlineModel.load(path)
+    for version in (1, 2):
+        path = str(tmp_path / f"v{version}.bin")
+        with open(path, "wb") as fh:
+            pickle.dump(
+                {
+                    "format": "marline-model",
+                    "version": version,
+                    "model": MarlineModel(small_config()),
+                },
+                fh,
+            )
+        with pytest.raises(DataError, match=f"unsupported snapshot version {version}"):
+            MarlineModel.load(path)
 
 
 def test_snapshot_rejects_garbage(tmp_path):
