@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import os
 import sys
 
 from .core import ConfigurationError, DataError
+from .drift import DETECTORS
 from .evaluation import (
+    DEFAULT_GRIDS,
     ExperimentSpec,
     build_schedule,
-    default_grids,
     grid_search,
     run_experiment,
     write_grid_csv,
@@ -43,14 +45,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_TREE_KEYS = ("grace_period", "split_confidence", "tie_threshold", "leaf_prediction")
-_DETECTOR_KEYS = (
-    "drift_confidence",
-    "warning_confidence",
-    "min_observations",
-    "warning_level",
-    "drift_level",
-)
+# [experiment] keys named differently from the ExperimentSpec field they set.
+_EXPERIMENT_KEYS = {"seed_base": "seed", "interleave_policy": "interleave"}
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -85,45 +81,76 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def _load_config(path: str, overrides: list[str]) -> configparser.ConfigParser:
     if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # No section is special: a [DEFAULT] section would lend its keys to every
+    # other section and hide them from the unknown-key check.
+    parser = configparser.ConfigParser(default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        key_path, equals, value = item.partition("=")
+        section, _, key = key_path.partition(".")
+        section, key = section.strip(), key.strip()
+        if not (equals and section and key):
             raise ConfigurationError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
-        key_path, value = item.split("=", 1)
-        section, key = key_path.split(".", 1)
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
-    version = parser.getint("experiment", "config_version", fallback=CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigurationError(f"unsupported config_version {version}")
+        parser.set(section, key, value.strip())
     return parser
 
 
-def _get(parser, section, key, kind=str, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigurationError(f"missing config key [{section}] {key}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        if kind is bool:
-            return parser.getboolean(section, key)
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for [{section}] {key}: {raw!r}") from exc
+class _Reader:
+    """Typed reads from a parsed config that remember what they read, so that
+    a section or key nothing reads can be rejected by name."""
+
+    def __init__(self, parser: configparser.ConfigParser) -> None:
+        self.parser = parser
+        self.read: set[tuple[str, str | None]] = set()
+
+    def get(self, section, key, kind=str, default=None, required=False):
+        self.read.add((section, None))
+        if not self.parser.has_option(section, key):
+            if required:
+                raise ConfigurationError(f"missing config key [{section}] {key}")
+            return default
+        self.read.add((section, key))
+        raw = self.parser.get(section, key)
+        try:
+            if kind is bool:
+                return self.parser.getboolean(section, key)
+            return kind(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value for [{section}] {key}: {raw!r}") from exc
+
+    def fields(self, section: str, owner, keys: dict | None = None) -> dict:
+        """The values ``section`` gives for the parameters of ``owner`` that
+        have a scalar default, each read as the type of that default; ``keys``
+        maps a parameter to its config key where the two names differ."""
+        values = {}
+        for name, parameter in inspect.signature(owner).parameters.items():
+            if isinstance(parameter.default, (int, float, str)):
+                key = (keys or {}).get(name, name)
+                value = self.get(section, key, type(parameter.default))
+                if value is not None:
+                    values[name] = value
+        return values
+
+    def reject_unread(self) -> None:
+        for section in self.parser.sections():
+            if (section, None) not in self.read:
+                raise ConfigurationError(f"unknown config section [{section}]")
+            for key in self.parser.options(section):
+                if (section, key) not in self.read:
+                    raise ConfigurationError(f"unknown config key [{section}] {key}")
 
 
-def _csv_stream(parser: configparser.ConfigParser, section: str) -> CsvStreamSpec:
-    path = _get(parser, section, "path", required=True)
-    features = _get(parser, section, "features", required=True)
-    target_column = _get(parser, section, "target_column", required=True)
-    filter_text = _get(parser, section, "filter", default="")
+def _csv_stream(reader: _Reader, section: str) -> CsvStreamSpec:
+    path = reader.get(section, "path", required=True)
+    features = reader.get(section, "features", required=True)
+    target_column = reader.get(section, "target_column", required=True)
+    filter_text = reader.get(section, "filter", default="")
     return CsvStreamSpec(
         path=path,
         feature_columns=tuple(c.strip() for c in features.split(",") if c.strip()),
@@ -132,26 +159,26 @@ def _csv_stream(parser: configparser.ConfigParser, section: str) -> CsvStreamSpe
     )
 
 
-def _build_dataset(parser: configparser.ConfigParser):
-    kind = _get(parser, "dataset", "kind", required=True)
+def _build_dataset(reader: _Reader):
+    kind = reader.get("dataset", "kind", required=True)
     if kind == "synthetic":
-        family = _get(parser, "dataset", "family", required=True)
+        family = reader.get("dataset", "family", required=True)
         if family not in BENCHMARK_FAMILIES:
             raise ConfigurationError(
                 f"unknown dataset family {family!r}; choose from {BENCHMARK_FAMILIES}"
             )
-        class_size = _get(parser, "dataset", "class_size", int, required=True)
+        class_size = reader.get("dataset", "class_size", int, required=True)
         dataset = benchmark_dataset(family, class_size)
-        if not _get(parser, "dataset", "include_sources", bool, default=True):
+        if not reader.get("dataset", "include_sources", bool, default=True):
             dataset = SyntheticDataset(target=dataset.target, sources=())
         return dataset
     if kind == "csv":
-        if not parser.has_section("target"):
+        if not reader.parser.has_section("target"):
             raise ConfigurationError("csv datasets need a [target] section")
-        target = _csv_stream(parser, "target")
+        target = _csv_stream(reader, "target")
         sources = tuple(
-            _csv_stream(parser, section)
-            for section in parser.sections()
+            _csv_stream(reader, section)
+            for section in reader.parser.sections()
             if section.startswith("source")
         )
         return CsvDataset(target=target, sources=sources)
@@ -162,60 +189,6 @@ def _n_features(dataset) -> int:
     if isinstance(dataset, SyntheticDataset):
         return dataset.target.n_features
     return len(dataset.target.feature_columns)
-
-
-def _build_model_config(parser: configparser.ConfigParser, n_features: int) -> MarlineConfig:
-    tree_kwargs = {}
-    for key in _TREE_KEYS:
-        if parser.has_option("model", key):
-            kind = int if key == "grace_period" else str if key == "leaf_prediction" else float
-            tree_kwargs[key] = _get(parser, "model", key, kind)
-    detector_params = {}
-    for key in _DETECTOR_KEYS:
-        if parser.has_option("model", key):
-            kind = int if key == "min_observations" else float
-            detector_params[key] = _get(parser, "model", key, kind)
-    return MarlineConfig(
-        n_features=n_features,
-        ensemble_size=_get(parser, "model", "ensemble_size", int, default=20),
-        base_ensemble=_get(parser, "model", "base_ensemble", default="bagging"),
-        detector=_get(parser, "model", "detector", default="hddm_a"),
-        forgetting_factor=_get(parser, "model", "forgetting_factor", float, default=0.9),
-        performance_index=_get(parser, "model", "performance_index", float, default=0.4),
-        tree=HoeffdingTreeParams(**tree_kwargs),
-        detector_params=detector_params,
-    )
-
-
-def build_experiment_spec(
-    parser: configparser.ConfigParser, seed_override: int | None = None
-) -> ExperimentSpec:
-    dataset = _build_dataset(parser)
-    config = _build_model_config(parser, _n_features(dataset))
-    seed = seed_override
-    if seed is None:
-        seed = _get(parser, "experiment", "seed", int, default=0)
-    return ExperimentSpec(
-        approach=_get(
-            parser, "experiment", "approach", default="marline_with_source"
-        ),
-        config=config,
-        dataset=dataset,
-        runs=_get(parser, "experiment", "runs", int, default=30),
-        seed_base=seed,
-        evaluation=_get(
-            parser, "experiment", "evaluation", default="prequential_reset"
-        ),
-        window_fraction=_get(
-            parser, "experiment", "window_fraction", float, default=0.1
-        ),
-        interleave_policy=_get(
-            parser, "experiment", "interleave", default="round_robin"
-        ),
-        warmup_fraction=_get(
-            parser, "experiment", "warmup_fraction", float, default=0.1
-        ),
-    )
 
 
 def _parse_grid_range(text: str) -> list[float]:
@@ -234,14 +207,13 @@ def _parse_grid_range(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _build_grids(parser: configparser.ConfigParser) -> dict:
-    if not parser.has_section("grid"):
-        return default_grids()
+def _build_grids(reader: _Reader) -> dict:
     grids = {}
-    for key in ("ensemble_size", "forgetting_factor", "performance_index"):
-        if parser.has_option("grid", key):
+    for key in DEFAULT_GRIDS:
+        text = reader.get("grid", key)
+        if text is not None:
             try:
-                values = _parse_grid_range(parser.get("grid", key))
+                values = _parse_grid_range(text)
                 if key == "ensemble_size":
                     if any(v != int(v) for v in values):
                         raise ValueError("ensemble sizes must be whole numbers")
@@ -249,12 +221,52 @@ def _build_grids(parser: configparser.ConfigParser) -> dict:
             except (ValueError, OverflowError) as exc:
                 raise ConfigurationError(f"bad [grid] {key}: {exc}") from exc
             grids[key] = values
-    return grids or default_grids()
+    return grids
+
+
+def _read_config(
+    parser: configparser.ConfigParser, seed_override: int | None = None
+) -> tuple[ExperimentSpec, dict]:
+    """The experiment and the grid axes that a parsed config describes. Each
+    [experiment] and [model] key is named, typed and defaulted by the field
+    or detector parameter it sets; a section or key that nothing here reads
+    raises ConfigurationError. An empty grid means the default grid."""
+    reader = _Reader(parser)
+    version = reader.get("experiment", "config_version", int, default=CONFIG_VERSION)
+    if version != CONFIG_VERSION:
+        raise ConfigurationError(f"unsupported config_version {version}")
+    dataset = _build_dataset(reader)
+    detector_params = {}
+    for detector in DETECTORS.values():
+        detector_params.update(reader.fields("model", detector))
+    config = MarlineConfig(
+        n_features=_n_features(dataset),
+        tree=HoeffdingTreeParams(**reader.fields("model", HoeffdingTreeParams)),
+        detector_params=detector_params,
+        **reader.fields("model", MarlineConfig),
+    )
+    experiment = reader.fields("experiment", ExperimentSpec, _EXPERIMENT_KEYS)
+    if seed_override is not None:
+        experiment["seed_base"] = seed_override
+    spec = ExperimentSpec(
+        approach=reader.get("experiment", "approach", default="marline_with_source"),
+        config=config,
+        dataset=dataset,
+        **experiment,
+    )
+    grids = _build_grids(reader)
+    reader.reject_unread()
+    return spec, grids
+
+
+def build_experiment_spec(
+    parser: configparser.ConfigParser, seed_override: int | None = None
+) -> ExperimentSpec:
+    return _read_config(parser, seed_override)[0]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    parser = _load_config(args.config, args.overrides)
-    spec = build_experiment_spec(parser, args.seed)
+    spec = build_experiment_spec(_load_config(args.config, args.overrides), args.seed)
     schedule = build_schedule(spec, run_index=0)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "dataset.csv")
@@ -264,8 +276,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    parser = _load_config(args.config, args.overrides)
-    spec = build_experiment_spec(parser, args.seed)
+    spec = build_experiment_spec(_load_config(args.config, args.overrides), args.seed)
     result = run_experiment(spec, parallelism=args.parallelism)
     os.makedirs(args.out, exist_ok=True)
     write_results_csv(result, os.path.join(args.out, "results.csv"))
@@ -279,9 +290,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    parser = _load_config(args.config, args.overrides)
-    spec = build_experiment_spec(parser, args.seed)
-    grids = _build_grids(parser)
+    spec, grids = _read_config(_load_config(args.config, args.overrides), args.seed)
     result = grid_search(spec, grids, parallelism=args.parallelism)
     os.makedirs(args.out, exist_ok=True)
     write_grid_csv(result, os.path.join(args.out, "grid_results.csv"))
@@ -313,3 +322,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -81,7 +81,7 @@ class HddmA:
     Keeps the cumulative error mean and the prefix ("minimum") mean with the
     strongest evidence of low error, and signals when the overall mean exceeds
     the prefix mean by more than the Hoeffding deviation for the two sample
-    sizes. Internal state restarts after each detected drift.
+    sizes. As with DDM, the caller restarts it with ``reset`` after a drift.
     """
 
     kind = "hddm_a"
@@ -137,9 +137,6 @@ class HddmA:
                 self.n_min = self.total_n
                 self.c_min = self.total_c
         if self._mean_increased(self.drift_confidence):
-            count = self.observed_count
-            self.reset()
-            self.observed_count = count
             self.status = DriftStatus.DRIFT
         elif self._mean_increased(self.warning_confidence):
             self.status = DriftStatus.WARNING
@@ -148,14 +145,14 @@ class HddmA:
         return self.status
 
 
-_DETECTORS = {"ddm": DDM, "hddm_a": HddmA}
-DETECTOR_KINDS = tuple(_DETECTORS)
+DETECTORS = {"ddm": DDM, "hddm_a": HddmA}
+DETECTOR_KINDS = tuple(DETECTORS)
 
 
 def make_detector(kind: str, **params):
-    if kind not in _DETECTORS:
+    if kind not in DETECTORS:
         raise ConfigurationError(f"unknown detector kind {kind!r}")
-    detector = _DETECTORS[kind]
+    detector = DETECTORS[kind]
     accepted = inspect.signature(detector).parameters
     unknown = [key for key in params if key not in accepted]
     if unknown:

@@ -332,7 +332,12 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentResu
 # Grid search
 # ----------------------------------------------------------------------
 
-_GRID_FIELDS = ("ensemble_size", "forgetting_factor", "performance_index")
+# The grid axes, with the values searched when no grid is given.
+DEFAULT_GRIDS = {
+    "ensemble_size": DEFAULT_ENSEMBLE_SIZE_GRID,
+    "forgetting_factor": DEFAULT_FORGETTING_FACTOR_GRID,
+    "performance_index": DEFAULT_PERFORMANCE_INDEX_GRID,
+}
 
 
 @dataclass
@@ -340,14 +345,6 @@ class GridSearchResult:
     best_spec: ExperimentSpec
     best_objective: float
     rows: list[dict]
-
-
-def default_grids() -> dict[str, Sequence]:
-    return {
-        "ensemble_size": DEFAULT_ENSEMBLE_SIZE_GRID,
-        "forgetting_factor": DEFAULT_FORGETTING_FACTOR_GRID,
-        "performance_index": DEFAULT_PERFORMANCE_INDEX_GRID,
-    }
 
 
 def grid_search(
@@ -358,13 +355,13 @@ def grid_search(
     """Evaluate every grid point with :func:`run_experiment` and pick the
     configuration with the highest objective; ties go to the smaller
     ensemble size, then smaller forgetting factor, then smaller index."""
-    grids = dict(grids) if grids else default_grids()
-    unknown = set(grids) - set(_GRID_FIELDS)
+    grids = dict(grids or DEFAULT_GRIDS)
+    unknown = set(grids) - set(DEFAULT_GRIDS)
     if unknown:
         raise ConfigurationError(f"unknown grid fields: {sorted(unknown)}")
     if any(len(values) == 0 for values in grids.values()):
         raise ConfigurationError("grids must be nonempty")
-    axes = [sorted(grids.get(name, [getattr(template.config, name)])) for name in _GRID_FIELDS]
+    axes = [sorted(grids.get(name, [getattr(template.config, name)])) for name in DEFAULT_GRIDS]
 
     best_spec: ExperimentSpec | None = None
     best_objective = -math.inf
@@ -404,85 +401,51 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def write_results_csv(result: ExperimentResult, path: str) -> None:
-    """Per-run, per-target-step series: run, t, segment, accuracies, ratio."""
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "run",
-                "t",
-                "segment",
-                "accuracy_running",
-                "accuracy_window",
-                "source_weight_ratio",
-            ]
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(result: ExperimentResult, path: str) -> None:
+    """Per-run, per-target-step series: run, t, segment, accuracies, ratio."""
+    header = ["run", "t", "segment", "accuracy_running", "accuracy_window", "source_weight_ratio"]
+    rows = (
+        [run, t, segment, _fmt(running), _fmt(windowed), _fmt(ratio)]
+        for run, trace in enumerate(result.traces)
+        for t, (segment, running, windowed, ratio) in enumerate(
+            zip(trace.segment_ids, trace.running, trace.windowed, trace.weight_ratio), start=1
         )
-        for run, trace in enumerate(result.traces):
-            for t in range(len(trace.running)):
-                writer.writerow(
-                    [
-                        run,
-                        t + 1,
-                        trace.segment_ids[t],
-                        _fmt(trace.running[t]),
-                        _fmt(trace.windowed[t]),
-                        _fmt(trace.weight_ratio[t]),
-                    ]
-                )
+    )
+    _write_csv(path, header, rows)
 
 
 def write_summary_csv(result: ExperimentResult, path: str) -> None:
     """Across-run mean and standard deviation at each target step."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "t",
-                "accuracy_running_mean",
-                "accuracy_running_std",
-                "accuracy_window_mean",
-                "accuracy_window_std",
-                "source_weight_ratio_mean",
-            ]
-        )
-        for t in range(result.mean_running.shape[0]):
-            writer.writerow(
-                [
-                    t + 1,
-                    _fmt(result.mean_running[t]),
-                    _fmt(result.std_running[t]),
-                    _fmt(result.mean_windowed[t]),
-                    _fmt(result.std_windowed[t]),
-                    _fmt(result.mean_weight_ratio[t]),
-                ]
-            )
+    columns = {
+        "accuracy_running_mean": result.mean_running,
+        "accuracy_running_std": result.std_running,
+        "accuracy_window_mean": result.mean_windowed,
+        "accuracy_window_std": result.std_windowed,
+        "source_weight_ratio_mean": result.mean_weight_ratio,
+    }
+    rows = ([t, *map(_fmt, values)] for t, values in enumerate(zip(*columns.values()), start=1))
+    _write_csv(path, ["t", *columns], rows)
 
 
 def write_segments_csv(result: ExperimentResult, path: str) -> None:
     """Across-run mean and standard deviation of each segment's accuracy."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "accuracy_mean", "accuracy_std"])
-        for s in range(result.segment_means.shape[0]):
-            writer.writerow(
-                [s, _fmt(result.segment_means[s]), _fmt(result.segment_stds[s])]
-            )
+    rows = (
+        [s, _fmt(mean), _fmt(std)]
+        for s, (mean, std) in enumerate(zip(result.segment_means, result.segment_stds))
+    )
+    _write_csv(path, ["segment", "accuracy_mean", "accuracy_std"], rows)
 
 
 def write_grid_csv(result: GridSearchResult, path: str) -> None:
     """One row per evaluated grid point."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["ensemble_size", "forgetting_factor", "performance_index", "objective"]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row["ensemble_size"],
-                    row["forgetting_factor"],
-                    row["performance_index"],
-                    _fmt(row["objective"]),
-                ]
-            )
+    rows = (
+        [*(row[axis] for axis in DEFAULT_GRIDS), _fmt(row["objective"])] for row in result.rows
+    )
+    _write_csv(path, [*DEFAULT_GRIDS, "objective"], rows)

@@ -29,6 +29,9 @@ SNAPSHOT_VERSION = 3
 
 DEFAULT_TARGET_ID = "T"
 
+# Floor on the weighted-performance sums SC and SW, so that SW/SC stays finite.
+EPS_CLAMP = 1e-10
+
 
 @dataclass(frozen=True)
 class MarlineConfig:
@@ -40,7 +43,6 @@ class MarlineConfig:
     detector: str = "hddm_a"
     forgetting_factor: float = 0.9
     performance_index: float = 0.4
-    eps_clamp: float = 1e-10
     tree: HoeffdingTreeParams = field(default_factory=HoeffdingTreeParams)
     detector_params: Mapping[str, float] = field(default_factory=dict)
 
@@ -64,8 +66,6 @@ class MarlineConfig:
             raise ConfigurationError("forgetting_factor must be in (0, 1]")
         if not 0.0 <= self.performance_index <= 1.0:
             raise ConfigurationError("performance_index must be in [0, 1]")
-        if self.eps_clamp <= 0.0:
-            raise ConfigurationError("eps_clamp must be positive")
 
 
 @dataclass
@@ -236,7 +236,7 @@ class MarlineModel:
             self.performance,
             p_correct,
             self.config.forgetting_factor,
-            self.config.eps_clamp,
+            EPS_CLAMP,
         )
 
     # ------------------------------------------------------------------

@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from marline.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from marline.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    _load_config,
+    _read_config,
+    build_experiment_spec,
+    main,
+)
+from marline.core import ConfigurationError
+from marline.evaluation import ExperimentSpec
+from marline.learners import HoeffdingTreeParams
+from marline.model import MarlineConfig
+from marline.streams import (
+    CsvDataset,
+    CsvStreamSpec,
+    RowFilter,
+    SyntheticDataset,
+    benchmark_dataset,
+)
 
 
 def write_config(path, body):
@@ -267,3 +290,290 @@ def test_out_of_range_warmup_fraction_is_a_usage_error_under_round_robin(tmp_pat
     )
     assert code == EXIT_USAGE
     assert "warmup_fraction must be in [0, 1]" in capsys.readouterr().err
+
+
+CSV_CONFIG = """
+    [experiment]
+    approach = base_plain
+    runs = 1
+    evaluation = sliding_window
+
+    [model]
+    ensemble_size = 2
+
+    [dataset]
+    kind = csv
+
+    [target]
+    path = {data}
+    features = a, b
+    target_column = cnt
+
+    [source:s]
+    path = {data}
+    features = a, b
+    target_column = cnt
+"""
+
+
+def write_csv_config(tmp_path, body=CSV_CONFIG):
+    data = tmp_path / "stream.csv"
+    rows = ["a,b,cnt"] + [f"{i},{i % 3},{(i * 37) % 101}" for i in range(40)]
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return write_config(tmp_path / "csv.ini", body.format(data=data))
+
+
+@pytest.mark.parametrize(
+    "base, old, new, named",
+    [
+        ("run", "runs = 2", "rnus = 2", "unknown config key [experiment] rnus"),
+        ("run", "seed = 11", "seed_base = 11", "unknown config key [experiment] seed_base"),
+        ("run", "ensemble_size = 2", "ensemble_sise = 2",
+         "unknown config key [model] ensemble_sise"),
+        ("run", "ensemble_size = 2", "eps_clamp = 1e-9", "unknown config key [model] eps_clamp"),
+        ("run", "class_size = 10", "class_size = 10\n    include_source = false",
+         "unknown config key [dataset] include_source"),
+        ("run", "[model]", "[modle]", "unknown config section [modle]"),
+        ("run", "[model]", "[DEFAULT]\n    runs = 1\n    [model]",
+         "unknown config section [DEFAULT]"),
+        ("run", "class_size = 10", "class_size = 10\n    [target]\n    path = x.csv",
+         "unknown config section [target]"),
+        # Through `run`, which never starts a grid search, even where the
+        # misspelt axis would leave `grid` with the full default grid.
+        ("run", "class_size = 10", "class_size = 10\n    [grid]\n    ensemble_sizes = 1,2",
+         "unknown config key [grid] ensemble_sizes"),
+        ("csv", "[target]", "[target]\n    filtre = a > 1", "unknown config key [target] filtre"),
+        ("csv", "[source:s]", "[source:s]\n    filtre = a > 1",
+         "unknown config key [source:s] filtre"),
+        ("csv", "kind = csv", "kind = csv\n    family = abrupt_similar",
+         "unknown config key [dataset] family"),
+    ],
+    ids=[
+        "experiment-key",
+        "experiment-field-name",
+        "model-key",
+        "model-eps-clamp",
+        "dataset-key",
+        "section",
+        "default-section",
+        "target-section-of-synthetic",
+        "grid-key",
+        "target-key",
+        "source-key",
+        "dataset-key-of-synthetic",
+    ],
+)
+def test_a_key_or_section_nothing_reads_is_a_usage_error_naming_it(
+    tmp_path, capsys, base, old, new, named
+):
+    if base == "run":
+        assert old in RUN_CONFIG
+        config = write_config(tmp_path / "run.ini", RUN_CONFIG.replace(old, new))
+    else:
+        assert old in CSV_CONFIG
+        config = write_csv_config(tmp_path, CSV_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_shipped_configs_build_the_spec_they_describe():
+    bike = CsvDataset(
+        target=CsvStreamSpec(
+            path="data/london_merged.csv",
+            feature_columns=("t1", "t2", "hum", "wind_speed"),
+            target_column="cnt",
+            row_filter=RowFilter.parse("is_weekend == 1"),
+        ),
+        sources=(
+            CsvStreamSpec(
+                path="data/washington_day.csv",
+                feature_columns=("temp", "atemp", "hum", "windspeed"),
+                target_column="cnt",
+                row_filter=RowFilter.parse("workingday == 1"),
+            ),
+        ),
+    )
+    expected = {
+        "abrupt_non_similar.ini": ExperimentSpec(
+            approach="marline_with_source",
+            config=MarlineConfig(
+                n_features=2,
+                ensemble_size=20,
+                base_ensemble="bagging",
+                detector="hddm_a",
+                forgetting_factor=0.9,
+                performance_index=0.4,
+            ),
+            dataset=benchmark_dataset("abrupt_non_similar", 50),
+            runs=30,
+            seed_base=42,
+            evaluation="prequential_reset",
+            window_fraction=0.1,
+            interleave_policy="round_robin",
+        ),
+        "bike_sharing_weekend.ini": ExperimentSpec(
+            approach="marline_with_source",
+            config=MarlineConfig(
+                n_features=4,
+                ensemble_size=20,
+                base_ensemble="bagging",
+                detector="hddm_a",
+                forgetting_factor=0.9,
+                performance_index=0.4,
+            ),
+            dataset=bike,
+            runs=30,
+            seed_base=42,
+            evaluation="sliding_window",
+            window_fraction=0.1,
+        ),
+        "grid_no_drift.ini": ExperimentSpec(
+            approach="marline_with_source",
+            config=MarlineConfig(n_features=2, base_ensemble="bagging", detector="hddm_a"),
+            dataset=benchmark_dataset("no_drift_similar", 50),
+            runs=5,
+            seed_base=7,
+            evaluation="prequential_reset",
+        ),
+    }
+    assert sorted(expected) == sorted(p.name for p in CONFIGS.glob("*.ini"))
+    for name, spec in expected.items():
+        assert build_experiment_spec(_load_config(str(CONFIGS / name), [])) == spec, name
+    _, grids = _read_config(_load_config(str(CONFIGS / "grid_no_drift.ini"), []))
+    assert grids == {
+        "ensemble_size": [10, 20, 30],
+        "forgetting_factor": [0.9, 0.95, 1.0],
+        "performance_index": [0.2, 0.4],
+    }
+
+
+EVERY_KEY_CONFIG = """
+    [experiment]
+    config_version = 1
+    approach = base_detector_reset
+    runs = 3
+    seed = 5
+    evaluation = sliding_window
+    window_fraction = 0.25
+    interleave = target_paced
+    warmup_fraction = 0.3
+
+    [model]
+    base_ensemble = boosting
+    ensemble_size = 7
+    forgetting_factor = 0.95
+    performance_index = 0.2
+    grace_period = 50
+    split_confidence = 0.001
+    tie_threshold = 0.1
+    leaf_prediction = majority
+    {detector_keys}
+
+    [dataset]
+    kind = synthetic
+    family = incremental_non_similar
+    class_size = 12
+    include_sources = false
+"""
+
+
+@pytest.mark.parametrize(
+    "detector_keys, detector, params",
+    [
+        (
+            "detector = ddm\n    min_observations = 40\n"
+            "    warning_level = 1.5\n    drift_level = 2.5",
+            "ddm",
+            {"min_observations": 40, "warning_level": 1.5, "drift_level": 2.5},
+        ),
+        (
+            "detector = hddm_a\n    drift_confidence = 0.01\n    warning_confidence = 0.05",
+            "hddm_a",
+            {"drift_confidence": 0.01, "warning_confidence": 0.05},
+        ),
+    ],
+    ids=["ddm", "hddm_a"],
+)
+def test_a_config_setting_every_documented_key_builds_that_spec(
+    tmp_path, detector_keys, detector, params
+):
+    config = write_config(
+        tmp_path / "all.ini", EVERY_KEY_CONFIG.format(detector_keys=detector_keys)
+    )
+    spec = build_experiment_spec(_load_config(config, []))
+    expected = ExperimentSpec(
+        approach="base_detector_reset",
+        config=MarlineConfig(
+            n_features=2,
+            ensemble_size=7,
+            base_ensemble="boosting",
+            detector=detector,
+            forgetting_factor=0.95,
+            performance_index=0.2,
+            tree=HoeffdingTreeParams(
+                grace_period=50,
+                split_confidence=0.001,
+                tie_threshold=0.1,
+                leaf_prediction="majority",
+            ),
+            detector_params=params,
+        ),
+        dataset=SyntheticDataset(
+            target=benchmark_dataset("incremental_non_similar", 12).target, sources=()
+        ),
+        runs=3,
+        seed_base=5,
+        evaluation="sliding_window",
+        window_fraction=0.25,
+        interleave_policy="target_paced",
+        warmup_fraction=0.3,
+    )
+    assert spec == expected
+    assert [type(v) for v in spec.config.detector_params.values()] == [
+        type(v) for v in params.values()
+    ]
+    assert build_experiment_spec(_load_config(config, []), seed_override=9).seed_base == 9
+
+
+def test_misspelt_grid_axis_is_rejected_before_any_grid_runs(tmp_path):
+    config = write_config(
+        tmp_path / "grid.ini", RUN_CONFIG + "\n    [grid]\n    ensemble_sizes = 1,2\n"
+    )
+    with pytest.raises(ConfigurationError, match=r"unknown config key \[grid\] ensemble_sizes"):
+        _read_config(_load_config(config, []))
+
+
+def test_set_strips_section_and_key_once(tmp_path, capsys):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    parser = _load_config(config, ["model .ensemble_size = 5"])
+    assert build_experiment_spec(parser).config.ensemble_size == 5
+    out = tmp_path / "out"
+    code = main(["run", "--config", config, "--out", str(out), "--set", "modle .ensemble_size=5"])
+    assert code == EXIT_USAGE
+    assert "unknown config section [modle]" in capsys.readouterr().err
+    code = main(["run", "--config", config, "--out", str(out), "--set", "model.=5"])
+    assert code == EXIT_USAGE
+    assert "--set expects SECTION.KEY=VALUE, got 'model.=5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import marline
+
+    env = dict(os.environ, PYTHONPATH=str(Path(marline.__file__).resolve().parent.parent))
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    command = [sys.executable, "-m", "marline.cli", "run", "--config", config, "--out", str(out)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert (out / "results.csv").exists()
+    missing = str(tmp_path / "nowhere.ini")
+    command[5] = missing
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_USAGE
+    assert missing in done.stderr

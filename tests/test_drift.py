@@ -174,3 +174,25 @@ def test_make_detector_dispatch():
         make_detector("ddm", drift_confidence=0.01)
     with pytest.raises(ConfigurationError, match="detector 'hddm_a' does not take warning_level"):
         make_detector("hddm_a", drift_confidence=0.01, warning_level=2.0)
+
+
+def test_a_drift_keeps_the_detector_state_until_reset():
+    # The caller resets a detector after every alarm; the alarm itself
+    # clears nothing, for either detector.
+    for make in (DDM, HddmA):
+        detector = make()
+        rng = np.random.default_rng(4)
+        steps = 0
+        for bit in bernoulli_error_stream(rng, [0.05] * 1000 + [0.9] * 1000):
+            steps += 1
+            if detector.update(bit) is DriftStatus.DRIFT:
+                break
+        assert detector.status is DriftStatus.DRIFT
+        assert detector.observed_count == steps
+        if make is HddmA:
+            assert detector.total_n == steps
+            assert 0 < detector.n_min < steps
+        else:
+            assert detector.error_sum > 0
+        detector.reset()
+        assert vars(detector) == vars(make())

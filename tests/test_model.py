@@ -12,6 +12,7 @@ import pytest
 from marline.core import NEG, POS, DataError, DimensionMismatchError, Example
 from marline.drift import DriftStatus
 from marline.model import (
+    EPS_CLAMP,
     MarlineConfig,
     MarlineModel,
     sub_classifier_weights,
@@ -487,7 +488,7 @@ class PerConceptReference:
         ]
         flat = [np.concatenate([self.stats[id(c)][i] for c, _ in concepts]) for i in range(3)]
         new = update_performance_stats(
-            *flat, np.concatenate(probs), model.config.forgetting_factor, model.config.eps_clamp
+            *flat, np.concatenate(probs), model.config.forgetting_factor, EPS_CLAMP
         )
         k = model.config.ensemble_size
         for n, (concept, _) in enumerate(concepts):
