@@ -82,8 +82,9 @@ def _load_config(path: str, overrides: list[str]) -> configparser.ConfigParser:
     if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
     # No section is special: a [DEFAULT] section would lend its keys to every
-    # other section and hide them from the unknown-key check.
-    parser = configparser.ConfigParser(default_section="")
+    # other section and hide them from the unknown-key check. Values are
+    # literal: a '%' in a path, filter or value is not interpolation syntax.
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -22,6 +22,10 @@ class CentroidTracker:
     the centroid reduces to the arithmetic mean.
     """
 
+    # Unset until first built; a class default, so that a tracker restored
+    # from a snapshot (which stores no frame) reads it too.
+    _frame: ConceptFrame | None = None
+
     def __init__(self, n_features: int, forgetting_factor: float) -> None:
         if n_features < 1:
             raise ConfigurationError("n_features must be >= 1")
@@ -44,6 +48,7 @@ class CentroidTracker:
             theta = self.forgetting_factor
             self.sum_c[label] = theta * self.sum_c[label] + example.features
             self.normalizer[label] = theta * self.normalizer[label] + 1.0
+        self._frame = None
 
     def centroid(self, label: int) -> np.ndarray | None:
         if label not in LABELS:
@@ -63,6 +68,21 @@ class CentroidTracker:
             return None
         return self.centroid(POS) - self.centroid(NEG)
 
+    def frame(self) -> ConceptFrame | None:
+        """The alignment terms of the current centroids, or None until both
+        classes have been observed. Built on first use and dropped by
+        :meth:`update`, so the same object is returned until then."""
+        if self._frame is None and self.both_classes_seen:
+            c_pos = self.centroid(POS)
+            self._frame = ConceptFrame(c_pos - self.centroid(NEG), c_pos)
+        return self._frame
+
+    def __getstate__(self) -> dict:
+        # The frame is derived from the centroids; snapshots do not store it.
+        state = self.__dict__.copy()
+        state.pop("_frame", None)
+        return state
+
 
 @dataclass(frozen=True)
 class AlignMap:
@@ -81,39 +101,79 @@ def _householder(w: np.ndarray) -> np.ndarray:
     return np.eye(w.shape[0]) - 2.0 * np.outer(w, w) / float(w @ w)
 
 
+class ConceptFrame:
+    """Alignment terms of one concept: its concept vector, the vector's norm
+    and unit vector, the reflection H_unit (built on first use) and the POS
+    centroid. The terms never change once built; a frame also remembers the
+    last map built from it as the source, keyed by the target frame."""
+
+    __slots__ = ("vector", "norm", "unit", "c_pos", "_householder", "_memo")
+
+    def __init__(self, vector: np.ndarray, c_pos: np.ndarray | None = None) -> None:
+        self.vector = vector
+        self.norm = float(np.linalg.norm(vector))
+        self.unit = vector / self.norm if self.norm > 0.0 else None
+        self.c_pos = c_pos
+        self._householder: np.ndarray | None = None
+        self._memo: tuple[ConceptFrame | None, AlignMap | None] = (None, None)
+
+    @property
+    def householder(self) -> np.ndarray:
+        if self._householder is None:
+            self._householder = _householder(self.unit)
+        return self._householder
+
+    def align_to(self, target: ConceptFrame) -> AlignMap:
+        """``align_frames(self, target)``, reused while ``target`` is the
+        same frame object. Sound because frames are never mutated and the
+        memo keeps ``target`` alive, so its identity cannot be reused."""
+        memo_target, memo_map = self._memo
+        if memo_target is not target:
+            memo_map = align_frames(self, target)
+            self._memo = (target, memo_map)
+        return memo_map
+
+
+def align_frames(
+    src: ConceptFrame,
+    tgt: ConceptFrame,
+    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
+) -> AlignMap:
+    """Matrix R with R @ tgt.vector == src.vector, as a scaled two-reflection
+    rotation.
+
+    The rotation part is H_u @ H_{u+v} for the unit vectors u, v of the
+    inputs; antiparallel inputs use the single reflection H_v instead. Either
+    input with norm below the (relative) degeneracy tolerance yields an
+    identity fallback map flagged degenerate.
+    """
+    d = src.vector.shape[0]
+    eps = degeneracy_tol * (1.0 + max(src.norm, tgt.norm))
+    if src.norm <= eps or tgt.norm <= eps:
+        return AlignMap(matrix=np.eye(d), scale=1.0, degenerate=True)
+    scale = src.norm / tgt.norm
+    w = src.unit + tgt.unit
+    if float(np.linalg.norm(w)) > degeneracy_tol:
+        rotation = src.householder @ _householder(w)
+    else:
+        rotation = tgt.householder
+    return AlignMap(matrix=rotation * scale, scale=scale, degenerate=False)
+
+
 def build_align_map(
     v_src: np.ndarray,
     v_tgt: np.ndarray,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> AlignMap:
-    """Matrix R with R @ v_tgt == v_src, as a scaled two-reflection rotation.
-
-    The rotation part is H_u @ H_{u+v} for unit vectors u, v of the inputs;
-    antiparallel inputs use the single reflection H_v instead. Either input
-    with norm below the (relative) degeneracy tolerance yields an identity
-    fallback map flagged degenerate.
-    """
+    """Matrix R with R @ v_tgt == v_src: :func:`align_frames` on the frames
+    of the two vectors."""
     v_src = np.asarray(v_src, dtype=float)
     v_tgt = np.asarray(v_tgt, dtype=float)
     if v_src.shape != v_tgt.shape or v_src.ndim != 1:
         raise ValueError(
             f"vector shapes must match and be 1-D, got {v_src.shape} and {v_tgt.shape}"
         )
-    d = v_src.shape[0]
-    norm_src = float(np.linalg.norm(v_src))
-    norm_tgt = float(np.linalg.norm(v_tgt))
-    eps = degeneracy_tol * (1.0 + max(norm_src, norm_tgt))
-    if norm_src <= eps or norm_tgt <= eps:
-        return AlignMap(matrix=np.eye(d), scale=1.0, degenerate=True)
-    u = v_src / norm_src
-    v = v_tgt / norm_tgt
-    scale = norm_src / norm_tgt
-    w = u + v
-    if float(np.linalg.norm(w)) > degeneracy_tol:
-        rotation = _householder(u) @ _householder(w)
-    else:
-        rotation = _householder(v)
-    return AlignMap(matrix=rotation * scale, scale=scale, degenerate=False)
+    return align_frames(ConceptFrame(v_src), ConceptFrame(v_tgt), degeneracy_tol)
 
 
 def project_example(

@@ -22,7 +22,7 @@ from .core import (
 )
 from .drift import DETECTOR_KINDS, DriftStatus, make_detector
 from .learners import ENSEMBLE_KINDS, HoeffdingTreeParams, make_ensemble
-from .mapping import CentroidTracker, build_align_map, project_example
+from .mapping import CentroidTracker, ConceptFrame, project_example
 
 SNAPSHOT_FORMAT = "marline-model"
 SNAPSHOT_VERSION = 3
@@ -124,21 +124,17 @@ def update_performance_stats(
     the ensemble confidence sums (SC, SW) used for the example weight SW/SC.
     All contributions use the pre-update performance values.
     """
-    p_correct = np.clip(p_correct, 0.0, 1.0)
-    p_wrong = 1.0 - p_correct
-    sc = max(float(np.sum(performance * p_correct)), eps_clamp)
-    sw = max(float(np.sum(performance * p_wrong)), eps_clamp)
+    p_correct = np.minimum(np.maximum(p_correct, 0.0), 1.0)
+    confident = performance * p_correct
+    doubtful = performance * (1.0 - p_correct)
+    sc = max(float(confident.sum()), eps_clamp)
+    sw = max(float(doubtful.sum()), eps_clamp)
     example_weight = sw / sc
-    new_correct = forgetting_factor * lambda_correct + example_weight * (
-        performance * p_correct
-    ) / sc
-    new_wrong = forgetting_factor * lambda_wrong + example_weight * (
-        performance * p_wrong
-    ) / sw
+    new_correct = forgetting_factor * lambda_correct + example_weight * confident / sc
+    new_wrong = forgetting_factor * lambda_wrong + example_weight * doubtful / sw
     totals = new_correct + new_wrong
-    new_performance = np.where(
-        totals > 0.0, new_correct / np.where(totals > 0.0, totals, 1.0), 1.0
-    )
+    positive = totals > 0.0
+    new_performance = np.where(positive, new_correct / np.where(positive, totals, 1.0), 1.0)
     return new_correct, new_wrong, new_performance, sc, sw
 
 
@@ -216,16 +212,16 @@ class MarlineModel:
         no concept vector exists to map through before that.
         """
         target_pool = self.pools.get(self.target_id)
-        if target_pool is None or not target_pool.current.tracker.both_classes_seen:
+        if target_pool is None:
             return
-        target = target_pool.current
-        v_tgt = target.tracker.concept_vector()
-        c_tgt_pos = target.tracker.centroid(POS)
+        target = target_pool.current.tracker.frame()
+        if target is None:
+            return
 
         p_correct = np.concatenate(
             [
                 concept.ensemble.member_distributions(
-                    self._projected(example.features, concept, concept is target, v_tgt, c_tgt_pos)
+                    _projected(example.features, concept.tracker.frame(), target)
                 )[:, example.label]
                 for concept in self.concepts
             ]
@@ -258,19 +254,17 @@ class MarlineModel:
             return Prediction(NEG, np.array([0.5, 0.5]), cold_start=True)
 
         weights = sub_classifier_weights(self.performance, self.config.performance_index)
-        target = target_pool.current
-        if not target.tracker.both_classes_seen or not weights.any():
+        target = target_pool.current.tracker.frame()
+        if target is None or not weights.any():
             return self._fallback(target_pool, features)
 
-        v_tgt = target.tracker.concept_vector()
-        c_tgt_pos = target.tracker.centroid(POS)
         k = self.config.ensemble_size
         scores = np.zeros(2)
         for i, concept in enumerate(self.concepts):
             w = weights[i * k : (i + 1) * k]
             if not w.any():
                 continue
-            projected = self._projected(features, concept, concept is target, v_tgt, c_tgt_pos)
+            projected = _projected(features, concept.tracker.frame(), target)
             scores += w @ concept.ensemble.member_distributions(projected)
         if scores[NEG] == scores[POS]:
             return self._fallback(target_pool, features)
@@ -340,22 +334,17 @@ class MarlineModel:
         self.performance = np.insert(self.performance, at, np.ones(k))
         return pool
 
-    def _projected(
-        self,
-        features: np.ndarray,
-        concept: ConceptState,
-        is_current_target: bool,
-        v_tgt: np.ndarray,
-        c_tgt_pos: np.ndarray,
-    ) -> np.ndarray:
-        if is_current_target:
-            return features
-        v_src = concept.tracker.concept_vector()
-        if v_src is None:
-            return features
-        align = build_align_map(v_src, v_tgt)
-        return project_example(features, align, c_tgt_pos, concept.tracker.centroid(POS))
-
     def _fallback(self, target_pool: StreamPool, features: np.ndarray) -> Prediction:
         scores = target_pool.current.ensemble.predict(features)
         return Prediction(argmax_label(scores), scores)
+
+
+def _projected(
+    features: np.ndarray, source: ConceptFrame | None, target: ConceptFrame
+) -> np.ndarray:
+    """``features`` seen from the concept whose frame is ``source``. The
+    current target concept's own frame is ``target`` itself, and a concept
+    that has not seen both classes has none; both see ``features`` as is."""
+    if source is None or source is target:
+        return features
+    return project_example(features, source.align_to(target), target.c_pos, source.c_pos)

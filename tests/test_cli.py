@@ -562,6 +562,21 @@ def test_set_strips_section_and_key_once(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_percent_sign_in_a_value_is_taken_literally(tmp_path, capsys):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    code = main(["run", "--config", config, "--out", str(out), "--set", "experiment.approach=50%"])
+    assert code == EXIT_USAGE
+    assert "unknown approach '50%'" in capsys.readouterr().err
+    config = write_config(
+        tmp_path / "bag.ini",
+        RUN_CONFIG.replace("base_ensemble = bagging", "base_ensemble = bag%ging"),
+    )
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert "got 'bag%ging'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     import marline
 

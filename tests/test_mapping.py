@@ -9,6 +9,7 @@ from marline.core import NEG, POS, DimensionMismatchError, Example
 from marline.mapping import (
     AlignMap,
     CentroidTracker,
+    align_frames,
     build_align_map,
     project_example,
 )
@@ -204,6 +205,94 @@ def test_round_trip_maps_vector_to_itself():
         backward = build_align_map(v_tgt, v_src)
         round_trip = backward.matrix @ (forward.matrix @ v_tgt)
         assert np.linalg.norm(round_trip - v_tgt) < 1e-8 * (1 + np.linalg.norm(v_tgt))
+
+
+# ----------------------------------------------------------------------
+# Concept frames
+# ----------------------------------------------------------------------
+
+
+def tracker_with(neg, pos, theta=1.0):
+    tracker = CentroidTracker(n_features=len(neg), forgetting_factor=theta)
+    tracker.update(Example(np.array(neg, dtype=float), NEG))
+    tracker.update(Example(np.array(pos, dtype=float), POS))
+    return tracker
+
+
+def assert_same_map(got, expected):
+    assert got.degenerate == expected.degenerate
+    assert got.scale == expected.scale
+    assert np.array_equal(got.matrix, expected.matrix)
+
+
+def test_frame_is_built_once_per_centroid_change():
+    tracker = CentroidTracker(n_features=2, forgetting_factor=0.9)
+    assert tracker.frame() is None
+    tracker.update(Example(np.array([1.0, 2.0]), POS))
+    assert tracker.frame() is None
+    tracker.update(Example(np.array([-1.0, 0.5]), NEG))
+    frame = tracker.frame()
+    assert frame is not None
+    assert tracker.frame() is frame
+    assert np.array_equal(frame.vector, tracker.concept_vector())
+    assert np.array_equal(frame.c_pos, tracker.centroid(POS))
+    assert frame.norm == float(np.linalg.norm(tracker.concept_vector()))
+    tracker.update(Example(np.array([3.0, 1.0]), POS))
+    moved = tracker.frame()
+    assert moved is not frame
+    assert tracker.frame() is moved
+    assert np.array_equal(moved.vector, tracker.concept_vector())
+    assert np.array_equal(moved.c_pos, tracker.centroid(POS))
+
+
+def test_frame_maps_equal_build_align_map_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 7):
+        for _ in range(50):
+            src = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
+            tgt = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
+            assert_same_map(
+                src.frame().align_to(tgt.frame()),
+                build_align_map(src.concept_vector(), tgt.concept_vector()),
+            )
+
+
+def test_coincident_centroids_give_the_degenerate_map():
+    coincident = tracker_with([4.0, 4.0], [4.0, 4.0])
+    regular = tracker_with([0.0, 1.0], [2.0, 3.0])
+    assert coincident.frame().unit is None
+    for src, tgt in ((coincident, regular), (regular, coincident)):
+        amap = src.frame().align_to(tgt.frame())
+        assert amap.degenerate
+        assert amap.scale == 1.0
+        assert np.array_equal(amap.matrix, np.eye(2))
+        assert_same_map(amap, build_align_map(src.concept_vector(), tgt.concept_vector()))
+
+
+def test_antiparallel_frames_use_the_target_reflection():
+    src = tracker_with([3.0, 0.0], [0.0, 0.0])
+    tgt = tracker_with([0.0, 0.0], [3.0, 0.0])
+    amap = src.frame().align_to(tgt.frame())
+    assert np.array_equal(amap.matrix, tgt.frame().householder * amap.scale)
+    assert_same_map(amap, build_align_map(src.concept_vector(), tgt.concept_vector()))
+    assert amap.matrix @ tgt.concept_vector() == pytest.approx(src.concept_vector())
+
+
+def test_align_to_reuses_the_map_until_the_target_moves():
+    src = tracker_with([0.0, 0.0], [3.0, 1.0])
+    tgt = tracker_with([1.0, 0.0], [2.0, 4.0])
+    first = src.frame().align_to(tgt.frame())
+    assert src.frame().align_to(tgt.frame()) is first
+    # An equal frame that is another object is not taken for the same one.
+    other = tracker_with([1.0, 0.0], [2.0, 4.0])
+    rebuilt = src.frame().align_to(other.frame())
+    assert rebuilt is not first
+    assert_same_map(rebuilt, first)
+    tgt.update(Example(np.array([5.0, 5.0]), POS))
+    moved = src.frame().align_to(tgt.frame())
+    assert moved is not first
+    assert_same_map(moved, build_align_map(src.concept_vector(), tgt.concept_vector()))
+    assert_same_map(moved, align_frames(src.frame(), tgt.frame()))
 
 
 # ----------------------------------------------------------------------

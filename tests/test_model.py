@@ -11,6 +11,7 @@ import pytest
 
 from marline.core import NEG, POS, DataError, DimensionMismatchError, Example
 from marline.drift import DriftStatus
+from marline.mapping import ConceptFrame, build_align_map, project_example
 from marline.model import (
     EPS_CLAMP,
     MarlineConfig,
@@ -178,6 +179,61 @@ def test_always_correct_beats_always_wrong_after_100_updates():
         )
     assert alpha[0] > alpha[1]
     assert alpha[0] > 0.9 and alpha[1] < 0.1
+
+
+def reference_performance_stats(
+    lambda_correct, lambda_wrong, performance, p_correct, forgetting_factor, eps_clamp
+):
+    """``update_performance_stats`` as first written, one numpy call per term."""
+    p_correct = np.clip(p_correct, 0.0, 1.0)
+    p_wrong = 1.0 - p_correct
+    sc = max(float(np.sum(performance * p_correct)), eps_clamp)
+    sw = max(float(np.sum(performance * p_wrong)), eps_clamp)
+    example_weight = sw / sc
+    new_correct = forgetting_factor * lambda_correct + example_weight * (
+        performance * p_correct
+    ) / sc
+    new_wrong = forgetting_factor * lambda_wrong + example_weight * (
+        performance * p_wrong
+    ) / sw
+    totals = new_correct + new_wrong
+    new_performance = np.where(
+        totals > 0.0, new_correct / np.where(totals > 0.0, totals, 1.0), 1.0
+    )
+    return new_correct, new_wrong, new_performance, sc, sw
+
+
+@pytest.mark.parametrize("n", [5, 30, 110])
+def test_performance_stats_equal_the_reference_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+
+    def uniform(high=1.0):
+        return rng.uniform(0.0, high, n)
+
+    cases = [
+        (uniform(3.0), uniform(3.0), uniform(), uniform(), float(rng.uniform(0.5, 1.0)))
+        for _ in range(200)
+    ]
+    # p outside [0, 1], and exact 0 and 1.
+    outside = rng.uniform(-0.5, 1.5, n)
+    outside[:2] = (0.0, 1.0)
+    cases.append((uniform(), uniform(), uniform(), outside, 0.9))
+    # All-zero performance: SC and SW fall to the EPS_CLAMP floor.
+    cases.append((uniform(), uniform(), np.zeros(n), uniform(), 0.9))
+    # Zero totals, everywhere or in every other member; all-confident members.
+    cases.append((np.zeros(n), np.zeros(n), np.zeros(n), uniform(), 1.0))
+    mixed = np.ones(n)
+    mixed[::2] = 0.0
+    cases.append((np.zeros(n), np.zeros(n), mixed, uniform(), 0.9))
+    cases.append((np.zeros(n), np.zeros(n), np.ones(n), np.ones(n), 0.9))
+    for lambda_c, lambda_w, performance, p, theta in cases:
+        got = update_performance_stats(lambda_c, lambda_w, performance, p, theta, EPS_CLAMP)
+        expected = reference_performance_stats(
+            lambda_c, lambda_w, performance, p, theta, EPS_CLAMP
+        )
+        for g, e in zip(got[:3], expected[:3]):
+            assert np.array_equal(g, e)
+        assert got[3:] == expected[3:]
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +499,20 @@ def test_ratio_is_the_sum_over_non_current_concepts():
 # ----------------------------------------------------------------------
 
 
+def reference_projection(features, concept, is_current_target, target_tracker):
+    """Projection through the uncached matrix form, rebuilt from the
+    trackers' centroids on every call."""
+    if is_current_target:
+        return features
+    v_src = concept.tracker.concept_vector()
+    if v_src is None:
+        return features
+    align = build_align_map(v_src, target_tracker.concept_vector())
+    return project_example(
+        features, align, target_tracker.centroid(POS), concept.tracker.centroid(POS)
+    )
+
+
 class PerConceptReference:
     """The weighting and vote with stats kept per concept: gather them into
     flat arrays in pool order, update, and scatter them back."""
@@ -478,11 +548,9 @@ class PerConceptReference:
         target = model.pools[model.target_id].current
         if not target.tracker.both_classes_seen:
             return
-        v_tgt = target.tracker.concept_vector()
-        c_tgt_pos = target.tracker.centroid(POS)
         probs = [
             concept.ensemble.member_distributions(
-                model._projected(example.features, concept, current, v_tgt, c_tgt_pos)
+                reference_projection(example.features, concept, current, target.tracker)
             )[:, example.label]
             for concept, current in concepts
         ]
@@ -509,14 +577,12 @@ class PerConceptReference:
         weights = self.weights()
         if not target.tracker.both_classes_seen or not weights.any():
             return target.ensemble.predict(features)
-        v_tgt = target.tracker.concept_vector()
-        c_tgt_pos = target.tracker.centroid(POS)
         k = model.config.ensemble_size
         scores = np.zeros(2)
         for n, (concept, current) in enumerate(self.concepts()):
             w = weights[n * k : (n + 1) * k]
             if w.any():
-                projected = model._projected(features, concept, current, v_tgt, c_tgt_pos)
+                projected = reference_projection(features, concept, current, target.tracker)
                 scores += w @ concept.ensemble.member_distributions(projected)
         if scores[NEG] == scores[POS]:
             return target.ensemble.predict(features)
@@ -589,6 +655,42 @@ def test_snapshot_round_trip_preserves_predictions(tmp_path):
         assert a.label == b.label
         assert np.array_equal(a.scores, b.scores)
     assert restored.source_weight_ratio() == model.source_weight_ratio()
+
+
+def test_snapshot_stores_no_concept_frames(tmp_path):
+    import io
+    import pickle
+
+    rng = np.random.default_rng(12)
+    model = MarlineModel(small_config(ensemble_size=3))
+    stream = alternating_stream(rng, 120, (0.0, 0.0), (3.0, 3.0))
+    for ex in stream:
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    probes = np.random.default_rng(13).standard_normal((20, 2)) * 2 + 1.5
+    before = [model.predict(p) for p in probes]
+    assert all(c.tracker._frame is not None for c in model.concepts)
+
+    found = []
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, ConceptFrame):
+                found.append(obj)
+            return None
+
+    frames = [c.tracker.frame() for c in model.concepts]
+    path = tmp_path / "model.bin"
+    model.save(str(path))
+    Spy(io.BytesIO()).dump(model)
+    assert found == []
+    assert [c.tracker.frame() for c in model.concepts] == frames
+    restored = MarlineModel.load(str(path))
+    assert all(c.tracker._frame is None for c in restored.concepts)
+    for p, a in zip(probes, before):
+        b = restored.predict(p)
+        assert a.label == b.label
+        assert np.array_equal(a.scores, b.scores)
 
 
 def test_snapshot_rejects_version_one(tmp_path):
