@@ -29,7 +29,6 @@ from .evaluation import (
 from .learners import HoeffdingTreeParams
 from .model import MarlineConfig
 from .streams import (
-    BENCHMARK_FAMILIES,
     CsvDataset,
     CsvStreamSpec,
     RowFilter,
@@ -164,10 +163,6 @@ def _build_dataset(reader: _Reader):
     kind = reader.get("dataset", "kind", required=True)
     if kind == "synthetic":
         family = reader.get("dataset", "family", required=True)
-        if family not in BENCHMARK_FAMILIES:
-            raise ConfigurationError(
-                f"unknown dataset family {family!r}; choose from {BENCHMARK_FAMILIES}"
-            )
         class_size = reader.get("dataset", "class_size", int, required=True)
         dataset = benchmark_dataset(family, class_size)
         if not reader.get("dataset", "include_sources", bool, default=True):
@@ -184,12 +179,6 @@ def _build_dataset(reader: _Reader):
         )
         return CsvDataset(target=target, sources=sources)
     raise ConfigurationError(f"unknown dataset kind {kind!r}")
-
-
-def _n_features(dataset) -> int:
-    if isinstance(dataset, SyntheticDataset):
-        return dataset.target.n_features
-    return len(dataset.target.feature_columns)
 
 
 def _parse_grid_range(text: str) -> list[float]:
@@ -241,7 +230,7 @@ def _read_config(
     for detector in DETECTORS.values():
         detector_params.update(reader.fields("model", detector))
     config = MarlineConfig(
-        n_features=_n_features(dataset),
+        n_features=dataset.n_features,
         tree=HoeffdingTreeParams(**reader.fields("model", HoeffdingTreeParams)),
         detector_params=detector_params,
         **reader.fields("model", MarlineConfig),
@@ -266,20 +255,23 @@ def build_experiment_spec(
     return _read_config(parser, seed_override)[0]
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = build_experiment_spec(_load_config(args.config, args.overrides), args.seed)
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+
+
+def _cmd_generate(args: argparse.Namespace, spec: ExperimentSpec, grids: dict) -> int:
     schedule = build_schedule(spec, run_index=0)
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "dataset.csv")
     export_schedule_csv(schedule, out_path)
     print(f"wrote {len(schedule.entries)} rows to {out_path}")
     return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = build_experiment_spec(_load_config(args.config, args.overrides), args.seed)
+def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec, grids: dict) -> int:
     result = run_experiment(spec, parallelism=args.parallelism)
-    os.makedirs(args.out, exist_ok=True)
     write_results_csv(result, os.path.join(args.out, "results.csv"))
     write_summary_csv(result, os.path.join(args.out, "summary.csv"))
     write_segments_csv(result, os.path.join(args.out, "segments.csv"))
@@ -290,18 +282,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
-    spec, grids = _read_config(_load_config(args.config, args.overrides), args.seed)
+def _cmd_grid(args: argparse.Namespace, spec: ExperimentSpec, grids: dict) -> int:
     result = grid_search(spec, grids, parallelism=args.parallelism)
-    os.makedirs(args.out, exist_ok=True)
     write_grid_csv(result, os.path.join(args.out, "grid_results.csv"))
     best = result.best_spec.config
-    print(
-        f"best: ensemble_size={best.ensemble_size} "
-        f"forgetting_factor={best.forgetting_factor} "
-        f"performance_index={best.performance_index} "
-        f"objective={result.best_objective:.6f}"
-    )
+    point = " ".join(f"{name}={getattr(best, name)}" for name in DEFAULT_GRIDS)
+    print(f"best: {point} objective={result.best_objective:.6f}")
     return EXIT_OK
 
 
@@ -309,7 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     handlers = {"generate": _cmd_generate, "run": _cmd_run, "grid": _cmd_grid}
     try:
-        return handlers[args.command](args)
+        spec, grids = _read_config(_load_config(args.config, args.overrides), args.seed)
+        _make_out_dir(args.out)
+        return handlers[args.command](args, spec, grids)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,8 +30,6 @@ class DDM:
     first ``min_observations`` updates.
     """
 
-    kind = "ddm"
-
     def __init__(
         self,
         min_observations: int = 30,
@@ -83,8 +81,6 @@ class HddmA:
     the prefix mean by more than the Hoeffding deviation for the two sample
     sizes. As with DDM, the caller restarts it with ``reset`` after a drift.
     """
-
-    kind = "hddm_a"
 
     def __init__(
         self,
@@ -146,12 +142,13 @@ class HddmA:
 
 
 DETECTORS = {"ddm": DDM, "hddm_a": HddmA}
-DETECTOR_KINDS = tuple(DETECTORS)
 
 
 def make_detector(kind: str, **params):
     if kind not in DETECTORS:
-        raise ConfigurationError(f"unknown detector kind {kind!r}")
+        raise ConfigurationError(
+            f"unknown detector kind {kind!r}; choose from {tuple(DETECTORS)}"
+        )
     detector = DETECTORS[kind]
     accepted = inspect.signature(detector).parameters
     unknown = [key for key in params if key not in accepted]

@@ -30,13 +30,6 @@ from .streams import (
     reseed_dataset,
 )
 
-APPROACHES = (
-    "marline_with_source",
-    "marline_no_source",
-    "base_plain",
-    "base_detector_reset",
-)
-
 EVALUATIONS = ("prequential_reset", "sliding_window")
 
 # Hyperparameter search ranges used when a grid is not given explicitly.
@@ -164,15 +157,19 @@ class BaselineApproach:
         return None
 
 
+# Each compared approach: its class and the flag that class takes
+# (``use_sources`` or ``reset_on_drift``).
+APPROACHES = {
+    "marline_with_source": (MarlineApproach, True),
+    "marline_no_source": (MarlineApproach, False),
+    "base_plain": (BaselineApproach, False),
+    "base_detector_reset": (BaselineApproach, True),
+}
+
+
 def build_approach(spec: ExperimentSpec, target_id: str, model_seed) -> object:
-    rng = np.random.default_rng(model_seed)
-    if spec.approach == "marline_with_source":
-        return MarlineApproach(spec.config, target_id, use_sources=True, rng=rng)
-    if spec.approach == "marline_no_source":
-        return MarlineApproach(spec.config, target_id, use_sources=False, rng=rng)
-    if spec.approach == "base_plain":
-        return BaselineApproach(spec.config, target_id, reset_on_drift=False, rng=rng)
-    return BaselineApproach(spec.config, target_id, reset_on_drift=True, rng=rng)
+    approach, flag = APPROACHES[spec.approach]
+    return approach(spec.config, target_id, flag, np.random.default_rng(model_seed))
 
 
 # ----------------------------------------------------------------------
@@ -362,27 +359,19 @@ def grid_search(
     if any(len(values) == 0 for values in grids.values()):
         raise ConfigurationError("grids must be nonempty")
     axes = [sorted(grids.get(name, [getattr(template.config, name)])) for name in DEFAULT_GRIDS]
+    # Each axis takes the type of its default values.
+    kinds = [type(values[0]) for values in DEFAULT_GRIDS.values()]
 
     best_spec: ExperimentSpec | None = None
     best_objective = -math.inf
     rows: list[dict] = []
-    for ensemble_size, theta, sigma in product(*axes):
-        config = replace(
-            template.config,
-            ensemble_size=int(ensemble_size),
-            forgetting_factor=float(theta),
-            performance_index=float(sigma),
-        )
-        spec = replace(template, config=config)
+    for values in product(*axes):
+        point = {
+            name: kind(value) for name, kind, value in zip(DEFAULT_GRIDS, kinds, values)
+        }
+        spec = replace(template, config=replace(template.config, **point))
         result = run_experiment(spec, parallelism=parallelism)
-        rows.append(
-            {
-                "ensemble_size": int(ensemble_size),
-                "forgetting_factor": float(theta),
-                "performance_index": float(sigma),
-                "objective": result.objective,
-            }
-        )
+        rows.append({**point, "objective": result.objective})
         if result.objective > best_objective:
             best_objective = result.objective
             best_spec = spec

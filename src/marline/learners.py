@@ -305,8 +305,6 @@ class HoeffdingTree:
 class _EnsembleBase:
     """Shared plumbing for the fixed-size online ensembles."""
 
-    kind = ""
-
     def __init__(
         self,
         n_features: int,
@@ -353,8 +351,6 @@ class _EnsembleBase:
 class OnlineBagging(_EnsembleBase):
     """Online bagging: each member trains with an independent Poisson(1) weight."""
 
-    kind = "bagging"
-
     def train(self, example: Example, rng: np.random.Generator) -> None:
         check_dims(example.features, self.n_features, "OnlineBagging.train")
         self.trained_count += 1
@@ -368,7 +364,6 @@ class OnlineBoosting(_EnsembleBase):
     """Online boosting: members train sequentially with Poisson(lam) weights,
     where lam is amplified by the mistakes of the members before them."""
 
-    kind = "boosting"
     _EPS = 1e-10
 
     def __init__(
@@ -402,7 +397,7 @@ class OnlineBoosting(_EnsembleBase):
             lam = lam / (2.0 * (1.0 - error)) if correct else lam / (2.0 * error)
 
 
-ENSEMBLE_KINDS = ("bagging", "boosting")
+ENSEMBLES = {"bagging": OnlineBagging, "boosting": OnlineBoosting}
 
 
 def make_ensemble(
@@ -411,8 +406,8 @@ def make_ensemble(
     ensemble_size: int,
     tree_params: HoeffdingTreeParams | None = None,
 ):
-    if kind == "bagging":
-        return OnlineBagging(n_features, ensemble_size, tree_params)
-    if kind == "boosting":
-        return OnlineBoosting(n_features, ensemble_size, tree_params)
-    raise ConfigurationError(f"unknown ensemble kind {kind!r}")
+    if kind not in ENSEMBLES:
+        raise ConfigurationError(
+            f"unknown ensemble kind {kind!r}; choose from {tuple(ENSEMBLES)}"
+        )
+    return ENSEMBLES[kind](n_features, ensemble_size, tree_params)

@@ -11,7 +11,9 @@ import numpy as np
 
 from .core import LABELS, NEG, POS, ConfigurationError, Example, check_dims
 
-DEFAULT_DEGENERACY_TOL = 1e-9
+# Norm tolerance of an align map: a concept vector shorter than it (scaled by
+# 1 + the larger input norm) is degenerate, and so is u + v of antiparallel units.
+DEGENERACY_TOL = 1e-9
 
 
 class CentroidTracker:
@@ -134,37 +136,29 @@ class ConceptFrame:
         return memo_map
 
 
-def align_frames(
-    src: ConceptFrame,
-    tgt: ConceptFrame,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> AlignMap:
+def align_frames(src: ConceptFrame, tgt: ConceptFrame) -> AlignMap:
     """Matrix R with R @ tgt.vector == src.vector, as a scaled two-reflection
     rotation.
 
     The rotation part is H_u @ H_{u+v} for the unit vectors u, v of the
     inputs; antiparallel inputs use the single reflection H_v instead. Either
-    input with norm below the (relative) degeneracy tolerance yields an
+    input with norm below the (relative) ``DEGENERACY_TOL`` yields an
     identity fallback map flagged degenerate.
     """
     d = src.vector.shape[0]
-    eps = degeneracy_tol * (1.0 + max(src.norm, tgt.norm))
+    eps = DEGENERACY_TOL * (1.0 + max(src.norm, tgt.norm))
     if src.norm <= eps or tgt.norm <= eps:
         return AlignMap(matrix=np.eye(d), scale=1.0, degenerate=True)
     scale = src.norm / tgt.norm
     w = src.unit + tgt.unit
-    if float(np.linalg.norm(w)) > degeneracy_tol:
+    if float(np.linalg.norm(w)) > DEGENERACY_TOL:
         rotation = src.householder @ _householder(w)
     else:
         rotation = tgt.householder
     return AlignMap(matrix=rotation * scale, scale=scale, degenerate=False)
 
 
-def build_align_map(
-    v_src: np.ndarray,
-    v_tgt: np.ndarray,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> AlignMap:
+def build_align_map(v_src: np.ndarray, v_tgt: np.ndarray) -> AlignMap:
     """Matrix R with R @ v_tgt == v_src: :func:`align_frames` on the frames
     of the two vectors."""
     v_src = np.asarray(v_src, dtype=float)
@@ -173,7 +167,7 @@ def build_align_map(
         raise ValueError(
             f"vector shapes must match and be 1-D, got {v_src.shape} and {v_tgt.shape}"
         )
-    return align_frames(ConceptFrame(v_src), ConceptFrame(v_tgt), degeneracy_tol)
+    return align_frames(ConceptFrame(v_src), ConceptFrame(v_tgt))
 
 
 def project_example(

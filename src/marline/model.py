@@ -20,8 +20,8 @@ from .core import (
     argmax_label,
     check_features,
 )
-from .drift import DETECTOR_KINDS, DriftStatus, make_detector
-from .learners import ENSEMBLE_KINDS, HoeffdingTreeParams, make_ensemble
+from .drift import DriftStatus, make_detector
+from .learners import ENSEMBLES, HoeffdingTreeParams, make_ensemble
 from .mapping import CentroidTracker, ConceptFrame, project_example
 
 SNAPSHOT_FORMAT = "marline-model"
@@ -51,16 +51,12 @@ class MarlineConfig:
             raise ConfigurationError("n_features must be >= 1")
         if self.ensemble_size < 1:
             raise ConfigurationError("ensemble_size must be >= 1")
-        if self.base_ensemble not in ENSEMBLE_KINDS:
+        if self.base_ensemble not in ENSEMBLES:
             raise ConfigurationError(
-                f"base_ensemble must be one of {ENSEMBLE_KINDS}, got {self.base_ensemble!r}"
+                f"base_ensemble must be one of {tuple(ENSEMBLES)}, got {self.base_ensemble!r}"
             )
-        if self.detector not in DETECTOR_KINDS:
-            raise ConfigurationError(
-                f"detector must be one of {DETECTOR_KINDS}, got {self.detector!r}"
-            )
-        # Build one detector now, so that parameters it does not take are
-        # rejected even where no model is ever made.
+        # Build one detector now, so that an unknown kind or a parameter it
+        # does not take is rejected even where no model is ever made.
         make_detector(self.detector, **self.detector_params)
         if not 0.0 < self.forgetting_factor <= 1.0:
             raise ConfigurationError("forgetting_factor must be in (0, 1]")
@@ -95,8 +91,7 @@ class StreamPool:
     Only the last concept is ever trained; earlier ones are frozen history.
     """
 
-    def __init__(self, stream_id: str, config: MarlineConfig) -> None:
-        self.stream_id = stream_id
+    def __init__(self, config: MarlineConfig) -> None:
         self.concepts: list[ConceptState] = []
         self.detector = make_detector(config.detector, **dict(config.detector_params))
 
@@ -324,7 +319,7 @@ class MarlineModel:
         sight, with fresh stats after the pool's earlier concepts."""
         pool = self.pools.get(stream_id)
         if pool is None:
-            pool = self.pools[stream_id] = StreamPool(stream_id, self.config)
+            pool = self.pools[stream_id] = StreamPool(self.config)
         pool.concepts.append(ConceptState(self.config))
         self.concepts = [c for p in self.pools.values() for c in p.concepts]
         k = self.config.ensemble_size

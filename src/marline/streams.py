@@ -211,6 +211,10 @@ class SyntheticDataset:
     target: SyntheticStreamSpec
     sources: tuple[SyntheticStreamSpec, ...] = ()
 
+    @property
+    def n_features(self) -> int:
+        return self.target.n_features
+
 
 def _concept(means, cov) -> GaussianConceptSpec:
     return GaussianConceptSpec(mean_neg=means[0], mean_pos=means[1], cov_diag=cov)
@@ -354,8 +358,36 @@ class CsvStreamSpec:
 
 @dataclass(frozen=True)
 class CsvDataset:
+    """A target CSV stream plus source CSV streams with as many features."""
+
     target: CsvStreamSpec
     sources: tuple[CsvStreamSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        for source in self.sources:
+            if len(source.feature_columns) != self.n_features:
+                raise ConfigurationError(
+                    f"{source.path}: {len(source.feature_columns)} features, "
+                    f"but the target has {self.n_features}"
+                )
+
+    @property
+    def n_features(self) -> int:
+        return len(self.target.feature_columns)
+
+
+def _number(spec: CsvStreamSpec, idx: int, row: dict, column: str) -> float:
+    """The finite number in ``column`` of file row ``idx``, else DataError."""
+    cell = row[column]
+    try:
+        value = float(cell)
+        if math.isfinite(value):
+            return value
+        problem = "non-finite"
+    except (TypeError, ValueError):
+        problem = "non-numeric"
+    role = "target" if column == spec.target_column else "value"
+    raise DataError(f"{spec.path}: row {idx}: {problem} {role} {cell!r} in column {column!r}")
 
 
 def ingest_csv(spec: CsvStreamSpec) -> list[Example]:
@@ -384,41 +416,15 @@ def ingest_csv(spec: CsvStreamSpec) -> list[Example]:
     if not rows:
         raise ConfigurationError(f"{spec.path}: no rows match the filter")
 
-    targets = []
-    for idx, row in rows:
-        try:
-            target = float(row[spec.target_column])
-        except (TypeError, ValueError):
-            raise DataError(
-                f"{spec.path}: row {idx}: non-numeric target "
-                f"{row[spec.target_column]!r}"
-            ) from None
-        if not math.isfinite(target):
-            raise DataError(
-                f"{spec.path}: row {idx}: non-finite target "
-                f"{row[spec.target_column]!r}"
-            )
-        targets.append(target)
+    targets = [_number(spec, idx, row, spec.target_column) for idx, row in rows]
     median = statistics.median(targets)
-
-    examples = []
-    for (idx, row), target in zip(rows, targets):
-        values = []
-        for column in spec.feature_columns:
-            try:
-                value = float(row[column])
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{spec.path}: row {idx}: non-numeric value "
-                    f"{row[column]!r} in column {column!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{spec.path}: row {idx}: non-finite value in column {column!r}"
-                )
-            values.append(value)
-        examples.append(Example(np.array(values), POS if target > median else NEG))
-    return examples
+    return [
+        Example(
+            np.array([_number(spec, idx, row, column) for column in spec.feature_columns]),
+            POS if target > median else NEG,
+        )
+        for (idx, row), target in zip(rows, targets)
+    ]
 
 
 # ----------------------------------------------------------------------

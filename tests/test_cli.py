@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -592,3 +593,113 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_USAGE
     assert missing in done.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "grid"])
+def test_a_source_with_another_feature_count_is_a_usage_error(tmp_path, capsys, command):
+    target, source = CSV_CONFIG.split("[source:s]")
+    body = target + "[source:s]" + source.replace("features = a, b", "features = a, b, cnt")
+    config = write_csv_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'stream.csv'}: 3 features, but the target has 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "grid"])
+def test_an_out_path_that_cannot_be_a_directory_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("build_schedule", "run_experiment", "grid_search"):
+        monkeypatch.setattr(f"marline.cli.{name}", no_work)
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
+
+
+PINNED_GRID_CONFIG = """
+    [experiment]
+    approach = marline_with_source
+    runs = 1
+    seed = 5
+    evaluation = sliding_window
+    window_fraction = 0.2
+
+    [model]
+    base_ensemble = boosting
+    detector = ddm
+    min_observations = 20
+    grace_period = 40
+    leaf_prediction = majority
+
+    [dataset]
+    kind = csv
+
+    [target]
+    path = {target}
+    features = a, b
+    target_column = cnt
+
+    [source:s]
+    path = {source}
+    features = a, b
+    target_column = cnt
+
+    [grid]
+    ensemble_size = 3
+    forgetting_factor = 0.9, 1
+    performance_index = 0.4
+"""
+
+
+def write_pinned_csv_pair(tmp_path):
+    """A target and a source CSV whose target column depends on the features,
+    the target's dependence flipping halfway through."""
+    paths = {}
+    for name, rows, flip in (("target", 240, 120), ("source", 300, None)):
+        lines = ["a,b,cnt"]
+        for i in range(rows):
+            a, b = (i * 7) % 23, (i * 13) % 17
+            sign = -1 if flip is not None and i >= flip else 1
+            lines.append(f"{a},{b},{sign * (3 * a - 2 * b) + (i * 37) % 11}")
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return PINNED_GRID_CONFIG.format(**paths)
+
+
+PINNED_OUTPUTS = {
+    "generate": {
+        "dataset.csv": "0bbb05a0bf6400f902bd718b53453916de70fc402e463113d4a1c742c001d5b7",
+    },
+    "run": {
+        "results.csv": "5895498bf0e43e8e6fba01af08d7493670dd62a4474c2625bde8c3cf2927a702",
+        "segments.csv": "53a2945294931b56d3eab5913fdadcda290b1c173f2113a66181192b25e597ec",
+        "summary.csv": "a1da5654d0d91970f2cdacb9bc4b5de959a07340199cc3539987d88484201472",
+    },
+    "grid": {
+        "grid_results.csv": "c0ee84614c4351e6a428d5f11d8481e523dfdb6722cd792d04d6ae0b5f730aef",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
+def test_cli_outputs_are_pinned_byte_for_byte(tmp_path, command):
+    # The sha256 of every file each subcommand writes, recorded from a known
+    # good build (Python 3.11, numpy 2.4, x86-64): a refactor that changes any
+    # output byte fails here.
+    body = write_pinned_csv_pair(tmp_path) if command == "grid" else RUN_CONFIG
+    config = write_config(tmp_path / "pinned.ini", body)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert digests == PINNED_OUTPUTS[command]

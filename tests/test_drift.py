@@ -168,7 +168,10 @@ def test_hddm_warning_uses_looser_confidence():
 def test_make_detector_dispatch():
     assert isinstance(make_detector("ddm"), DDM)
     assert isinstance(make_detector("hddm_a", drift_confidence=0.01), HddmA)
-    with pytest.raises(Exception):
+    with pytest.raises(
+        ConfigurationError,
+        match=r"unknown detector kind 'adwin'; choose from \('ddm', 'hddm_a'\)",
+    ):
         make_detector("adwin")
     with pytest.raises(ConfigurationError, match="detector 'ddm' does not take drift_confidence"):
         make_detector("ddm", drift_confidence=0.01)

@@ -320,6 +320,18 @@ def test_grid_ties_break_towards_smaller_ensemble():
     assert result.best_spec.config.ensemble_size == 1
 
 
+def test_grid_values_take_the_type_of_their_axis():
+    spec = tiny_spec(runs=1)
+    result = grid_search(spec, {"forgetting_factor": [1], "ensemble_size": [2.0]})
+    (row,) = result.rows
+    assert type(row["forgetting_factor"]) is float and row["forgetting_factor"] == 1.0
+    assert type(row["ensemble_size"]) is int and row["ensemble_size"] == 2
+    assert type(row["performance_index"]) is float
+    config = result.best_spec.config
+    assert type(config.forgetting_factor) is float and config.forgetting_factor == 1.0
+    assert type(config.ensemble_size) is int
+
+
 def test_grid_rejects_unknown_fields_and_empty_axes():
     spec = tiny_spec(runs=1)
     with pytest.raises(ConfigurationError):

@@ -8,7 +8,14 @@ import pickle
 import numpy as np
 import pytest
 
-from marline.core import NEG, POS, DimensionMismatchError, Example, argmax_label
+from marline.core import (
+    NEG,
+    POS,
+    ConfigurationError,
+    DimensionMismatchError,
+    Example,
+    argmax_label,
+)
 from marline.learners import (
     HoeffdingTree,
     HoeffdingTreeParams,
@@ -374,7 +381,10 @@ def test_boosting_accumulators_stay_nonnegative_and_learn():
 def test_make_ensemble_dispatches_kinds():
     assert isinstance(make_ensemble("bagging", 2, 3), OnlineBagging)
     assert isinstance(make_ensemble("boosting", 2, 3), OnlineBoosting)
-    with pytest.raises(Exception):
+    with pytest.raises(
+        ConfigurationError,
+        match=r"unknown ensemble kind 'stacking'; choose from \('bagging', 'boosting'\)",
+    ):
         make_ensemble("stacking", 2, 3)
 
 

@@ -9,7 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from marline.core import NEG, POS, DataError, DimensionMismatchError, Example
+from marline.core import (
+    NEG,
+    POS,
+    ConfigurationError,
+    DataError,
+    DimensionMismatchError,
+    Example,
+)
 from marline.drift import DriftStatus
 from marline.mapping import ConceptFrame, build_align_map, project_example
 from marline.model import (
@@ -99,6 +106,18 @@ def alternating_stream(rng, n, mean_neg, mean_pos, std=1.0):
 # ----------------------------------------------------------------------
 # Performance-stats update
 # ----------------------------------------------------------------------
+
+
+def test_config_rejects_unknown_component_kinds_naming_the_choices():
+    with pytest.raises(
+        ConfigurationError, match=r"unknown detector kind 'x'; choose from \('ddm', 'hddm_a'\)"
+    ):
+        small_config(detector="x")
+    with pytest.raises(
+        ConfigurationError,
+        match=r"base_ensemble must be one of \('bagging', 'boosting'\), got 'x'",
+    ):
+        small_config(base_ensemble="x")
 
 
 def test_worked_update_example_against_exact_fractions():
@@ -433,7 +452,6 @@ def test_duplicate_clone_concept_leaves_argmax_unchanged():
         base.observe("T", ex, rng)
     cloned = copy.deepcopy(base)
     dup_pool = copy.deepcopy(cloned.pools["T"])
-    dup_pool.stream_id = "S_dup"
     cloned.pools["S_dup"] = dup_pool
     # Register the clone's concepts and a copy of the target's stats, as
     # MarlineModel._new_concept would for a pool seen after "T".
