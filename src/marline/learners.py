@@ -331,17 +331,17 @@ class _EnsembleBase:
     def ensemble_size(self) -> int:
         return len(self.sub_classifiers)
 
-    def member_distributions(self, features: np.ndarray) -> np.ndarray:
-        """``(k, 2)`` class distributions of the k members, in member order."""
-        features = np.asarray(features, dtype=float)
-        check_dims(features, self.n_features, f"{type(self).__name__}.predict")
-        values = features.tolist()
+    def member_distributions(self, values: list[float]) -> np.ndarray:
+        """``(k, 2)`` class distributions of the k members, in member order,
+        at a list of ``n_features`` floats."""
         return np.array([tree.predict_pair(values) for tree in self.sub_classifiers])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Unweighted mean of the members' class distributions."""
+        features = np.asarray(features, dtype=float)
+        check_dims(features, self.n_features, f"{type(self).__name__}.predict")
         neg = pos = 0.0
-        for p_neg, p_pos in self.member_distributions(features).tolist():
+        for p_neg, p_pos in self.member_distributions(features.tolist()).tolist():
             neg += p_neg
             pos += p_pos
         k = len(self.sub_classifiers)

@@ -5,6 +5,7 @@ projection of examples through that map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,37 +104,88 @@ def _householder(w: np.ndarray) -> np.ndarray:
     return np.eye(w.shape[0]) - 2.0 * np.outer(w, w) / float(w @ w)
 
 
-class ConceptFrame:
-    """Alignment terms of one concept: its concept vector, the vector's norm
-    and unit vector, the reflection H_unit (built on first use) and the POS
-    centroid. The terms never change once built; a frame also remembers the
-    last map built from it as the source, keyed by the target frame."""
+def _dot(a: list[float], b: list[float]) -> float:
+    # An explicit loop, not sum(): Python 3.12 sums floats with compensation
+    # and 3.11 does not, so sum() would make the result depend on the version.
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
-    __slots__ = ("vector", "norm", "unit", "c_pos", "_householder", "_memo")
+
+def _degenerate(src: ConceptFrame, tgt: ConceptFrame) -> bool:
+    """Whether either concept vector is shorter than ``DEGENERACY_TOL``
+    scaled by 1 + the larger norm."""
+    eps = DEGENERACY_TOL * (1.0 + max(src.norm, tgt.norm))
+    return src.norm <= eps or tgt.norm <= eps
+
+
+class ConceptFrame:
+    """Alignment terms of one concept: its concept vector, the vector's norm,
+    its unit vector and POS centroid as lists of floats. The terms never
+    change once built; a frame also remembers its reflections against the
+    last target frame it projected from."""
+
+    __slots__ = ("vector", "norm", "unit", "c_pos", "_memo")
 
     def __init__(self, vector: np.ndarray, c_pos: np.ndarray | None = None) -> None:
         self.vector = vector
         self.norm = float(np.linalg.norm(vector))
-        self.unit = vector / self.norm if self.norm > 0.0 else None
-        self.c_pos = c_pos
-        self._householder: np.ndarray | None = None
-        self._memo: tuple[ConceptFrame | None, AlignMap | None] = (None, None)
+        self.unit = [x / self.norm for x in vector.tolist()] if self.norm > 0.0 else None
+        self.c_pos = None if c_pos is None else c_pos.tolist()
+        self._memo: tuple[ConceptFrame | None, Reflections | None] = (None, None)
 
-    @property
-    def householder(self) -> np.ndarray:
-        if self._householder is None:
-            self._householder = _householder(self.unit)
-        return self._householder
-
-    def align_to(self, target: ConceptFrame) -> AlignMap:
-        """``align_frames(self, target)``, reused while ``target`` is the
-        same frame object. Sound because frames are never mutated and the
-        memo keeps ``target`` alive, so its identity cannot be reused."""
-        memo_target, memo_map = self._memo
+    def project(self, values: list[float], target: ConceptFrame) -> list[float]:
+        """``Reflections(self, target).apply(values)``, with the reflections
+        reused while ``target`` is the same frame object. Sound because frames
+        are never mutated and the memo keeps ``target`` alive, so its identity
+        cannot be reused."""
+        memo_target, reflections = self._memo
         if memo_target is not target:
-            memo_map = align_frames(self, target)
-            self._memo = (target, memo_map)
-        return memo_map
+            reflections = Reflections(self, target)
+            self._memo = (target, reflections)
+        return reflections.apply(values)
+
+
+class Reflections:
+    """The map of :func:`align_frames` from ``tgt`` to ``src``, kept as the
+    reflections it is the product of and applied to lists of floats, so that
+    no matrix is formed. Both frames need a POS centroid.
+
+    Each reflection is a vector w with its factor 2/(w·w): H_w y =
+    y - factor (w·y) w. The rotation H_u H_{u+v} applies H_{u+v} first; an
+    antiparallel pair has the single H_v and a degenerate pair none, in which
+    case :meth:`apply` returns its input, as :func:`project_example` does.
+    """
+
+    __slots__ = ("c_tgt", "c_src", "scale", "steps")
+
+    def __init__(self, src: ConceptFrame, tgt: ConceptFrame) -> None:
+        self.c_tgt = tgt.c_pos
+        self.c_src = src.c_pos
+        self.scale = 1.0
+        self.steps: list[tuple[list[float], float]] | None = None
+        if _degenerate(src, tgt):
+            return
+        self.scale = src.norm / tgt.norm
+        u, v = src.unit, tgt.unit
+        w = [a + b for a, b in zip(u, v)]
+        ww = _dot(w, w)
+        if math.sqrt(ww) > DEGENERACY_TOL:
+            self.steps = [(w, 2.0 / ww), (u, 2.0 / _dot(u, u))]
+        else:
+            self.steps = [(v, 2.0 / _dot(v, v))]
+
+    def apply(self, values: list[float]) -> list[float]:
+        """Image of a target-space point in the source concept's space."""
+        if self.steps is None:
+            return values
+        y = [x - c for x, c in zip(values, self.c_tgt)]
+        for w, factor in self.steps:
+            k = factor * _dot(w, y)
+            y = [b - k * a for a, b in zip(w, y)]
+        scale = self.scale
+        return [c + scale * b for c, b in zip(self.c_src, y)]
 
 
 def align_frames(src: ConceptFrame, tgt: ConceptFrame) -> AlignMap:
@@ -143,18 +195,18 @@ def align_frames(src: ConceptFrame, tgt: ConceptFrame) -> AlignMap:
     The rotation part is H_u @ H_{u+v} for the unit vectors u, v of the
     inputs; antiparallel inputs use the single reflection H_v instead. Either
     input with norm below the (relative) ``DEGENERACY_TOL`` yields an
-    identity fallback map flagged degenerate.
+    identity fallback map flagged degenerate. :class:`Reflections` applies
+    the same map without forming it.
     """
-    d = src.vector.shape[0]
-    eps = DEGENERACY_TOL * (1.0 + max(src.norm, tgt.norm))
-    if src.norm <= eps or tgt.norm <= eps:
-        return AlignMap(matrix=np.eye(d), scale=1.0, degenerate=True)
+    if _degenerate(src, tgt):
+        return AlignMap(matrix=np.eye(src.vector.shape[0]), scale=1.0, degenerate=True)
     scale = src.norm / tgt.norm
-    w = src.unit + tgt.unit
+    u, v = np.array(src.unit), np.array(tgt.unit)
+    w = u + v
     if float(np.linalg.norm(w)) > DEGENERACY_TOL:
-        rotation = src.householder @ _householder(w)
+        rotation = _householder(u) @ _householder(w)
     else:
-        rotation = tgt.householder
+        rotation = _householder(v)
     return AlignMap(matrix=rotation * scale, scale=scale, degenerate=False)
 
 

@@ -18,11 +18,12 @@ from .core import (
     DataError,
     Example,
     argmax_label,
+    check_dims,
     check_features,
 )
 from .drift import DriftStatus, make_detector
 from .learners import ENSEMBLES, HoeffdingTreeParams, make_ensemble
-from .mapping import CentroidTracker, ConceptFrame, project_example
+from .mapping import CentroidTracker, ConceptFrame
 
 SNAPSHOT_FORMAT = "marline-model"
 SNAPSHOT_VERSION = 3
@@ -206,6 +207,7 @@ class MarlineModel:
         Skipped until the current target concept has seen both classes, since
         no concept vector exists to map through before that.
         """
+        check_dims(example.features, self.config.n_features, "MarlineModel.update_weights")
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return
@@ -213,10 +215,11 @@ class MarlineModel:
         if target is None:
             return
 
+        values = example.features.tolist()
         p_correct = np.concatenate(
             [
                 concept.ensemble.member_distributions(
-                    _projected(example.features, concept.tracker.frame(), target)
+                    _projected(values, concept.tracker.frame(), target)
                 )[:, example.label]
                 for concept in self.concepts
             ]
@@ -254,12 +257,13 @@ class MarlineModel:
             return self._fallback(target_pool, features)
 
         k = self.config.ensemble_size
+        values = features.tolist()
         scores = np.zeros(2)
         for i, concept in enumerate(self.concepts):
             w = weights[i * k : (i + 1) * k]
             if not w.any():
                 continue
-            projected = _projected(features, concept.tracker.frame(), target)
+            projected = _projected(values, concept.tracker.frame(), target)
             scores += w @ concept.ensemble.member_distributions(projected)
         if scores[NEG] == scores[POS]:
             return self._fallback(target_pool, features)
@@ -335,11 +339,11 @@ class MarlineModel:
 
 
 def _projected(
-    features: np.ndarray, source: ConceptFrame | None, target: ConceptFrame
-) -> np.ndarray:
-    """``features`` seen from the concept whose frame is ``source``. The
+    values: list[float], source: ConceptFrame | None, target: ConceptFrame
+) -> list[float]:
+    """``values`` seen from the concept whose frame is ``source``. The
     current target concept's own frame is ``target`` itself, and a concept
-    that has not seen both classes has none; both see ``features`` as is."""
+    that has not seen both classes has none; both see ``values`` as is."""
     if source is None or source is target:
-        return features
-    return project_example(features, source.align_to(target), target.c_pos, source.c_pos)
+        return values
+    return source.project(values, target)

@@ -284,12 +284,15 @@ def test_acceptance_7_weighting_cost_scales_with_sources():
             model.observe("T", ex, rng)
         return model, rng
 
-    def weighting_prediction_time(model, rng, n=10_000):
+    def draw_examples(rng, n):
         examples = []
         for t in range(n):
             label = t % 2
             mean = np.array([3.0, 3.0]) if label else np.zeros(2)
             examples.append(Example(mean + rng.standard_normal(2), label))
+        return examples
+
+    def weighting_prediction_time(model, examples):
         begin = time.perf_counter()
         for ex in examples:
             model.predict(ex.features)
@@ -298,9 +301,14 @@ def test_acceptance_7_weighting_cost_scales_with_sources():
 
     two, rng2 = build_model(2)
     four, rng4 = build_model(4)
-    weighting_prediction_time(two, rng2, n=500)  # warm up
-    t_two = weighting_prediction_time(two, rng2)
-    t_four = weighting_prediction_time(four, rng4)
+    weighting_prediction_time(two, draw_examples(rng2, 500))  # warm up
+    # The two models take turns in blocks of 50 steps, so that a change in
+    # host speed during the run falls on both alike.
+    examples_two, examples_four = draw_examples(rng2, 10_000), draw_examples(rng4, 10_000)
+    t_two = t_four = 0.0
+    for start in range(0, 10_000, 50):
+        t_two += weighting_prediction_time(two, examples_two[start : start + 50])
+        t_four += weighting_prediction_time(four, examples_four[start : start + 50])
     ratio = t_four / t_two
     ok = 1.5 <= ratio <= 2.8
     print(f"  [7] 2->4 source weighting+prediction time ratio {ratio:.2f}")

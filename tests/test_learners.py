@@ -323,7 +323,7 @@ def test_member_distributions_equal_per_tree_predictions(kind, leaf_prediction):
         trees = ensemble.sub_classifiers
         for p in probes:
             expected = np.array([t.predict(p) for t in trees])
-            assert np.array_equal(ensemble.member_distributions(p), expected)
+            assert np.array_equal(ensemble.member_distributions(p.tolist()), expected)
             for tree, row in zip(trees, expected):
                 assert np.array_equal(row, reference_leaf_distribution(tree, p))
             total = np.zeros(2)

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marline.core import NEG, POS, DimensionMismatchError, Example
 from marline.mapping import (
     AlignMap,
     CentroidTracker,
+    ConceptFrame,
+    Reflections,
     align_frames,
     build_align_map,
     project_example,
@@ -225,6 +229,12 @@ def assert_same_map(got, expected):
     assert np.array_equal(got.matrix, expected.matrix)
 
 
+def matrix_projection(x, src, tgt):
+    """``c_s + R (x - c_t)`` through the matrix of the trackers' vectors."""
+    amap = build_align_map(src.concept_vector(), tgt.concept_vector())
+    return project_example(x, amap, tgt.centroid(POS), src.centroid(POS))
+
+
 def test_frame_is_built_once_per_centroid_change():
     tracker = CentroidTracker(n_features=2, forgetting_factor=0.9)
     assert tracker.frame() is None
@@ -235,14 +245,14 @@ def test_frame_is_built_once_per_centroid_change():
     assert frame is not None
     assert tracker.frame() is frame
     assert np.array_equal(frame.vector, tracker.concept_vector())
-    assert np.array_equal(frame.c_pos, tracker.centroid(POS))
+    assert frame.c_pos == tracker.centroid(POS).tolist()
     assert frame.norm == float(np.linalg.norm(tracker.concept_vector()))
     tracker.update(Example(np.array([3.0, 1.0]), POS))
     moved = tracker.frame()
     assert moved is not frame
     assert tracker.frame() is moved
     assert np.array_equal(moved.vector, tracker.concept_vector())
-    assert np.array_equal(moved.c_pos, tracker.centroid(POS))
+    assert moved.c_pos == tracker.centroid(POS).tolist()
 
 
 def test_frame_maps_equal_build_align_map_bit_for_bit():
@@ -252,8 +262,12 @@ def test_frame_maps_equal_build_align_map_bit_for_bit():
             src = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
             tgt = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
             assert_same_map(
-                src.frame().align_to(tgt.frame()),
+                align_frames(src.frame(), tgt.frame()),
                 build_align_map(src.concept_vector(), tgt.concept_vector()),
+            )
+            x = rng.standard_normal(d) * 3
+            assert src.frame().project(x.tolist(), tgt.frame()) == pytest.approx(
+                matrix_projection(x, src, tgt), rel=1e-12, abs=1e-12
             )
 
 
@@ -261,38 +275,98 @@ def test_coincident_centroids_give_the_degenerate_map():
     coincident = tracker_with([4.0, 4.0], [4.0, 4.0])
     regular = tracker_with([0.0, 1.0], [2.0, 3.0])
     assert coincident.frame().unit is None
+    x = [1.5, -2.0]
     for src, tgt in ((coincident, regular), (regular, coincident)):
-        amap = src.frame().align_to(tgt.frame())
+        amap = align_frames(src.frame(), tgt.frame())
         assert amap.degenerate
-        assert amap.scale == 1.0
-        assert np.array_equal(amap.matrix, np.eye(2))
         assert_same_map(amap, build_align_map(src.concept_vector(), tgt.concept_vector()))
+        reflections = Reflections(src.frame(), tgt.frame())
+        assert reflections.steps is None
+        assert reflections.scale == 1.0
+        assert src.frame().project(x, tgt.frame()) is x
 
 
 def test_antiparallel_frames_use_the_target_reflection():
     src = tracker_with([3.0, 0.0], [0.0, 0.0])
     tgt = tracker_with([0.0, 0.0], [3.0, 0.0])
-    amap = src.frame().align_to(tgt.frame())
-    assert np.array_equal(amap.matrix, tgt.frame().householder * amap.scale)
+    reflections = Reflections(src.frame(), tgt.frame())
+    assert reflections.steps == [(tgt.frame().unit, 2.0)]
+    amap = align_frames(src.frame(), tgt.frame())
     assert_same_map(amap, build_align_map(src.concept_vector(), tgt.concept_vector()))
     assert amap.matrix @ tgt.concept_vector() == pytest.approx(src.concept_vector())
+    c_tgt, c_src = tgt.centroid(POS), src.centroid(POS)
+    image = src.frame().project((c_tgt + tgt.concept_vector()).tolist(), tgt.frame())
+    assert image == pytest.approx(c_src + src.concept_vector())
+    x = np.array([1.0, 2.0])
+    assert src.frame().project(x.tolist(), tgt.frame()) == pytest.approx(
+        matrix_projection(x, src, tgt), abs=1e-12
+    )
 
 
-def test_align_to_reuses_the_map_until_the_target_moves():
+def test_projection_reuses_the_reflections_until_the_target_moves():
     src = tracker_with([0.0, 0.0], [3.0, 1.0])
     tgt = tracker_with([1.0, 0.0], [2.0, 4.0])
-    first = src.frame().align_to(tgt.frame())
-    assert src.frame().align_to(tgt.frame()) is first
+    x = [0.5, -1.5]
+    first = src.frame().project(x, tgt.frame())
+    reflections = src.frame()._memo[1]
+    assert src.frame().project(x, tgt.frame()) == first
+    assert src.frame()._memo[1] is reflections
     # An equal frame that is another object is not taken for the same one.
     other = tracker_with([1.0, 0.0], [2.0, 4.0])
-    rebuilt = src.frame().align_to(other.frame())
-    assert rebuilt is not first
-    assert_same_map(rebuilt, first)
+    assert src.frame().project(x, other.frame()) == first
+    assert src.frame()._memo[1] is not reflections
     tgt.update(Example(np.array([5.0, 5.0]), POS))
-    moved = src.frame().align_to(tgt.frame())
-    assert moved is not first
-    assert_same_map(moved, build_align_map(src.concept_vector(), tgt.concept_vector()))
-    assert_same_map(moved, align_frames(src.frame(), tgt.frame()))
+    moved = src.frame().project(x, tgt.frame())
+    assert src.frame()._memo[0] is tgt.frame()
+    assert moved == Reflections(src.frame(), tgt.frame()).apply(x)
+    assert moved == pytest.approx(matrix_projection(np.array(x), src, tgt), abs=1e-12)
+
+
+@st.composite
+def alignment_cases(draw):
+    """A dimension, two concept vectors, two POS centroids and a point. Each
+    has components in steps of 1e-3 of [-1, 1], zero included, scaled by a
+    magnitude in [1e-3, 1e3]; some concept vectors are antiparallel and some
+    pairs of centroids coincide."""
+    d = draw(st.integers(1, 8))
+
+    def magnitude():
+        return 10.0 ** draw(st.floats(-3.0, 3.0))
+
+    def vector():
+        steps = draw(st.lists(st.integers(-1000, 1000), min_size=d, max_size=d))
+        return np.array(steps) / 1000.0 * magnitude()
+
+    v_src, v_tgt = vector(), vector()
+    if draw(st.booleans()):
+        v_src = -v_tgt * magnitude()
+    c_tgt = vector()
+    c_src = c_tgt.copy() if draw(st.booleans()) else vector()
+    return v_src, v_tgt, c_src, c_tgt, vector()
+
+
+@settings(max_examples=300, deadline=None)
+@given(alignment_cases())
+def test_reflections_match_the_matrix_form(case):
+    v_src, v_tgt, c_src, c_tgt, x = case
+    src, tgt = ConceptFrame(v_src, c_src), ConceptFrame(v_tgt, c_tgt)
+    amap = build_align_map(v_src, v_tgt)
+    project = Reflections(src, tgt).apply
+    if amap.degenerate:
+        assert project(x.tolist()) == x.tolist()
+        return
+    # Relative to the size of the terms summed, not of the result, which
+    # can cancel to near zero.
+    for point in (x, c_tgt + v_tgt):
+        expected = c_src + amap.matrix @ (point - c_tgt)
+        size = np.linalg.norm(c_src) + amap.scale * np.linalg.norm(point - c_tgt)
+        assert np.linalg.norm(np.array(project(point.tolist())) - expected) <= 1e-12 * size
+    assert project(c_tgt.tolist()) == c_src.tolist()
+    # The matrix form meets this to 1e-9 only (acceptance 1): the rounding of
+    # u + v turns the image of v by about 1e-16 / |u + v|.
+    image = np.array(project((c_tgt + v_tgt).tolist()))
+    size = np.linalg.norm(c_src) + np.linalg.norm(v_src)
+    assert np.linalg.norm(image - (c_src + v_src)) <= 1e-9 * size
 
 
 # ----------------------------------------------------------------------

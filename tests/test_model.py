@@ -18,7 +18,7 @@ from marline.core import (
     Example,
 )
 from marline.drift import DriftStatus
-from marline.mapping import ConceptFrame, build_align_map, project_example
+from marline.mapping import ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
     MarlineConfig,
@@ -355,6 +355,15 @@ def test_observe_rejects_dimension_mismatch():
         model.observe("T", Example(np.zeros(5), NEG), np.random.default_rng(0))
 
 
+def test_update_weights_rejects_dimension_mismatch():
+    model = MarlineModel(small_config())
+    install_stub_concept(model, "S1", [[0.2, 0.8], [0.6, 0.4]])
+    install_stub_concept(model, "T", [[0.9, 0.1], [0.5, 0.5]])
+    for features in (np.zeros(3), np.zeros(1)):
+        with pytest.raises(DimensionMismatchError):
+            model.update_weights(Example(features, POS))
+
+
 def test_abrupt_target_stream_reaches_two_concepts():
     # Desk-scale version of the drift pipeline: clear abrupt drift must
     # produce a second target concept for most seeds.
@@ -518,17 +527,17 @@ def test_ratio_is_the_sum_over_non_current_concepts():
 
 
 def reference_projection(features, concept, is_current_target, target_tracker):
-    """Projection through the uncached matrix form, rebuilt from the
-    trackers' centroids on every call."""
+    """Projection through uncached reflections, rebuilt from the trackers'
+    centroids on every call."""
+    values = features.tolist()
     if is_current_target:
-        return features
+        return values
     v_src = concept.tracker.concept_vector()
     if v_src is None:
-        return features
-    align = build_align_map(v_src, target_tracker.concept_vector())
-    return project_example(
-        features, align, target_tracker.centroid(POS), concept.tracker.centroid(POS)
-    )
+        return values
+    source = ConceptFrame(v_src, concept.tracker.centroid(POS))
+    target = ConceptFrame(target_tracker.concept_vector(), target_tracker.centroid(POS))
+    return Reflections(source, target).apply(values)
 
 
 class PerConceptReference:
