@@ -106,8 +106,13 @@ def _entropy(weights: list[float]) -> float:
 
 
 class _LeafNode:
-    """Growing leaf holding class counts and per-attribute Gaussian stats; its
-    naive-Bayes terms are cached until it learns again."""
+    """Growing leaf holding class counts and per-attribute Gaussian stats.
+
+    Its naive-Bayes terms are built on first use and then kept current by
+    ``learn``. Its last naive-Bayes evaluation is memoised for ``learn``'s
+    nb-adaptive check, which in a test-then-train step sees the values that
+    the prediction before it has just evaluated. Snapshots store neither.
+    """
 
     __slots__ = (
         "class_weights",
@@ -116,7 +121,9 @@ class _LeafNode:
         "mc_correct_weight",
         "nb_correct_weight",
         "_nb_terms",
+        "_nb_memo",
     )
+    _CACHES = ("_nb_terms", "_nb_memo")
 
     def __init__(self, n_features: int) -> None:
         self.class_weights = [0.0, 0.0]
@@ -127,6 +134,25 @@ class _LeafNode:
         self.mc_correct_weight = 0.0
         self.nb_correct_weight = 0.0
         self._nb_terms: list | None = None
+        self._nb_memo: tuple[list[float], tuple[float, float]] | None = None
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in self._CACHES
+        }
+
+    def __setstate__(self, state: dict | tuple) -> None:
+        # Leaves pickled before the caches were left out carry the default
+        # slots state (None, slots), terms included; the terms are rebuilt.
+        if isinstance(state, tuple):
+            state = state[1]
+        for name in self.__slots__:
+            if name not in self._CACHES:
+                setattr(self, name, state[name])
+        self._nb_terms = None
+        self._nb_memo = None
 
     @property
     def total_weight(self) -> float:
@@ -138,23 +164,28 @@ class _LeafNode:
             return (0.5, 0.5)
         return (self.class_weights[NEG] / total, self.class_weights[POS] / total)
 
+    def _log_prior(self, label: int) -> float:
+        prior = self.class_weights[label]
+        if prior <= 0.0:
+            return -math.inf
+        return math.log(prior / self.total_weight)
+
+    def _attribute_terms(self, label: int) -> list[tuple[float, float, float]]:
+        """Per attribute, (mean, -log(2*pi*var)/2, 2*var) of ``label``'s
+        estimator; none for a class without weight, which then has none in
+        any attribute either."""
+        if self.class_weights[label] <= 0.0:
+            return []
+        attributes = []
+        for per_class in self.estimators:
+            var = max(per_class[label].variance, _MIN_VARIANCE)
+            log_norm = -0.5 * math.log(2.0 * math.pi * var)
+            attributes.append((per_class[label].mean, log_norm, 2.0 * var))
+        return attributes
+
     def _naive_bayes_terms(self) -> list[tuple[float, list]]:
-        """Per class, its log prior and, per attribute, (mean, -log(2*pi*var)/2,
-        2*var). A class without weight, which then has none in any attribute
-        either, gets (-inf, [])."""
-        total = self.total_weight
-        terms = []
-        for label, prior in enumerate(self.class_weights):
-            if prior <= 0.0:
-                terms.append((-math.inf, []))
-                continue
-            attributes = []
-            for per_class in self.estimators:
-                var = max(per_class[label].variance, _MIN_VARIANCE)
-                log_norm = -0.5 * math.log(2.0 * math.pi * var)
-                attributes.append((per_class[label].mean, log_norm, 2.0 * var))
-            terms.append((math.log(prior / total), attributes))
-        return terms
+        """Per class, its log prior and its attribute terms."""
+        return [(self._log_prior(label), self._attribute_terms(label)) for label in (NEG, POS)]
 
     def naive_bayes_distribution(self, values: list[float]) -> tuple[float, float]:
         if self._nb_terms is None:
@@ -167,10 +198,13 @@ class _LeafNode:
             logits.append(logit)
         top = max(logits)
         if top == -math.inf:
-            return (0.5, 0.5)
-        r0 = math.exp(logits[NEG] - top)
-        r1 = math.exp(logits[POS] - top)
-        return (r0 / (r0 + r1), r1 / (r0 + r1))
+            pair = (0.5, 0.5)
+        else:
+            r0 = math.exp(logits[NEG] - top)
+            r1 = math.exp(logits[POS] - top)
+            pair = (r0 / (r0 + r1), r1 / (r0 + r1))
+        self._nb_memo = (values, pair)
+        return pair
 
     def learn(self, values: list[float], label: int, weight: float, nb_adaptive: bool) -> None:
         # Track which leaf predictor is doing better, judged before absorbing
@@ -178,12 +212,25 @@ class _LeafNode:
         if nb_adaptive:
             if argmax_label(self.majority_distribution()) == label:
                 self.mc_correct_weight += weight
-            if argmax_label(self.naive_bayes_distribution(values)) == label:
+            # Equal values route and evaluate alike (+0.0 and -0.0 included),
+            # so the memo is keyed on list equality.
+            memo = self._nb_memo
+            if memo is not None and memo[0] == values:
+                pair = memo[1]
+            else:
+                pair = self.naive_bayes_distribution(values)
+            if argmax_label(pair) == label:
                 self.nb_correct_weight += weight
         self.class_weights[label] += weight
         for j, value in enumerate(values):
             self.estimators[j][label].add(value, weight)
-        self._nb_terms = None
+        self._nb_memo = None
+        terms = self._nb_terms
+        if terms is not None:
+            # The other class keeps its attribute terms; both priors move.
+            other = POS if label == NEG else NEG
+            terms[label] = (self._log_prior(label), self._attribute_terms(label))
+            terms[other] = (self._log_prior(other), terms[other][1])
 
     def best_split_per_attribute(self) -> list[tuple[float, float]]:
         """For each attribute, (best info gain, threshold achieving it)."""
@@ -303,7 +350,17 @@ class HoeffdingTree:
 
 
 class _EnsembleBase:
-    """Shared plumbing for the fixed-size online ensembles."""
+    """Shared plumbing for the fixed-size online ensembles.
+
+    The last member pass is memoised for :meth:`predict` alone, which in a
+    test-then-train step repeats the pass just made at the same values: the
+    target's drift check after the model's vote, the vote's fallback, and the
+    baseline's second prediction. ``train`` drops it; snapshots do not store
+    it. Members are therefore trained through ``train`` only: a member
+    trained or replaced directly leaves the memo stale.
+    """
+
+    _memo: tuple[list[float], np.ndarray] | None = None
 
     def __init__(
         self,
@@ -331,17 +388,30 @@ class _EnsembleBase:
     def ensemble_size(self) -> int:
         return len(self.sub_classifiers)
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
+
     def member_distributions(self, values: list[float]) -> np.ndarray:
         """``(k, 2)`` class distributions of the k members, in member order,
         at a list of ``n_features`` floats."""
-        return np.array([tree.predict_pair(values) for tree in self.sub_classifiers])
+        distributions = np.array([tree.predict_pair(values) for tree in self.sub_classifiers])
+        self._memo = (values, distributions)
+        return distributions
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Unweighted mean of the members' class distributions."""
         features = np.asarray(features, dtype=float)
         check_dims(features, self.n_features, f"{type(self).__name__}.predict")
+        values = features.tolist()
+        memo = self._memo
+        if memo is not None and memo[0] == values:
+            distributions = memo[1]
+        else:
+            distributions = self.member_distributions(values)
         neg = pos = 0.0
-        for p_neg, p_pos in self.member_distributions(features.tolist()).tolist():
+        for p_neg, p_pos in distributions.tolist():
             neg += p_neg
             pos += p_pos
         k = len(self.sub_classifiers)
@@ -354,6 +424,7 @@ class OnlineBagging(_EnsembleBase):
     def train(self, example: Example, rng: np.random.Generator) -> None:
         check_dims(example.features, self.n_features, "OnlineBagging.train")
         self.trained_count += 1
+        self._memo = None
         for tree in self.sub_classifiers:
             k = float(rng.poisson(1.0))
             if k > 0.0:
@@ -380,6 +451,7 @@ class OnlineBoosting(_EnsembleBase):
     def train(self, example: Example, rng: np.random.Generator) -> None:
         check_dims(example.features, self.n_features, "OnlineBoosting.train")
         self.trained_count += 1
+        self._memo = None
         values = example.features.tolist()
         lam = 1.0
         for m, tree in enumerate(self.sub_classifiers):

@@ -7,6 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marline.core import (
     NEG,
@@ -334,13 +336,79 @@ def test_member_distributions_equal_per_tree_predictions(kind, leaf_prediction):
     for ex in stream[:400]:
         ens.train(ex, rng)
     check(ens)
-    # More training must drop the cached terms of every leaf it reaches.
+    # More training must keep the terms of every leaf it reaches current.
     for ex in stream[400:]:
         ens.train(ex, rng)
     check(ens)
     assert any(t.n_splits for t in ens.sub_classifiers)
-    # A snapshot pickles the ensemble, cached terms included.
+    # A snapshot pickles the ensemble without its caches, which the restored
+    # leaves rebuild on first use.
     check(pickle.loads(pickle.dumps(ens)))
+
+
+@st.composite
+def learning_sequences(draw):
+    """Weighted examples of dimension 1 to 4. The first ``switch`` examples
+    all carry ``first``; the other class is first seen after them, mid
+    sequence, or never when ``switch`` covers the whole sequence."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    first = draw(st.sampled_from([NEG, POS]))
+    switch = draw(st.integers(0, n))
+    value = st.floats(-10.0, 10.0, allow_nan=False)
+    weight = st.one_of(st.integers(1, 3).map(float), st.floats(0.01, 3.0))
+    examples = []
+    for i in range(n):
+        label = first if i < switch else draw(st.sampled_from([NEG, POS]))
+        values = draw(st.lists(value, min_size=d, max_size=d))
+        examples.append((values, label, draw(weight), draw(st.booleans())))
+    return d, examples
+
+
+@settings(max_examples=200, deadline=None)
+@given(learning_sequences())
+def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
+    d, examples = case
+    params = HoeffdingTreeParams(grace_period=3, tie_threshold=0.9)
+    tree, plain = HoeffdingTree(d, params), HoeffdingTree(d, params)
+    for values, label, weight, probe in examples:
+        if probe:
+            tree.predict_pair(values)
+        leaf = tree._sort_to_leaf(values)[0]
+        example = Example(np.array(values), label)
+        tree.train(example, weight)
+        plain.train(example, weight)
+        assert leaf._nb_terms == leaf._naive_bayes_terms()
+        assert leaf._nb_memo is None
+    # Probing before training, which lets learn reuse the probe's naive-Bayes
+    # evaluation, leaves the learner exactly as training alone does.
+    assert tree.n_splits == plain.n_splits
+    for values, _, _, _ in examples:
+        a, b = tree._sort_to_leaf(values)[0], plain._sort_to_leaf(values)[0]
+        assert a.class_weights == b.class_weights
+        assert (a.mc_correct_weight, a.nb_correct_weight) == (
+            b.mc_correct_weight,
+            b.nb_correct_weight,
+        )
+        assert tree.predict_pair(values) == plain.predict_pair(values)
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+def test_ensemble_prediction_after_training_is_recomputed(kind):
+    rng = np.random.default_rng(22)
+    ens = make_ensemble(kind, 2, 4)
+    for ex in gaussian_stream(rng, 40, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.train(ex, rng)
+    x = np.array([1.1, 0.9])
+    before = ens.predict(x)
+    for _ in range(5):
+        ens.train(Example(x, POS), rng)
+    fresh = np.zeros(2)
+    for tree in ens.sub_classifiers:
+        fresh += tree.predict_pair(x.tolist())
+    after = ens.predict(x)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, fresh / len(ens.sub_classifiers))
 
 
 # ----------------------------------------------------------------------

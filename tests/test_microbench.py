@@ -1,4 +1,5 @@
-"""Microbenchmarks of the per-step projection and member prediction.
+"""Microbenchmarks of the per-step projection, member prediction, test-then-
+train pair, performance update and drift detector update.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``.
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 from marline.core import Example
+from marline.drift import DriftStatus, HddmA
 from marline.learners import make_ensemble
 from marline.mapping import ConceptFrame
+from marline.model import EPS_CLAMP, update_performance_stats
 
 pytestmark = pytest.mark.bench
 
@@ -45,15 +48,71 @@ def test_frame_projection_memo_hit(benchmark, d):
     assert len(image) == d
 
 
-@pytest.mark.parametrize("kind", ["bagging", "boosting"])
-def test_member_distributions(benchmark, kind):
-    # The members of acceptance 7's models: ten naive-Bayes-adaptive trees on
-    # two features, trained on 300 examples of two Gaussian classes.
-    rng = np.random.default_rng(7)
+def gaussian_example(rng, t):
+    """Example ``t`` of two alternating Gaussian classes on two features."""
+    mean = np.array([3.0, 3.0]) if t % 2 else np.zeros(2)
+    return Example(mean + rng.standard_normal(2), t % 2)
+
+
+def warmed_ensemble(kind, rng):
+    """The members of acceptance 7's models: ten naive-Bayes-adaptive trees
+    on two features, trained on 300 examples of two Gaussian classes."""
     ensemble = make_ensemble(kind, 2, 10)
     for t in range(300):
-        mean = np.array([3.0, 3.0]) if t % 2 else np.zeros(2)
-        ensemble.train(Example(mean + rng.standard_normal(2), t % 2), rng)
+        ensemble.train(gaussian_example(rng, t), rng)
+    return ensemble
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+def test_member_distributions(benchmark, kind):
+    ensemble = warmed_ensemble(kind, np.random.default_rng(7))
     values = [1.2, 1.7]
     distributions = benchmark(ensemble.member_distributions, values)
     assert distributions.shape == (10, 2)
+
+
+def test_test_then_train_pair(benchmark):
+    # One online step of a stream's newest concept: the drift check's
+    # prediction, then training on the same example.
+    rng = np.random.default_rng(7)
+    ensemble = warmed_ensemble("bagging", rng)
+    next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
+
+    def step():
+        example = next_example()
+        ensemble.predict(example.features)
+        ensemble.train(example, rng)
+
+    benchmark(step)
+    assert ensemble.trained_count > 300
+
+
+@pytest.mark.parametrize("n", [30, 110])
+def test_update_performance_stats(benchmark, n):
+    rng = np.random.default_rng(n)
+    lambda_correct, lambda_wrong = rng.random(n), rng.random(n)
+    performance = lambda_correct / (lambda_correct + lambda_wrong)
+    stats = benchmark(
+        update_performance_stats,
+        lambda_correct,
+        lambda_wrong,
+        performance,
+        rng.random(n),
+        0.9,
+        EPS_CLAMP,
+    )
+    assert stats[2].shape == (n,)
+
+
+def test_hddm_a_update(benchmark):
+    # A stable error rate of about 20 %; a rare alarm restarts the detector
+    # as the model does.
+    detector = HddmA()
+    next_bit = itertools.cycle((np.random.default_rng(3).random(1000) < 0.8).tolist()).__next__
+
+    def step():
+        if detector.update(next_bit()) is DriftStatus.DRIFT:
+            detector.reset()
+
+    benchmark(step)
+    assert detector.total_n > 0

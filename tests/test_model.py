@@ -18,6 +18,8 @@ from marline.core import (
     Example,
 )
 from marline.drift import DriftStatus
+from marline.evaluation import BaselineApproach
+from marline.learners import HoeffdingTree, _LeafNode
 from marline.mapping import ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
@@ -684,6 +686,21 @@ def test_snapshot_round_trip_preserves_predictions(tmp_path):
     assert restored.source_weight_ratio() == model.source_weight_ratio()
 
 
+def leaves(model):
+    """Every leaf of every tree of every concept of ``model``."""
+    found = []
+    for concept in model.concepts:
+        for tree in concept.ensemble.sub_classifiers:
+            nodes = [tree._root]
+            while nodes:
+                node = nodes.pop()
+                if isinstance(node, _LeafNode):
+                    found.append(node)
+                else:
+                    nodes += [node.left, node.right]
+    return found
+
+
 def test_snapshot_stores_no_concept_frames(tmp_path):
     import io
     import pickle
@@ -697,6 +714,9 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     probes = np.random.default_rng(13).standard_normal((20, 2)) * 2 + 1.5
     before = [model.predict(p) for p in probes]
     assert all(c.tracker._frame is not None for c in model.concepts)
+    assert all(c.ensemble._memo is not None for c in model.concepts)
+    assert any(leaf._nb_terms is not None for leaf in leaves(model))
+    assert any(leaf._nb_memo is not None for leaf in leaves(model))
 
     found = []
 
@@ -707,13 +727,55 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
             return None
 
     frames = [c.tracker.frame() for c in model.concepts]
+    memos = [c.ensemble._memo for c in model.concepts]
+    terms = [leaf._nb_terms for leaf in leaves(model)]
     path = tmp_path / "model.bin"
     model.save(str(path))
     Spy(io.BytesIO()).dump(model)
     assert found == []
     assert [c.tracker.frame() for c in model.concepts] == frames
+    assert [c.ensemble._memo for c in model.concepts] == memos
+    assert [leaf._nb_terms for leaf in leaves(model)] == terms
     restored = MarlineModel.load(str(path))
     assert all(c.tracker._frame is None for c in restored.concepts)
+    assert all("_memo" not in vars(c.ensemble) for c in restored.concepts)
+    assert all(
+        leaf._nb_terms is None and leaf._nb_memo is None for leaf in leaves(restored)
+    )
+    for p, a in zip(probes, before):
+        b = restored.predict(p)
+        assert a.label == b.label
+        assert np.array_equal(a.scores, b.scores)
+
+
+def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
+    # Leaves used to pickle as the default slots state (None, slots), with
+    # their naive-Bayes terms and without the memo slot. Such a version-3
+    # snapshot still loads and predicts the same.
+    import copyreg
+    import pickle
+
+    rng = np.random.default_rng(14)
+    model = MarlineModel(small_config(ensemble_size=3))
+    for ex in alternating_stream(rng, 200, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    probes = np.random.default_rng(15).standard_normal((30, 2)) * 2 + 1.5
+    before = [model.predict(p) for p in probes]
+    assert any(leaf._nb_terms is not None for leaf in leaves(model))
+
+    class LeafWithTerms(pickle.Pickler):
+        def reducer_override(self, obj):
+            if not isinstance(obj, _LeafNode):
+                return NotImplemented
+            slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_nb_memo"}
+            return copyreg.__newobj__, (_LeafNode,), (None, slots)
+
+    path = tmp_path / "model.bin"
+    with open(path, "wb") as fh:
+        LeafWithTerms(fh).dump({"format": "marline-model", "version": 3, "model": model})
+    restored = MarlineModel.load(str(path))
+    assert all(leaf._nb_terms is None for leaf in leaves(restored))
     for p, a in zip(probes, before):
         b = restored.predict(p)
         assert a.label == b.label
@@ -746,6 +808,78 @@ def test_snapshot_rejects_garbage(tmp_path):
         pickle.dump({"format": "something-else"}, fh)
     with pytest.raises(Exception):
         MarlineModel.load(path)
+
+
+# ----------------------------------------------------------------------
+# member evaluations per step
+# ----------------------------------------------------------------------
+
+
+def count_tree_evaluations(monkeypatch):
+    """Record the tree of every ``HoeffdingTree.predict_pair`` call."""
+    calls = []
+    predict_pair = HoeffdingTree.predict_pair
+
+    def counted(tree, values):
+        calls.append(tree)
+        return predict_pair(tree, values)
+
+    monkeypatch.setattr(HoeffdingTree, "predict_pair", counted)
+    return calls
+
+
+def calls_until_detector_update(monkeypatch, detector, calls):
+    """The number of calls made when ``detector`` is first updated, which
+    is after the drift check's prediction and before any training."""
+    marks = []
+    update = detector.update
+
+    def marked(correct):
+        marks.append(len(calls))
+        return update(correct)
+
+    monkeypatch.setattr(detector, "update", marked)
+    return marks
+
+
+@pytest.mark.parametrize("path", ["weighted", "below_index", "tie"])
+def test_target_step_evaluates_each_target_member_once(monkeypatch, path):
+    rng = np.random.default_rng(16)
+    index = 0.99 if path == "below_index" else 0.0
+    model = MarlineModel(small_config(ensemble_size=3, performance_index=index))
+    if path == "tie":
+        # Untrained members all give (0.5, 0.5): the vote ties and falls back.
+        seed_tracker(model._new_concept("T").current.tracker)
+    else:
+        for ex in alternating_stream(rng, 200, (0.0, 0.0), (3.0, 3.0)):
+            model.observe("S1", ex, rng)
+            model.observe("T", ex, rng)
+    pool = model.pools["T"]
+    members = pool.current.ensemble.sub_classifiers
+    calls = count_tree_evaluations(monkeypatch)
+    marks = calls_until_detector_update(monkeypatch, pool.detector, calls)
+
+    x = np.array([1.2, 1.7])
+    model.predict(x)
+    voted = len(calls)
+    model.observe("T", Example(x, POS), rng)
+    expected = len(model.concepts) if path == "weighted" else 1
+    assert voted == expected * len(members)
+    target_calls = [tree for tree in calls[: marks[0]] if tree in members]
+    assert sorted(map(id, target_calls)) == sorted(map(id, members))
+
+
+def test_baseline_reset_step_evaluates_members_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    approach = BaselineApproach(small_config(ensemble_size=3), "T", True, rng)
+    for ex in alternating_stream(rng, 100, (0.0, 0.0), (3.0, 3.0)):
+        approach.observe("T", ex)
+    calls = count_tree_evaluations(monkeypatch)
+    marks = calls_until_detector_update(monkeypatch, approach.detector, calls)
+    x = np.array([1.2, 1.7])
+    approach.predict(x)
+    approach.observe("T", Example(x, POS))
+    assert marks == [3]
 
 
 # ----------------------------------------------------------------------
