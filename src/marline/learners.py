@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -188,20 +189,22 @@ class _LeafNode:
         return [(self._log_prior(label), self._attribute_terms(label)) for label in (NEG, POS)]
 
     def naive_bayes_distribution(self, values: list[float]) -> tuple[float, float]:
-        if self._nb_terms is None:
-            self._nb_terms = self._naive_bayes_terms()
-        logits = []
-        for logit, attributes in self._nb_terms:
-            for value, (mean, log_norm, two_var) in zip(values, attributes):
-                diff = value - mean
-                logit += log_norm - diff * diff / two_var
-            logits.append(logit)
-        top = max(logits)
+        terms = self._nb_terms
+        if terms is None:
+            terms = self._nb_terms = self._naive_bayes_terms()
+        (neg, neg_attributes), (pos, pos_attributes) = terms
+        for value, (mean, log_norm, two_var) in zip(values, neg_attributes):
+            diff = value - mean
+            neg += log_norm - diff * diff / two_var
+        for value, (mean, log_norm, two_var) in zip(values, pos_attributes):
+            diff = value - mean
+            pos += log_norm - diff * diff / two_var
+        top = max(neg, pos)
         if top == -math.inf:
             pair = (0.5, 0.5)
         else:
-            r0 = math.exp(logits[NEG] - top)
-            r1 = math.exp(logits[POS] - top)
+            r0 = math.exp(neg - top)
+            r1 = math.exp(pos - top)
             pair = (r0 / (r0 + r1), r1 / (r0 + r1))
         self._nb_memo = (values, pair)
         return pair
@@ -282,7 +285,15 @@ class HoeffdingTree:
     when the best attribute's information-gain advantage over the runner-up
     exceeds the Hoeffding bound, or when the bound itself drops below the tie
     threshold, re-evaluated every ``grace_period`` units of example weight.
+
+    Members of an ensemble take lists of ``n_features`` floats both ways,
+    through :meth:`predict_pair` and :meth:`learn`; :meth:`predict` and
+    :meth:`train` are their checked wrappers for arrays and examples.
     """
+
+    # Examples learnt; ensembles key their memo on it. The first learn sets
+    # it on the instance, so trees pickled before it existed load as well.
+    n_learned = 0
 
     def __init__(self, n_features: int, params: HoeffdingTreeParams | None = None) -> None:
         if n_features < 1:
@@ -307,9 +318,14 @@ class HoeffdingTree:
         check_dims(example.features, self.n_features, "HoeffdingTree.train")
         if weight <= 0.0:
             return
-        values = example.features.tolist()
+        self.learn(example.features.tolist(), example.label, weight)
+
+    def learn(self, values: list[float], label: int, weight: float) -> None:
+        """Absorb one example given as a list of ``n_features`` floats, with
+        a positive weight; may grow the tree. Unchecked: callers check."""
         leaf, parent, went_left = self._sort_to_leaf(values)
-        leaf.learn(values, example.label, weight, self.params.leaf_prediction == "nb_adaptive")
+        leaf.learn(values, label, weight, self.params.leaf_prediction == "nb_adaptive")
+        self.n_learned += 1
         if leaf.total_weight - leaf.weight_at_last_attempt >= self.params.grace_period:
             leaf.weight_at_last_attempt = leaf.total_weight
             self._attempt_split(leaf, parent, went_left)
@@ -336,11 +352,12 @@ class HoeffdingTree:
 
     def predict_pair(self, values: list[float]) -> tuple[float, float]:
         """``(p_neg, p_pos)`` at the leaf a list of ``n_features`` floats routes to."""
-        leaf = self._sort_to_leaf(values)[0]
-        majority = self.params.leaf_prediction == "majority"
-        if majority or leaf.mc_correct_weight > leaf.nb_correct_weight:
-            return leaf.majority_distribution()
-        return leaf.naive_bayes_distribution(values)
+        node = self._root
+        while node.__class__ is _SplitNode:
+            node = node.left if values[node.attribute] <= node.threshold else node.right
+        if self.params.leaf_prediction == "majority" or node.mc_correct_weight > node.nb_correct_weight:
+            return node.majority_distribution()
+        return node.naive_bayes_distribution(values)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class distribution at the leaf ``features`` routes to."""
@@ -352,15 +369,17 @@ class HoeffdingTree:
 class _EnsembleBase:
     """Shared plumbing for the fixed-size online ensembles.
 
-    The last member pass is memoised for :meth:`predict` alone, which in a
-    test-then-train step repeats the pass just made at the same values: the
-    target's drift check after the model's vote, the vote's fallback, and the
-    baseline's second prediction. ``train`` drops it; snapshots do not store
-    it. Members are therefore trained through ``train`` only: a member
-    trained or replaced directly leaves the memo stale.
+    Each ensemble converts an example to a list of floats once and hands that
+    list to every member. The last member pass is memoised for
+    :meth:`predict` alone, which in a test-then-train step repeats the pass
+    just made at the same values: the target's drift check after the model's
+    vote, the vote's fallback, and the baseline's second prediction. The memo
+    is keyed on the values, the member trees and each tree's count of learnt
+    examples, so training or replacing a member by any route drops it.
+    Snapshots do not store it.
     """
 
-    _memo: tuple[list[float], np.ndarray] | None = None
+    _memo: tuple[list[float], tuple, np.ndarray] | None = None
 
     def __init__(
         self,
@@ -393,11 +412,16 @@ class _EnsembleBase:
         state.pop("_memo", None)
         return state
 
+    def _members_key(self) -> tuple:
+        members = self.sub_classifiers
+        return tuple(members), [tree.n_learned for tree in members]
+
     def member_distributions(self, values: list[float]) -> np.ndarray:
         """``(k, 2)`` class distributions of the k members, in member order,
         at a list of ``n_features`` floats."""
-        distributions = np.array([tree.predict_pair(values) for tree in self.sub_classifiers])
-        self._memo = (values, distributions)
+        pairs = [tree.predict_pair(values) for tree in self.sub_classifiers]
+        distributions = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
+        self._memo = (values, self._members_key(), distributions)
         return distributions
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -406,8 +430,8 @@ class _EnsembleBase:
         check_dims(features, self.n_features, f"{type(self).__name__}.predict")
         values = features.tolist()
         memo = self._memo
-        if memo is not None and memo[0] == values:
-            distributions = memo[1]
+        if memo is not None and memo[0] == values and memo[1] == self._members_key():
+            distributions = memo[2]
         else:
             distributions = self.member_distributions(values)
         neg = pos = 0.0
@@ -424,11 +448,13 @@ class OnlineBagging(_EnsembleBase):
     def train(self, example: Example, rng: np.random.Generator) -> None:
         check_dims(example.features, self.n_features, "OnlineBagging.train")
         self.trained_count += 1
-        self._memo = None
-        for tree in self.sub_classifiers:
-            k = float(rng.poisson(1.0))
-            if k > 0.0:
-                tree.train(example, k)
+        values = example.features.tolist()
+        members = self.sub_classifiers
+        # One batch of k draws: the same weights, in member order, as k
+        # scalar draws, and the generator is left in the same state.
+        for tree, k in zip(members, rng.poisson(1.0, len(members)).tolist()):
+            if k > 0:
+                tree.learn(values, example.label, float(k))
 
 
 class OnlineBoosting(_EnsembleBase):
@@ -451,13 +477,12 @@ class OnlineBoosting(_EnsembleBase):
     def train(self, example: Example, rng: np.random.Generator) -> None:
         check_dims(example.features, self.n_features, "OnlineBoosting.train")
         self.trained_count += 1
-        self._memo = None
         values = example.features.tolist()
         lam = 1.0
         for m, tree in enumerate(self.sub_classifiers):
             k = float(rng.poisson(lam))
             if k > 0.0:
-                tree.train(example, k)
+                tree.learn(values, example.label, k)
             correct = argmax_label(tree.predict_pair(values)) == example.label
             if correct:
                 self.lambda_correct[m] += lam

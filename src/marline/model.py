@@ -153,7 +153,14 @@ class MarlineModel:
     Feed every arriving example through :meth:`observe`; query target-side
     predictions with :meth:`predict`. One instance is single-writer: training
     mutates shared statistics.
+
+    The voting weights are derived from ``performance`` on first use and kept
+    until the model replaces ``performance``: on each weight update, and on
+    each new concept, which a target drift's reset follows. Snapshots do not
+    store them.
     """
+
+    _weights: np.ndarray | None = None
 
     def __init__(self, config: MarlineConfig, target_id: str = DEFAULT_TARGET_ID) -> None:
         self.config = config
@@ -232,6 +239,7 @@ class MarlineModel:
             self.config.forgetting_factor,
             EPS_CLAMP,
         )
+        self._weights = None
 
     # ------------------------------------------------------------------
     # prediction
@@ -251,7 +259,7 @@ class MarlineModel:
         if target_pool is None:
             return Prediction(NEG, np.array([0.5, 0.5]), cold_start=True)
 
-        weights = sub_classifier_weights(self.performance, self.config.performance_index)
+        weights = self._voting_weights()
         target = target_pool.current.tracker.frame()
         if target is None or not weights.any():
             return self._fallback(target_pool, features)
@@ -275,19 +283,24 @@ class MarlineModel:
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return 0.0
-        weights = sub_classifier_weights(self.performance, self.config.performance_index)
+        weights = self._voting_weights()
         if not weights.any():
             return 0.0
-        k = self.config.ensemble_size
+        per_concept = weights.reshape(-1, self.config.ensemble_size).sum(axis=1).tolist()
         ratio = 0.0
-        for i, concept in enumerate(self.concepts):
+        for concept, weight in zip(self.concepts, per_concept):
             if concept is not target_pool.current:
-                ratio += float(weights[i * k : (i + 1) * k].sum())
+                ratio += weight
         return min(max(ratio, 0.0), 1.0)
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_weights", None)
+        return state
 
     def save(self, path: str) -> None:
         """Write a versioned snapshot of the full model state."""
@@ -331,7 +344,13 @@ class MarlineModel:
         self.lambda_correct = np.insert(self.lambda_correct, at, np.zeros(k))
         self.lambda_wrong = np.insert(self.lambda_wrong, at, np.zeros(k))
         self.performance = np.insert(self.performance, at, np.ones(k))
+        self._weights = None
         return pool
+
+    def _voting_weights(self) -> np.ndarray:
+        if self._weights is None:
+            self._weights = sub_classifier_weights(self.performance, self.config.performance_index)
+        return self._weights
 
     def _fallback(self, target_pool: StreamPool, features: np.ndarray) -> Prediction:
         scores = target_pool.current.ensemble.predict(features)

@@ -31,12 +31,14 @@ from marline.learners import (
 class StubTree:
     """Fixed-prediction sub-classifier that records training calls."""
 
+    n_learned = 0
+
     def __init__(self, distribution):
         self.distribution = np.asarray(distribution, dtype=float)
         self.train_calls = []
 
-    def train(self, example, weight=1.0):
-        self.train_calls.append((example, weight))
+    def learn(self, values, label, weight):
+        self.train_calls.append((values, label, weight))
 
     def predict_pair(self, values):
         return tuple(self.distribution.tolist())
@@ -49,9 +51,9 @@ class StubRng:
         self.value = value
         self.means = []
 
-    def poisson(self, lam):
+    def poisson(self, lam, size=None):
         self.means.append(lam)
-        return self.value
+        return self.value if size is None else np.full(size, self.value)
 
 
 def gaussian_stream(rng, n, mean_neg, mean_pos, std=1.0):
@@ -154,6 +156,22 @@ def test_tree_is_deterministic_given_sequence():
         assert np.array_equal(trees[0].predict(p), trees[1].predict(p))
 
 
+def test_learning_a_list_grows_the_tree_training_an_example_grows():
+    # learn is the seam the ensembles train through; train converts and
+    # checks the example, then learns it.
+    rng = np.random.default_rng(25)
+    stream = gaussian_stream(rng, 1500, np.array([0.0, 0.0]), np.array([2.5, 2.5]))
+    weights = rng.integers(1, 4, len(stream)).astype(float).tolist()
+    params = HoeffdingTreeParams(grace_period=50)
+    learnt, trained = HoeffdingTree(2, params), HoeffdingTree(2, params)
+    for ex, weight in zip(stream, weights):
+        learnt.learn(ex.features.tolist(), ex.label, weight)
+        trained.train(ex, weight)
+    assert trained.n_splits > 0
+    assert trained.n_learned == len(stream)
+    assert pickle.dumps(learnt) == pickle.dumps(trained)
+
+
 def test_tree_rejects_dimension_mismatch():
     tree = HoeffdingTree(n_features=2)
     with pytest.raises(DimensionMismatchError):
@@ -218,6 +236,31 @@ def test_single_member_bagging_with_unit_weights_matches_plain_tree():
     probes = np.random.default_rng(11).standard_normal((100, 2)) * 3
     for p in probes:
         assert np.array_equal(bag.sub_classifiers[0].predict(p), plain.predict(p))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bagging_draws_the_weights_of_scalar_draws_in_member_order(seed):
+    # The ensemble draws its k Poisson(1) weights in one batch. Trees trained
+    # with k scalar draws in member order must come out the same, and the
+    # generator must be left in the same state.
+    params = HoeffdingTreeParams(grace_period=50)
+    bag = OnlineBagging(n_features=2, ensemble_size=5, tree_params=params)
+    trees = [HoeffdingTree(2, params) for _ in range(5)]
+    rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = gaussian_stream(
+        np.random.default_rng(26), 600, np.array([0.0, 0.0]), np.array([3.0, 0.0])
+    )
+    for ex in stream:
+        bag.train(ex, rng)
+        for tree in trees:
+            k = float(scalar_rng.poisson(1.0))
+            if k > 0.0:
+                tree.train(ex, k)
+    assert rng.random() == scalar_rng.random()
+    assert all(tree.n_splits for tree in trees)
+    assert [pickle.dumps(tree) for tree in bag.sub_classifiers] == [
+        pickle.dumps(tree) for tree in trees
+    ]
 
 
 def test_bagging_members_diverge_across_30_seeds():
@@ -403,6 +446,38 @@ def test_ensemble_prediction_after_training_is_recomputed(kind):
     before = ens.predict(x)
     for _ in range(5):
         ens.train(Example(x, POS), rng)
+    fresh = np.zeros(2)
+    for tree in ens.sub_classifiers:
+        fresh += tree.predict_pair(x.tolist())
+    after = ens.predict(x)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, fresh / len(ens.sub_classifiers))
+
+
+def train_member_directly(ens, x):
+    ens.sub_classifiers[0].train(Example(x, POS), 50.0)
+
+
+def replace_members(ens, x):
+    ens.sub_classifiers = [HoeffdingTree(2) for _ in ens.sub_classifiers]
+
+
+def replace_one_member(ens, x):
+    ens.sub_classifiers[1] = HoeffdingTree(2)
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+@pytest.mark.parametrize("change", [train_member_directly, replace_members, replace_one_member])
+def test_ensemble_prediction_follows_members_changed_outside_train(kind, change):
+    # A member trained or replaced other than through the ensemble's train
+    # must not leave the ensemble predicting the mean of the old pass.
+    rng = np.random.default_rng(27)
+    ens = make_ensemble(kind, 2, 3)
+    for ex in gaussian_stream(rng, 60, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.train(ex, rng)
+    x = np.array([0.2, 0.1])
+    before = ens.predict(x)
+    change(ens, x)
     fresh = np.zeros(2)
     for tree in ens.sub_classifiers:
         fresh += tree.predict_pair(x.tolist())

@@ -1,5 +1,6 @@
-"""Microbenchmarks of the per-step projection, member prediction, test-then-
-train pair, performance update and drift detector update.
+"""Microbenchmarks of the per-step projection, member prediction, bagging
+training, test-then-train pair, performance update and drift detector
+update, and the cost model of acceptance 7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``.
@@ -8,15 +9,16 @@ them with ``python -m pytest -m bench tests/test_microbench.py``.
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from marline.core import Example
 from marline.drift import DriftStatus, HddmA
-from marline.learners import make_ensemble
+from marline.learners import HoeffdingTreeParams, make_ensemble
 from marline.mapping import ConceptFrame
-from marline.model import EPS_CLAMP, update_performance_stats
+from marline.model import EPS_CLAMP, MarlineConfig, MarlineModel, update_performance_stats
 
 pytestmark = pytest.mark.bench
 
@@ -54,21 +56,32 @@ def gaussian_example(rng, t):
     return Example(mean + rng.standard_normal(2), t % 2)
 
 
-def warmed_ensemble(kind, rng):
+def warmed_ensemble(kind, rng, leaf_prediction="nb_adaptive"):
     """The members of acceptance 7's models: ten naive-Bayes-adaptive trees
-    on two features, trained on 300 examples of two Gaussian classes."""
-    ensemble = make_ensemble(kind, 2, 10)
+    (or majority-leaf ones) on two features, trained on 300 examples of two
+    Gaussian classes."""
+    params = HoeffdingTreeParams(leaf_prediction=leaf_prediction)
+    ensemble = make_ensemble(kind, 2, 10, params)
     for t in range(300):
         ensemble.train(gaussian_example(rng, t), rng)
     return ensemble
 
 
+@pytest.mark.parametrize("leaf_prediction", ["nb_adaptive", "majority"])
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
-def test_member_distributions(benchmark, kind):
-    ensemble = warmed_ensemble(kind, np.random.default_rng(7))
+def test_member_distributions(benchmark, kind, leaf_prediction):
+    ensemble = warmed_ensemble(kind, np.random.default_rng(7), leaf_prediction)
     values = [1.2, 1.7]
     distributions = benchmark(ensemble.member_distributions, values)
     assert distributions.shape == (10, 2)
+
+
+def test_bagging_train(benchmark):
+    rng = np.random.default_rng(7)
+    ensemble = warmed_ensemble("bagging", rng)
+    next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
+    benchmark(lambda: ensemble.train(next_example(), rng))
+    assert ensemble.trained_count > 300
 
 
 def test_test_then_train_pair(benchmark):
@@ -116,3 +129,53 @@ def test_hddm_a_update(benchmark):
 
     benchmark(step)
     assert detector.total_n > 0
+
+
+def acceptance_7_model(n_sources):
+    """A model built as acceptance 7 builds it: ten trees per concept, and
+    each of ``n_sources`` sources and the target observing the same 300
+    examples; with the generator that goes on to draw its examples."""
+    rng = np.random.default_rng(7)
+    model = MarlineModel(MarlineConfig(n_features=2, ensemble_size=10))
+    for t in range(300):
+        example = gaussian_example(rng, t)
+        for s in range(n_sources):
+            model.observe(f"S{s}", example, rng)
+        model.observe("T", example, rng)
+    return model, rng
+
+
+def test_acceptance_7_cost_model(capsys):
+    # One predict + update_weights step costs (F + t) + n * s with n source
+    # concepts: F fixed, t the current target concept's and s each source
+    # concept's. Five models with 0-4 sources take turns in blocks of 50
+    # steps, so that a change in host speed falls on all alike. Acceptance
+    # 7's lower bound of 1.5 on the 4-vs-2 ratio holds at steady state only
+    # while F + t <= 2s.
+    steps, block = 10_000, 50
+    models = [acceptance_7_model(n) for n in range(5)]
+    runs = []
+    for model, rng in models:
+        for t in range(500):  # warm-up
+            example = gaussian_example(rng, t)
+            model.predict(example.features)
+            model.update_weights(example)
+        runs.append((model, [gaussian_example(rng, t) for t in range(steps)]))
+    seconds = [0.0] * len(runs)
+    for start in range(0, steps, block):
+        for i, (model, examples) in enumerate(runs):
+            begin = time.perf_counter()
+            for example in examples[start : start + block]:
+                model.predict(example.features)
+                model.update_weights(example)
+            seconds[i] += time.perf_counter() - begin
+    us_per_step = [1e6 * total / steps for total in seconds]
+    s, fixed = np.polyfit(range(len(runs)), us_per_step, 1)
+    ratio = seconds[4] / seconds[2]
+    with capsys.disabled():
+        print(
+            f"\n  acceptance 7 cost model: us per step {[round(u, 1) for u in us_per_step]}; "
+            f"F + t = {fixed:.1f} us, s = {s:.1f} us, 2s = {2 * s:.1f} us; "
+            f"4-vs-2 ratio {ratio:.3f}"
+        )
+    assert [len(model.concepts) for model, _ in models] == [1, 2, 3, 4, 5]

@@ -33,11 +33,13 @@ from marline.model import (
 class StubTree:
     """Sub-classifier returning a fixed distribution, recording its inputs."""
 
+    n_learned = 0
+
     def __init__(self, distribution):
         self.distribution = np.asarray(distribution, dtype=float)
         self.seen_features = []
 
-    def train(self, example, weight=1.0):
+    def learn(self, values, label, weight):
         pass
 
     def predict_pair(self, values):
@@ -523,6 +525,52 @@ def test_ratio_is_the_sum_over_non_current_concepts():
     assert 0.0 <= model.source_weight_ratio() <= 1.0
 
 
+def uncached_ratio(model):
+    """The source weight ratio from freshly computed weights, summed per
+    concept slice."""
+    weights = sub_classifier_weights(model.performance, model.config.performance_index)
+    if not weights.any():
+        return 0.0
+    k = model.config.ensemble_size
+    current = model.pools[model.target_id].current
+    ratio = 0.0
+    for i, concept in enumerate(model.concepts):
+        if concept is not current:
+            ratio += float(weights[i * k : (i + 1) * k].sum())
+    return min(max(ratio, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_cached_voting_weights_give_the_uncached_ratio_and_vote(k):
+    # The weights are kept from one query to the next. Every change of
+    # performance must drop them: the update, a new concept's block and a
+    # target drift's reset (drifts are forced on every stream).
+    rng = np.random.default_rng(30 + k)
+    model = MarlineModel(small_config(ensemble_size=k, performance_index=0.3))
+    means = {
+        "T": ((0.5, 0.0), (3.0, 2.5)),
+        "S1": ((0.0, 0.0), (3.0, 3.0)),
+        "S2": ((1.0, 1.0), (4.0, 4.0)),
+    }
+    streams = {sid: alternating_stream(rng, 120, *m) for sid, m in means.items()}
+    forced = {30: "S1", 50: "T", 70: "S2", 90: "T"}
+    probe = np.array([1.7, 1.4])
+    for t in range(120):
+        for sid in ("T", "S1", "S2"):
+            if sid in model.pools:
+                model.pools[sid].detector = StubDetector({1} if forced.get(t) == sid else ())
+            model.observe(sid, streams[sid][t], rng)
+            # A shallow copy leaves the weights out, as a snapshot does.
+            fresh = copy.copy(model)
+            if t % 2:
+                ratio, scores = model.source_weight_ratio(), model.predict(probe).scores
+            else:
+                scores, ratio = model.predict(probe).scores, model.source_weight_ratio()
+            assert ratio == uncached_ratio(model)
+            assert np.array_equal(scores, fresh.predict(probe).scores)
+    assert [model.pools[sid].concept_count for sid in ("T", "S1", "S2")] == [3, 2, 2]
+
+
 # ----------------------------------------------------------------------
 # flat stats against a per-concept reference
 # ----------------------------------------------------------------------
@@ -750,8 +798,9 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
 
 def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
     # Leaves used to pickle as the default slots state (None, slots), with
-    # their naive-Bayes terms and without the memo slot. Such a version-3
-    # snapshot still loads and predicts the same.
+    # their naive-Bayes terms and without the memo slot, and trees without
+    # their count of learnt examples. Such a version-3 snapshot still loads,
+    # predicts the same, and goes on learning as the model it was saved from.
     import copyreg
     import pickle
 
@@ -764,8 +813,11 @@ def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
     before = [model.predict(p) for p in probes]
     assert any(leaf._nb_terms is not None for leaf in leaves(model))
 
-    class LeafWithTerms(pickle.Pickler):
+    class EarlierLayout(pickle.Pickler):
         def reducer_override(self, obj):
+            if isinstance(obj, HoeffdingTree):
+                state = {k: v for k, v in vars(obj).items() if k != "n_learned"}
+                return copyreg.__newobj__, (HoeffdingTree,), state
             if not isinstance(obj, _LeafNode):
                 return NotImplemented
             slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_nb_memo"}
@@ -773,13 +825,22 @@ def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
 
     path = tmp_path / "model.bin"
     with open(path, "wb") as fh:
-        LeafWithTerms(fh).dump({"format": "marline-model", "version": 3, "model": model})
+        EarlierLayout(fh).dump({"format": "marline-model", "version": 3, "model": model})
     restored = MarlineModel.load(str(path))
     assert all(leaf._nb_terms is None for leaf in leaves(restored))
+    trees = [tree for c in restored.concepts for tree in c.ensemble.sub_classifiers]
+    assert all("n_learned" not in vars(tree) for tree in trees)
     for p, a in zip(probes, before):
         b = restored.predict(p)
         assert a.label == b.label
         assert np.array_equal(a.scores, b.scores)
+    restored_rng = copy.deepcopy(rng)
+    for ex in alternating_stream(np.random.default_rng(16), 40, (0.0, 0.0), (3.0, 3.0)):
+        for m, r in ((model, rng), (restored, restored_rng)):
+            m.observe("S1", ex, r)
+            m.observe("T", ex, r)
+        for p in probes[:5]:
+            assert np.array_equal(model.predict(p).scores, restored.predict(p).scores)
 
 
 def test_snapshot_rejects_version_one(tmp_path):
