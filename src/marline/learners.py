@@ -106,6 +106,25 @@ def _entropy(weights: list[float]) -> float:
     return h
 
 
+def _class_terms(leaf: _LeafNode, label: int, total: float) -> tuple[float, list]:
+    """The naive-Bayes terms of ``label`` at ``leaf``, whose class weights
+    sum to ``total``: the class's log prior, and per attribute (mean,
+    -log(2*pi*var)/2, 2*var) of its estimator, the variance floored at
+    ``_MIN_VARIANCE``. A class without weight has prior -inf and no
+    attribute terms."""
+    prior = leaf.class_weights[label]
+    if prior <= 0.0:
+        return -math.inf, []
+    attributes = []
+    for per_class in leaf.estimators:
+        est = per_class[label]
+        n = est.weight_sum
+        # max(est.variance, _MIN_VARIANCE), inlined.
+        var = max(est._m2 / (n - 1.0) if n > 1.0 else 0.0, _MIN_VARIANCE)
+        attributes.append((est.mean, -0.5 * math.log(2.0 * math.pi * var), 2.0 * var))
+    return math.log(prior / total), attributes
+
+
 class _LeafNode:
     """Growing leaf holding class counts and per-attribute Gaussian stats.
 
@@ -165,28 +184,10 @@ class _LeafNode:
             return (0.5, 0.5)
         return (self.class_weights[NEG] / total, self.class_weights[POS] / total)
 
-    def _log_prior(self, label: int) -> float:
-        prior = self.class_weights[label]
-        if prior <= 0.0:
-            return -math.inf
-        return math.log(prior / self.total_weight)
-
-    def _attribute_terms(self, label: int) -> list[tuple[float, float, float]]:
-        """Per attribute, (mean, -log(2*pi*var)/2, 2*var) of ``label``'s
-        estimator; none for a class without weight, which then has none in
-        any attribute either."""
-        if self.class_weights[label] <= 0.0:
-            return []
-        attributes = []
-        for per_class in self.estimators:
-            var = max(per_class[label].variance, _MIN_VARIANCE)
-            log_norm = -0.5 * math.log(2.0 * math.pi * var)
-            attributes.append((per_class[label].mean, log_norm, 2.0 * var))
-        return attributes
-
     def _naive_bayes_terms(self) -> list[tuple[float, list]]:
         """Per class, its log prior and its attribute terms."""
-        return [(self._log_prior(label), self._attribute_terms(label)) for label in (NEG, POS)]
+        total = self.total_weight
+        return [_class_terms(self, label, total) for label in (NEG, POS)]
 
     def naive_bayes_distribution(self, values: list[float]) -> tuple[float, float]:
         terms = self._nb_terms
@@ -210,30 +211,35 @@ class _LeafNode:
         return pair
 
     def learn(self, values: list[float], label: int, weight: float, nb_adaptive: bool) -> None:
+        weights = self.class_weights
         # Track which leaf predictor is doing better, judged before absorbing
         # the example it is judged on. Only nb_adaptive leaves read the result.
         if nb_adaptive:
-            if argmax_label(self.majority_distribution()) == label:
+            total = weights[NEG] + weights[POS]
+            majority = POS if total > 0.0 and weights[POS] / total > weights[NEG] / total else NEG
+            if majority == label:
                 self.mc_correct_weight += weight
             # Equal values route and evaluate alike (+0.0 and -0.0 included),
             # so the memo is keyed on list equality.
             memo = self._nb_memo
             if memo is not None and memo[0] == values:
-                pair = memo[1]
+                p_neg, p_pos = memo[1]
             else:
-                pair = self.naive_bayes_distribution(values)
-            if argmax_label(pair) == label:
+                p_neg, p_pos = self.naive_bayes_distribution(values)
+            if (POS if p_pos > p_neg else NEG) == label:
                 self.nb_correct_weight += weight
-        self.class_weights[label] += weight
-        for j, value in enumerate(values):
-            self.estimators[j][label].add(value, weight)
+        weights[label] += weight
+        for value, per_class in zip(values, self.estimators):
+            per_class[label].add(value, weight)
         self._nb_memo = None
         terms = self._nb_terms
         if terms is not None:
             # The other class keeps its attribute terms; both priors move.
+            total = weights[NEG] + weights[POS]
             other = POS if label == NEG else NEG
-            terms[label] = (self._log_prior(label), self._attribute_terms(label))
-            terms[other] = (self._log_prior(other), terms[other][1])
+            terms[label] = _class_terms(self, label, total)
+            prior = weights[other]
+            terms[other] = (math.log(prior / total) if prior > 0.0 else -math.inf, terms[other][1])
 
     def best_split_per_attribute(self) -> list[tuple[float, float]]:
         """For each attribute, (best info gain, threshold achieving it)."""
@@ -303,16 +309,6 @@ class HoeffdingTree:
         self._root: _LeafNode | _SplitNode = _LeafNode(n_features)
         self.n_splits = 0
 
-    def _sort_to_leaf(self, values: list[float]) -> tuple[_LeafNode, _SplitNode | None, bool]:
-        parent: _SplitNode | None = None
-        went_left = False
-        node = self._root
-        while isinstance(node, _SplitNode):
-            parent = node
-            went_left = values[node.attribute] <= node.threshold
-            node = node.left if went_left else node.right
-        return node, parent, went_left
-
     def train(self, example: Example, weight: float = 1.0) -> None:
         """Absorb one weighted example; may grow the tree."""
         check_dims(example.features, self.n_features, "HoeffdingTree.train")
@@ -323,12 +319,20 @@ class HoeffdingTree:
     def learn(self, values: list[float], label: int, weight: float) -> None:
         """Absorb one example given as a list of ``n_features`` floats, with
         a positive weight; may grow the tree. Unchecked: callers check."""
-        leaf, parent, went_left = self._sort_to_leaf(values)
-        leaf.learn(values, label, weight, self.params.leaf_prediction == "nb_adaptive")
+        parent: _SplitNode | None = None
+        went_left = False
+        node = self._root
+        while node.__class__ is _SplitNode:
+            parent = node
+            went_left = values[node.attribute] <= node.threshold
+            node = node.left if went_left else node.right
+        params = self.params
+        node.learn(values, label, weight, params.leaf_prediction == "nb_adaptive")
         self.n_learned += 1
-        if leaf.total_weight - leaf.weight_at_last_attempt >= self.params.grace_period:
-            leaf.weight_at_last_attempt = leaf.total_weight
-            self._attempt_split(leaf, parent, went_left)
+        total = node.class_weights[NEG] + node.class_weights[POS]
+        if total - node.weight_at_last_attempt >= params.grace_period:
+            node.weight_at_last_attempt = total
+            self._attempt_split(node, parent, went_left)
 
     def _attempt_split(
         self, leaf: _LeafNode, parent: _SplitNode | None, went_left: bool
@@ -369,14 +373,18 @@ class HoeffdingTree:
 class _EnsembleBase:
     """Shared plumbing for the fixed-size online ensembles.
 
-    Each ensemble converts an example to a list of floats once and hands that
-    list to every member. The last member pass is memoised for
-    :meth:`predict` alone, which in a test-then-train step repeats the pass
-    just made at the same values: the target's drift check after the model's
-    vote, the vote's fallback, and the baseline's second prediction. The memo
-    is keyed on the values, the member trees and each tree's count of learnt
-    examples, so training or replacing a member by any route drops it.
-    Snapshots do not store it.
+    An ensemble takes a list of floats both ways and hands it to every
+    member: :meth:`vote` and each ensemble's ``learn(values, label, rng)``.
+    :meth:`predict` and :meth:`train` are their checked wrappers for arrays
+    and examples. The last member pass is memoised. Its one reader is
+    :meth:`vote`, and so ``predict``, which in a test-then-train step repeats
+    the pass just made at the same values: the target's drift check after
+    the model's vote, the vote's fallback, and the baseline's second
+    prediction. :meth:`member_distributions`, which the model's vote and
+    weight update call, always makes a fresh pass. The memo is keyed on the
+    values, the member trees and each tree's count of learnt examples, so
+    training or replacing a member by any route drops it. Snapshots do not
+    store it.
     """
 
     _memo: tuple[list[float], tuple, np.ndarray] | None = None
@@ -424,11 +432,9 @@ class _EnsembleBase:
         self._memo = (values, self._members_key(), distributions)
         return distributions
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Unweighted mean of the members' class distributions."""
-        features = np.asarray(features, dtype=float)
-        check_dims(features, self.n_features, f"{type(self).__name__}.predict")
-        values = features.tolist()
+    def vote(self, values: list[float]) -> tuple[float, float]:
+        """Unweighted mean ``(p_neg, p_pos)`` of the members' class
+        distributions at a list of ``n_features`` floats. Unchecked."""
         memo = self._memo
         if memo is not None and memo[0] == values and memo[1] == self._members_key():
             distributions = memo[2]
@@ -439,22 +445,32 @@ class _EnsembleBase:
             neg += p_neg
             pos += p_pos
         k = len(self.sub_classifiers)
-        return np.array([neg / k, pos / k])
+        return neg / k, pos / k
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Unweighted mean of the members' class distributions."""
+        features = np.asarray(features, dtype=float)
+        check_dims(features, self.n_features, f"{type(self).__name__}.predict")
+        return np.array(self.vote(features.tolist()))
+
+    def train(self, example: Example, rng: np.random.Generator) -> None:
+        """Train the members on one example, drawing their weights from ``rng``."""
+        check_dims(example.features, self.n_features, f"{type(self).__name__}.train")
+        self.learn(example.features.tolist(), example.label, rng)
 
 
 class OnlineBagging(_EnsembleBase):
     """Online bagging: each member trains with an independent Poisson(1) weight."""
 
-    def train(self, example: Example, rng: np.random.Generator) -> None:
-        check_dims(example.features, self.n_features, "OnlineBagging.train")
+    def learn(self, values: list[float], label: int, rng: np.random.Generator) -> None:
+        """:meth:`train` on a list of ``n_features`` floats. Unchecked."""
         self.trained_count += 1
-        values = example.features.tolist()
         members = self.sub_classifiers
         # One batch of k draws: the same weights, in member order, as k
         # scalar draws, and the generator is left in the same state.
         for tree, k in zip(members, rng.poisson(1.0, len(members)).tolist()):
             if k > 0:
-                tree.learn(values, example.label, float(k))
+                tree.learn(values, label, float(k))
 
 
 class OnlineBoosting(_EnsembleBase):
@@ -474,16 +490,15 @@ class OnlineBoosting(_EnsembleBase):
         self.lambda_correct = np.zeros(self.ensemble_size)
         self.lambda_wrong = np.zeros(self.ensemble_size)
 
-    def train(self, example: Example, rng: np.random.Generator) -> None:
-        check_dims(example.features, self.n_features, "OnlineBoosting.train")
+    def learn(self, values: list[float], label: int, rng: np.random.Generator) -> None:
+        """:meth:`train` on a list of ``n_features`` floats. Unchecked."""
         self.trained_count += 1
-        values = example.features.tolist()
         lam = 1.0
         for m, tree in enumerate(self.sub_classifiers):
             k = float(rng.poisson(lam))
             if k > 0.0:
-                tree.learn(values, example.label, k)
-            correct = argmax_label(tree.predict_pair(values)) == example.label
+                tree.learn(values, label, k)
+            correct = argmax_label(tree.predict_pair(values)) == label
             if correct:
                 self.lambda_correct[m] += lam
             else:

@@ -5,6 +5,7 @@ target concept, and weighted-majority prediction across all concepts.
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -183,13 +184,14 @@ class MarlineModel:
         """Process one example from ``stream_id``; returns True if this
         example triggered a drift on its stream."""
         check_features(example.features, self.config.n_features, "MarlineModel.observe")
+        values = example.features.tolist()
         pool = self.pools.get(stream_id)
         if pool is None:
             pool = self._new_concept(stream_id)
 
         # Drift monitoring uses the newest ensemble's prediction on the
         # example before anything trains on it.
-        predicted = argmax_label(pool.current.ensemble.predict(example.features))
+        predicted = argmax_label(pool.current.ensemble.vote(values))
         status = pool.detector.update(predicted == example.label)
         drift = status is DriftStatus.DRIFT
         if drift:
@@ -200,11 +202,11 @@ class MarlineModel:
                 self.lambda_wrong.fill(0.0)
                 self.performance.fill(1.0)
 
-        pool.current.ensemble.train(example, rng)
+        pool.current.ensemble.learn(values, example.label, rng)
         pool.current.tracker.update(example)
 
         if stream_id == self.target_id:
-            self.update_weights(example)
+            self._update_weights(values, example.label)
         return drift
 
     def update_weights(self, example: Example) -> None:
@@ -215,6 +217,13 @@ class MarlineModel:
         no concept vector exists to map through before that.
         """
         check_dims(example.features, self.config.n_features, "MarlineModel.update_weights")
+        values = example.features.tolist()
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"MarlineModel.update_weights: features must be finite, got {values}")
+        self._update_weights(values, example.label)
+
+    def _update_weights(self, values: list[float], label: int) -> None:
+        """:meth:`update_weights` on a checked list of ``n_features`` floats."""
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return
@@ -222,12 +231,11 @@ class MarlineModel:
         if target is None:
             return
 
-        values = example.features.tolist()
         p_correct = np.concatenate(
             [
                 concept.ensemble.member_distributions(
                     _projected(values, concept.tracker.frame(), target)
-                )[:, example.label]
+                )[:, label]
                 for concept in self.concepts
             ]
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,20 @@ def test_a_drift_keeps_the_detector_state_until_reset():
             assert detector.error_sum > 0
         detector.reset()
         assert vars(detector) == vars(make())
+
+
+def test_hddm_a_snapshot_stores_no_logs_and_continues_identically():
+    # The logs of the bounds are derived from the confidences, on
+    # construction and on load; snapshots made before they existed lack them.
+    rng = np.random.default_rng(6)
+    bits = bernoulli_error_stream(rng, [0.1] * 300 + [0.6] * 300)
+    detector = HddmA(drift_confidence=0.002, warning_confidence=0.01)
+    for bit in bits[:300]:
+        detector.update(bit)
+    payload = pickle.dumps(detector)
+    assert b"_logs" not in payload
+    restored = pickle.loads(payload)
+    assert vars(restored) == vars(detector)
+    assert [restored.update(bit) for bit in bits[300:]] == [
+        detector.update(bit) for bit in bits[300:]
+    ]

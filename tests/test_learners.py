@@ -326,12 +326,18 @@ def test_ensemble_distributions_sum_to_one():
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def reference_leaf_distribution(tree, x):
-    """The distribution at the leaf ``x`` reaches, recomputed from the leaf's
-    statistics with no cached terms, in the same order of float operations."""
+def leaf_of(tree, x):
+    """The leaf of ``tree`` that ``x`` routes to."""
     node = tree._root
     while hasattr(node, "threshold"):
         node = node.left if x[node.attribute] <= node.threshold else node.right
+    return node
+
+
+def reference_leaf_distribution(tree, x):
+    """The distribution at the leaf ``x`` reaches, recomputed from the leaf's
+    statistics with no cached terms, in the same order of float operations."""
+    node = leaf_of(tree, x)
     weights = node.class_weights
     total = weights[NEG] + weights[POS]
     nb_leaf = tree.params.leaf_prediction == "nb_adaptive"
@@ -417,7 +423,7 @@ def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
     for values, label, weight, probe in examples:
         if probe:
             tree.predict_pair(values)
-        leaf = tree._sort_to_leaf(values)[0]
+        leaf = leaf_of(tree, values)
         example = Example(np.array(values), label)
         tree.train(example, weight)
         plain.train(example, weight)
@@ -425,10 +431,11 @@ def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
         assert leaf._nb_memo is None
     # Probing before training, which lets learn reuse the probe's naive-Bayes
     # evaluation, leaves the learner exactly as training alone does.
-    assert tree.n_splits == plain.n_splits
+    assert (tree.n_splits, tree.n_learned) == (plain.n_splits, plain.n_learned)
     for values, _, _, _ in examples:
-        a, b = tree._sort_to_leaf(values)[0], plain._sort_to_leaf(values)[0]
+        a, b = leaf_of(tree, values), leaf_of(plain, values)
         assert a.class_weights == b.class_weights
+        assert a.weight_at_last_attempt == b.weight_at_last_attempt
         assert (a.mc_correct_weight, a.nb_correct_weight) == (
             b.mc_correct_weight,
             b.nb_correct_weight,
@@ -452,6 +459,36 @@ def test_ensemble_prediction_after_training_is_recomputed(kind):
     after = ens.predict(x)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, fresh / len(ens.sub_classifiers))
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+def test_vote_is_the_mean_predict_returns(kind):
+    rng = np.random.default_rng(28)
+    ens = make_ensemble(kind, 2, 4)
+    for ex in gaussian_stream(rng, 300, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.train(ex, rng)
+    a, b = [0.3, 1.9], [1.1, 0.4]
+    vote_a = ens.vote(a)  # a fresh pass
+    assert vote_a == tuple(ens.predict(np.array(a)))  # the memo's
+    predicted_b = tuple(ens.predict(np.array(b)))  # a fresh pass
+    assert ens.vote(b) == predicted_b  # the memo's
+    assert ens.vote(a) == vote_a  # a fresh pass again
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+def test_learning_a_list_trains_the_ensemble_as_its_example_does(kind):
+    params = HoeffdingTreeParams(grace_period=50)
+    learnt, trained = make_ensemble(kind, 2, 5, params), make_ensemble(kind, 2, 5, params)
+    rng, train_rng = np.random.default_rng(29), np.random.default_rng(29)
+    stream = gaussian_stream(
+        np.random.default_rng(30), 600, np.array([0.0, 0.0]), np.array([3.0, 0.0])
+    )
+    for ex in stream:
+        learnt.learn(ex.features.tolist(), ex.label, rng)
+        trained.train(ex, train_rng)
+    assert rng.random() == train_rng.random()
+    assert any(tree.n_splits for tree in learnt.sub_classifiers)
+    assert pickle.dumps(learnt) == pickle.dumps(trained)
 
 
 def train_member_directly(ens, x):

@@ -1,6 +1,7 @@
 """Microbenchmarks of the per-step projection, member prediction, bagging
-training, test-then-train pair, performance update and drift detector
-update, and the cost model of acceptance 7.
+training, test-then-train pair (on examples and on lists), performance
+update, drift detector update and source observe, and the cost model of
+acceptance 7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``.
@@ -100,6 +101,22 @@ def test_test_then_train_pair(benchmark):
     assert ensemble.trained_count > 300
 
 
+def test_vote_learn_pair(benchmark):
+    # The test-then-train pair on lists, as a stream's observe runs it.
+    rng = np.random.default_rng(7)
+    ensemble = warmed_ensemble("bagging", rng)
+    examples = [gaussian_example(rng, t) for t in range(1000)]
+    next_pair = itertools.cycle([(ex.features.tolist(), ex.label) for ex in examples]).__next__
+
+    def step():
+        values, label = next_pair()
+        ensemble.vote(values)
+        ensemble.learn(values, label, rng)
+
+    benchmark(step)
+    assert ensemble.trained_count > 300
+
+
 @pytest.mark.parametrize("n", [30, 110])
 def test_update_performance_stats(benchmark, n):
     rng = np.random.default_rng(n)
@@ -143,6 +160,14 @@ def acceptance_7_model(n_sources):
             model.observe(f"S{s}", example, rng)
         model.observe("T", example, rng)
     return model, rng
+
+
+def test_source_observe(benchmark):
+    # One source example through a warmed model of a target and one source.
+    model, rng = acceptance_7_model(1)
+    next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
+    benchmark(lambda: model.observe("S0", next_example(), rng))
+    assert model.pools["S0"].current.ensemble.trained_count > 300
 
 
 def test_acceptance_7_cost_model(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import pickle
 import time
 from fractions import Fraction
 
@@ -492,6 +493,38 @@ def test_non_finite_features_are_rejected_before_touching_state():
     for bad in ([np.inf, 0.0], [0.0, np.nan]):
         with pytest.raises(DataError):
             model.predict(np.array(bad))
+
+
+@pytest.mark.parametrize(
+    "features, error", [([np.nan, 2.0], DataError), ([1.0, 2.0, 3.0], DimensionMismatchError)]
+)
+@pytest.mark.parametrize("stream_id", ["S1", "S2"])
+def test_bad_source_example_is_rejected_before_any_state_changes(features, error, stream_id):
+    # S1 has a pool already; S2 would get its first one.
+    rng = np.random.default_rng(12)
+    model = MarlineModel(small_config())
+    for ex in alternating_stream(rng, 20, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("T", ex, rng)
+        model.observe("S1", ex, rng)
+    snapshot, rng_state = pickle.dumps(model), rng.bit_generator.state
+    with pytest.raises(error):
+        model.observe(stream_id, Example(np.array(features), POS), rng)
+    assert pickle.dumps(model) == snapshot
+    assert rng.bit_generator.state == rng_state
+
+
+def test_update_weights_rejects_non_finite_features_before_any_state_changes():
+    # A NaN would turn every lambda into NaN and pin every performance at 1.
+    rng = np.random.default_rng(13)
+    model = MarlineModel(small_config(ensemble_size=3))
+    for ex in alternating_stream(rng, 200, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("T", ex, rng)
+    snapshot = pickle.dumps(model)
+    for bad in ([np.nan, 1.0], [1.0, -np.inf]):
+        with pytest.raises(DataError):
+            model.update_weights(Example(np.array(bad), POS))
+    assert pickle.dumps(model) == snapshot
+    assert np.all(np.isfinite(model.lambda_correct))
 
 
 # ----------------------------------------------------------------------
