@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,14 @@ def check_dims(features: np.ndarray, expected: int, context: str) -> None:
         )
 
 
-def check_features(features: np.ndarray, expected: int, context: str) -> None:
-    """``check_dims``, then raise DataError unless every feature is finite."""
+def check_features(features: np.ndarray, expected: int, context: str) -> list[float]:
+    """``check_dims``, then raise DataError unless every feature is finite.
+    Returns the features as a list of floats."""
     check_dims(features, expected, context)
-    if not np.isfinite(features).all():
-        raise DataError(f"{context}: features must be finite, got {features.tolist()}")
+    values = features.tolist()
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"{context}: features must be finite, got {values}")
+    return values
 
 
 def argmax_label(scores: np.ndarray) -> int:

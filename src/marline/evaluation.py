@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, Example, argmax_label
+from .core import ConfigurationError, Example, argmax_label, check_dims
 from .drift import DriftStatus, make_detector
 from .learners import make_ensemble
 from .model import MarlineConfig, MarlineModel
@@ -146,12 +146,14 @@ class BaselineApproach:
     def observe(self, stream_id: str, example: Example) -> None:
         if stream_id != self.target_id:
             return
+        check_dims(example.features, self.config.n_features, "BaselineApproach.observe")
+        values = example.features.tolist()
         if self.detector is not None:
-            correct = self.predict(example.features) == example.label
+            correct = argmax_label(self.ensemble.vote(values)) == example.label
             if self.detector.update(correct) is DriftStatus.DRIFT:
                 self.ensemble = self._fresh_ensemble()
                 self.detector.reset()
-        self.ensemble.train(example, self.rng)
+        self.ensemble.learn(values, example.label, self.rng)
 
     def source_weight_ratio(self) -> float | None:
         return None

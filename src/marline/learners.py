@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -200,13 +199,20 @@ class _LeafNode:
         for value, (mean, log_norm, two_var) in zip(values, pos_attributes):
             diff = value - mean
             pos += log_norm - diff * diff / two_var
-        top = max(neg, pos)
-        if top == -math.inf:
+        # Normalised by the larger logit, whose exp(0.0) is exactly 1.0, so
+        # only the other side takes an exp. The rest are the pairs of the
+        # two-exp form: equal logits (both -inf included) and a NaN logit
+        # after a -inf one give (0.5, 0.5), any other NaN gives NaNs.
+        if pos > neg:
+            r = math.exp(neg - pos)
+            pair = (r / (r + 1.0), 1.0 / (r + 1.0))
+        elif neg > pos:
+            r = math.exp(pos - neg)
+            pair = (1.0 / (1.0 + r), r / (1.0 + r))
+        elif neg == pos or neg == -math.inf:
             pair = (0.5, 0.5)
         else:
-            r0 = math.exp(neg - top)
-            r1 = math.exp(pos - top)
-            pair = (r0 / (r0 + r1), r1 / (r0 + r1))
+            pair = (math.nan, math.nan)
         self._nb_memo = (values, pair)
         return pair
 
@@ -376,18 +382,19 @@ class _EnsembleBase:
     An ensemble takes a list of floats both ways and hands it to every
     member: :meth:`vote` and each ensemble's ``learn(values, label, rng)``.
     :meth:`predict` and :meth:`train` are their checked wrappers for arrays
-    and examples. The last member pass is memoised. Its one reader is
-    :meth:`vote`, and so ``predict``, which in a test-then-train step repeats
-    the pass just made at the same values: the target's drift check after
-    the model's vote, the vote's fallback, and the baseline's second
-    prediction. :meth:`member_distributions`, which the model's vote and
-    weight update call, always makes a fresh pass. The memo is keyed on the
-    values, the member trees and each tree's count of learnt examples, so
-    training or replacing a member by any route drops it. Snapshots do not
-    store it.
+    and examples. A member pass is :meth:`member_pairs`, a list of the
+    members' float pairs, which the model's vote and weight update call;
+    :meth:`member_distributions` is its array view. The last pass is
+    memoised. Its one reader is :meth:`vote`, and so ``predict``, which in a
+    test-then-train step repeats the pass just made at the same values: the
+    target's drift check after the model's vote, the vote's fallback, and
+    the baseline's reset check after its prediction. ``member_pairs``
+    always makes a fresh pass. The memo is keyed on the values, the member
+    trees and each tree's count of learnt examples, so training or replacing
+    a member by any route drops it. Snapshots do not store it.
     """
 
-    _memo: tuple[list[float], tuple, np.ndarray] | None = None
+    _memo: tuple[list[float], tuple, list[tuple[float, float]]] | None = None
 
     def __init__(
         self,
@@ -424,24 +431,27 @@ class _EnsembleBase:
         members = self.sub_classifiers
         return tuple(members), [tree.n_learned for tree in members]
 
-    def member_distributions(self, values: list[float]) -> np.ndarray:
-        """``(k, 2)`` class distributions of the k members, in member order,
-        at a list of ``n_features`` floats."""
+    def member_pairs(self, values: list[float]) -> list[tuple[float, float]]:
+        """``(p_neg, p_pos)`` of each of the k members, in member order, at a
+        list of ``n_features`` floats. Always a fresh pass; it writes the memo."""
         pairs = [tree.predict_pair(values) for tree in self.sub_classifiers]
-        distributions = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
-        self._memo = (values, self._members_key(), distributions)
-        return distributions
+        self._memo = (values, self._members_key(), pairs)
+        return pairs
+
+    def member_distributions(self, values: list[float]) -> np.ndarray:
+        """:meth:`member_pairs` as a ``(k, 2)`` array."""
+        return np.array(self.member_pairs(values))
 
     def vote(self, values: list[float]) -> tuple[float, float]:
         """Unweighted mean ``(p_neg, p_pos)`` of the members' class
         distributions at a list of ``n_features`` floats. Unchecked."""
         memo = self._memo
         if memo is not None and memo[0] == values and memo[1] == self._members_key():
-            distributions = memo[2]
+            pairs = memo[2]
         else:
-            distributions = self.member_distributions(values)
+            pairs = self.member_pairs(values)
         neg = pos = 0.0
-        for p_neg, p_pos in distributions.tolist():
+        for p_neg, p_pos in pairs:
             neg += p_neg
             pos += p_pos
         k = len(self.sub_classifiers)

@@ -76,8 +76,9 @@ class CentroidTracker:
         classes have been observed. Built on first use and dropped by
         :meth:`update`, so the same object is returned until then."""
         if self._frame is None and self.both_classes_seen:
-            c_pos = self.centroid(POS)
-            self._frame = ConceptFrame(c_pos - self.centroid(NEG), c_pos)
+            sum_c, normalizer = self.sum_c, self.normalizer
+            c_pos = sum_c[POS] / normalizer[POS]
+            self._frame = ConceptFrame(c_pos - sum_c[NEG] / normalizer[NEG], c_pos)
         return self._frame
 
     def __getstate__(self) -> dict:
@@ -130,7 +131,9 @@ class ConceptFrame:
 
     def __init__(self, vector: np.ndarray, c_pos: np.ndarray | None = None) -> None:
         self.vector = vector
-        self.norm = float(np.linalg.norm(vector))
+        # The arithmetic of np.linalg.norm on a 1-D float vector, without
+        # its dispatch.
+        self.norm = math.sqrt(vector.dot(vector))
         self.unit = [x / self.norm for x in vector.tolist()] if self.norm > 0.0 else None
         self.c_pos = None if c_pos is None else c_pos.tolist()
         self._memo: tuple[ConceptFrame | None, Reflections | None] = (None, None)

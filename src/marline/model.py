@@ -5,7 +5,6 @@ target concept, and weighted-majority prediction across all concepts.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -14,12 +13,10 @@ import numpy as np
 
 from .core import (
     NEG,
-    POS,
     ConfigurationError,
     DataError,
     Example,
     argmax_label,
-    check_dims,
     check_features,
 )
 from .drift import DriftStatus, make_detector
@@ -121,17 +118,31 @@ def update_performance_stats(
     the ensemble confidence sums (SC, SW) used for the example weight SW/SC.
     All contributions use the pre-update performance values.
     """
-    p_correct = np.minimum(np.maximum(p_correct, 0.0), 1.0)
-    confident = performance * p_correct
-    doubtful = performance * (1.0 - p_correct)
-    sc = max(float(confident.sum()), eps_clamp)
-    sw = max(float(doubtful.sum()), eps_clamp)
+    # Each step works in place on a temporary where it can, with the
+    # operands of every product and sum in the order of the formula
+    # performance * p, performance * (1 - p), theta * lambda + w * term / s.
+    p = np.maximum(p_correct, 0.0)
+    np.minimum(p, 1.0, out=p)
+    confident = performance * p
+    np.subtract(1.0, p, out=p)
+    doubtful = np.multiply(performance, p, out=p)
+    sc = max(float(np.add.reduce(confident)), eps_clamp)
+    sw = max(float(np.add.reduce(doubtful)), eps_clamp)
     example_weight = sw / sc
-    new_correct = forgetting_factor * lambda_correct + example_weight * confident / sc
-    new_wrong = forgetting_factor * lambda_wrong + example_weight * doubtful / sw
+    new_correct = forgetting_factor * lambda_correct
+    np.multiply(example_weight, confident, out=confident)
+    confident /= sc
+    new_correct += confident
+    new_wrong = forgetting_factor * lambda_wrong
+    np.multiply(example_weight, doubtful, out=doubtful)
+    doubtful /= sw
+    new_wrong += doubtful
     totals = new_correct + new_wrong
     positive = totals > 0.0
-    new_performance = np.where(positive, new_correct / np.where(positive, totals, 1.0), 1.0)
+    if positive.all():
+        new_performance = np.divide(new_correct, totals, out=totals)
+    else:
+        new_performance = np.where(positive, new_correct / np.where(positive, totals, 1.0), 1.0)
     return new_correct, new_wrong, new_performance, sc, sw
 
 
@@ -144,8 +155,9 @@ def sub_classifier_weights(
     mask = performances > performance_index
     if not mask.any():
         return np.zeros_like(performances)
-    total = float(performances[mask].sum())
-    return np.where(mask, performances / total, 0.0)
+    weights = performances / float(np.add.reduce(performances[mask]))
+    weights[~mask] = 0.0
+    return weights
 
 
 class MarlineModel:
@@ -183,8 +195,7 @@ class MarlineModel:
     def observe(self, stream_id: str, example: Example, rng: np.random.Generator) -> bool:
         """Process one example from ``stream_id``; returns True if this
         example triggered a drift on its stream."""
-        check_features(example.features, self.config.n_features, "MarlineModel.observe")
-        values = example.features.tolist()
+        values = check_features(example.features, self.config.n_features, "MarlineModel.observe")
         pool = self.pools.get(stream_id)
         if pool is None:
             pool = self._new_concept(stream_id)
@@ -216,10 +227,9 @@ class MarlineModel:
         Skipped until the current target concept has seen both classes, since
         no concept vector exists to map through before that.
         """
-        check_dims(example.features, self.config.n_features, "MarlineModel.update_weights")
-        values = example.features.tolist()
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"MarlineModel.update_weights: features must be finite, got {values}")
+        values = check_features(
+            example.features, self.config.n_features, "MarlineModel.update_weights"
+        )
         self._update_weights(values, example.label)
 
     def _update_weights(self, values: list[float], label: int) -> None:
@@ -231,19 +241,15 @@ class MarlineModel:
         if target is None:
             return
 
-        p_correct = np.concatenate(
-            [
-                concept.ensemble.member_distributions(
-                    _projected(values, concept.tracker.frame(), target)
-                )[:, label]
-                for concept in self.concepts
-            ]
-        )
+        p_correct = []
+        for concept in self.concepts:
+            projected = _projected(values, concept.tracker.frame(), target)
+            p_correct += [pair[label] for pair in concept.ensemble.member_pairs(projected)]
         self.lambda_correct, self.lambda_wrong, self.performance, _, _ = update_performance_stats(
             self.lambda_correct,
             self.lambda_wrong,
             self.performance,
-            p_correct,
+            np.array(p_correct),
             self.config.forgetting_factor,
             EPS_CLAMP,
         )
@@ -262,27 +268,31 @@ class MarlineModel:
         or on an exact score tie; remaining ties resolve to NEG.
         """
         features = np.asarray(features, dtype=float)
-        check_features(features, self.config.n_features, "MarlineModel.predict")
+        values = check_features(features, self.config.n_features, "MarlineModel.predict")
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return Prediction(NEG, np.array([0.5, 0.5]), cold_start=True)
 
+        k = self.config.ensemble_size
         weights = self._voting_weights()
+        weighted_concepts = weights.reshape(-1, k).any(axis=1).tolist()
         target = target_pool.current.tracker.frame()
-        if target is None or not weights.any():
+        if target is None or not any(weighted_concepts):
             return self._fallback(target_pool, features)
 
-        k = self.config.ensemble_size
-        values = features.tolist()
-        scores = np.zeros(2)
-        for i, concept in enumerate(self.concepts):
-            w = weights[i * k : (i + 1) * k]
-            if not w.any():
+        neg = pos = 0.0
+        for i, (concept, weighted) in enumerate(zip(self.concepts, weighted_concepts)):
+            if not weighted:
                 continue
             projected = _projected(values, concept.tracker.frame(), target)
-            scores += w @ concept.ensemble.member_distributions(projected)
-        if scores[NEG] == scores[POS]:
+            p_neg, p_pos = (
+                weights[i * k : (i + 1) * k] @ np.array(concept.ensemble.member_pairs(projected))
+            ).tolist()
+            neg += p_neg
+            pos += p_pos
+        if neg == pos:
             return self._fallback(target_pool, features)
+        scores = np.array([neg, pos])
         return Prediction(argmax_label(scores), scores)
 
     def source_weight_ratio(self) -> float:

@@ -23,6 +23,7 @@ from marline.learners import (
     HoeffdingTreeParams,
     OnlineBagging,
     OnlineBoosting,
+    _LeafNode,
     hoeffding_bound,
     make_ensemble,
 )
@@ -359,6 +360,82 @@ def reference_leaf_distribution(tree, x):
         return np.array([0.5, 0.5])
     raw = np.array([math.exp(l - top) for l in logits])
     return raw / raw.sum()
+
+
+def two_exp_pair(neg, pos):
+    """The naive-Bayes pair of two class logits as first written: an exp on
+    each side of the larger logit."""
+    top = max(neg, pos)
+    if top == -math.inf:
+        return (0.5, 0.5)
+    r0 = math.exp(neg - top)
+    r1 = math.exp(pos - top)
+    return (r0 / (r0 + r1), r1 / (r0 + r1))
+
+
+def leaf_pair(neg, pos):
+    """The pair a leaf gives when its class logits are ``neg`` and ``pos``:
+    with no attributes, the logits are the log priors."""
+    leaf = _LeafNode(0)
+    leaf._nb_terms = [(neg, []), (pos, [])]
+    return leaf.naive_bayes_distribution([])
+
+
+def bits(pair):
+    """``pair`` exactly: the sign of a zero counts, and NaN equals NaN."""
+    return [x.hex() for x in pair]
+
+
+# A class logit is a log prior (at most 0, or -inf for a class without
+# weight) plus, per attribute, a finite log normaliser and a square term of
+# at most 0, so it is never +inf.
+logits = st.one_of(st.floats(-1e6, 50.0), st.just(-math.inf))
+
+
+@st.composite
+def logit_pairs(draw):
+    """Two class logits, in either order: any two, two equal ones, two
+    within 40 of each other, where both sides of the pair carry digits, or
+    two more than 745 apart, where the smaller side's exp underflows to 0."""
+    kind = draw(st.sampled_from(["any", "equal", "close", "wide"]))
+    a = draw(logits)
+    if kind == "any":
+        b = draw(logits)
+    elif kind == "equal":
+        b = a
+    elif kind == "close":
+        b = a - draw(st.floats(0.0, 40.0))
+    else:
+        b = a - draw(st.floats(745.0, 1e4))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=500, deadline=None)
+@given(logit_pairs())
+def test_one_exp_naive_bayes_pair_equals_the_two_exp_form(case):
+    assert bits(leaf_pair(*case)) == bits(two_exp_pair(*case))
+
+
+@pytest.mark.parametrize(
+    "neg, pos",
+    [
+        (-3.0, -3.0),
+        (0.0, 0.0),
+        (-math.inf, -math.inf),
+        (-math.inf, -2.5),
+        (-2.5, -math.inf),
+        (0.0, -746.0),
+        (-746.0, 0.0),
+        (-1e5, 12.0),
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (math.nan, math.nan),
+        (math.nan, -math.inf),
+        (-math.inf, math.nan),
+    ],
+)
+def test_one_exp_naive_bayes_pair_on_ties_infinities_underflow_and_nan(neg, pos):
+    assert bits(leaf_pair(neg, pos)) == bits(two_exp_pair(neg, pos))
 
 
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])

@@ -1,7 +1,7 @@
-"""Microbenchmarks of the per-step projection, member prediction, bagging
-training, test-then-train pair (on examples and on lists), performance
-update, drift detector update and source observe, and the cost model of
-acceptance 7.
+"""Microbenchmarks of the per-step projection, centroid update and frame,
+member prediction, bagging training, test-then-train pair (on examples and
+on lists), performance update, voting weights, drift detector update,
+source observe and weighting step, and the cost model of acceptance 7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``.
@@ -18,8 +18,14 @@ import pytest
 from marline.core import Example
 from marline.drift import DriftStatus, HddmA
 from marline.learners import HoeffdingTreeParams, make_ensemble
-from marline.mapping import ConceptFrame
-from marline.model import EPS_CLAMP, MarlineConfig, MarlineModel, update_performance_stats
+from marline.mapping import CentroidTracker, ConceptFrame
+from marline.model import (
+    EPS_CLAMP,
+    MarlineConfig,
+    MarlineModel,
+    sub_classifier_weights,
+    update_performance_stats,
+)
 
 pytestmark = pytest.mark.bench
 
@@ -55,6 +61,23 @@ def gaussian_example(rng, t):
     """Example ``t`` of two alternating Gaussian classes on two features."""
     mean = np.array([3.0, 3.0]) if t % 2 else np.zeros(2)
     return Example(mean + rng.standard_normal(2), t % 2)
+
+
+def test_tracker_update_and_frame(benchmark):
+    # A target step moves one centroid, and the next query rebuilds the frame.
+    rng = np.random.default_rng(5)
+    tracker = CentroidTracker(2, 0.9)
+    examples = [gaussian_example(rng, t) for t in range(1000)]
+    for example in examples[:2]:
+        tracker.update(example)
+    next_example = itertools.cycle(examples).__next__
+
+    def step():
+        tracker.update(next_example())
+        return tracker.frame()
+
+    frame = benchmark(step)
+    assert frame is tracker.frame()
 
 
 def warmed_ensemble(kind, rng, leaf_prediction="nb_adaptive"):
@@ -134,6 +157,14 @@ def test_update_performance_stats(benchmark, n):
     assert stats[2].shape == (n,)
 
 
+@pytest.mark.parametrize("n", [30, 110])
+def test_sub_classifier_weights(benchmark, n):
+    # About a third of the performances fall below the index.
+    performances = np.random.default_rng(n).random(n)
+    weights = benchmark(sub_classifier_weights, performances, 0.3)
+    assert abs(float(weights.sum()) - 1.0) <= 1e-12
+
+
 def test_hddm_a_update(benchmark):
     # A stable error rate of about 20 %; a rare alarm restarts the detector
     # as the model does.
@@ -168,6 +199,20 @@ def test_source_observe(benchmark):
     next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
     benchmark(lambda: model.observe("S0", next_example(), rng))
     assert model.pools["S0"].current.ensemble.trained_count > 300
+
+
+def test_weighting_step_eight_concepts(benchmark):
+    # One predict + update_weights step on a target and seven sources.
+    model, rng = acceptance_7_model(7)
+    next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
+
+    def step():
+        example = next_example()
+        model.predict(example.features)
+        model.update_weights(example)
+
+    benchmark(step)
+    assert len(model.concepts) == 8
 
 
 def test_acceptance_7_cost_model(capsys):

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marline.core import (
     NEG,
@@ -260,6 +262,35 @@ def test_performance_stats_equal_the_reference_formula_bit_for_bit(n):
         assert got[3:] == expected[3:]
 
 
+@st.composite
+def performance_updates(draw):
+    """Inputs of one update of 1 to 110 members: p outside [0, 1] and
+    exactly 0 and 1, and either drawn stats or the stats just after a
+    target drift's reset (zero lambdas, unit performance)."""
+    n = draw(st.integers(1, 110))
+
+    def array(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    if draw(st.booleans()):
+        lambda_c, lambda_w, performance = np.zeros(n), np.zeros(n), np.ones(n)
+    else:
+        lambda_c = array(st.floats(0.0, 3.0))
+        lambda_w = array(st.floats(0.0, 3.0))
+        performance = array(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
+    p = array(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])))
+    return lambda_c, lambda_w, performance, p, draw(st.floats(0.5, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(performance_updates())
+def test_performance_stats_equal_the_reference_formula_on_any_inputs(case):
+    got = update_performance_stats(*case, EPS_CLAMP)
+    expected = reference_performance_stats(*case, EPS_CLAMP)
+    assert [g.tobytes() for g in got[:3]] == [e.tobytes() for e in expected[:3]]
+    assert got[3:] == expected[3:]
+
+
 # ----------------------------------------------------------------------
 # Voting weights
 # ----------------------------------------------------------------------
@@ -292,6 +323,36 @@ def test_weights_normalise_whenever_any_alpha_clears_the_index():
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
         else:
             assert w.sum() == 0.0
+
+
+def where_weights(performances, performance_index):
+    """``sub_classifier_weights`` as first written, with ``np.where``."""
+    mask = performances > performance_index
+    if not mask.any():
+        return np.zeros_like(performances)
+    total = float(performances[mask].sum())
+    return np.where(mask, performances / total, 0.0)
+
+
+@st.composite
+def performances_and_index(draw):
+    """1 to 110 performances in [0, 1], some equal to the index."""
+    index = draw(st.floats(0.0, 1.0))
+    value = st.one_of(st.floats(0.0, 1.0), st.just(index), st.sampled_from([0.0, 1.0]))
+    n = draw(st.integers(1, 110))
+    return np.array(draw(st.lists(value, min_size=n, max_size=n))), index
+
+
+@settings(max_examples=300, deadline=None)
+@given(performances_and_index())
+def test_weights_sum_to_one_or_are_all_zero_and_equal_the_where_form(case):
+    performances, index = case
+    w = sub_classifier_weights(performances, index)
+    assert w.tobytes() == where_weights(performances, index).tobytes()
+    if (performances > index).any():
+        assert abs(float(w.sum()) - 1.0) <= 1e-12
+    else:
+        assert not w.any()
 
 
 # ----------------------------------------------------------------------
@@ -974,6 +1035,19 @@ def test_baseline_reset_step_evaluates_members_once(monkeypatch):
     approach.predict(x)
     approach.observe("T", Example(x, POS))
     assert marks == [3]
+    assert len(calls) == 3
+
+
+def test_baseline_reset_observe_evaluates_each_member_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    approach = BaselineApproach(small_config(ensemble_size=3), "T", True, rng)
+    for ex in alternating_stream(rng, 100, (0.0, 0.0), (3.0, 3.0)):
+        approach.observe("T", ex)
+    members = approach.ensemble.sub_classifiers
+    calls = count_tree_evaluations(monkeypatch)
+    approach.observe("T", Example(np.array([1.2, 1.7]), POS))
+    assert approach.ensemble.sub_classifiers is members
+    assert sorted(map(id, calls)) == sorted(map(id, members))
 
 
 # ----------------------------------------------------------------------
