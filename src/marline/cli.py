@@ -181,20 +181,34 @@ def _build_dataset(reader: _Reader):
     raise ConfigurationError(f"unknown dataset kind {kind!r}")
 
 
+# The most values a start:step:end grid axis may span; a longer range is a
+# usage error, found before any of its values is built.
+MAX_GRID_AXIS_VALUES = 10_000
+
+
 def _parse_grid_range(text: str) -> list[float]:
-    """Grid axis syntax: ``start:step:end`` (inclusive) or a comma list."""
+    """Grid axis syntax: ``start:step:end`` (inclusive, at most
+    ``MAX_GRID_AXIS_VALUES`` values) or a comma list. Raises only
+    ConfigurationError."""
     text = text.strip()
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(p) for p in text.split(",") if p.strip()]
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigurationError(f"grid range must be start:step:end, got {text!r}")
+            raise ValueError(f"grid range must be start:step:end, got {text!r}")
         start, step, end = (float(p) for p in parts)
         if step <= 0:
-            raise ConfigurationError("grid step must be positive")
+            raise ValueError("grid step must be positive")
         count = int(round((end - start) / step))
-        values = [round(start + i * step, 12) for i in range(count + 1)]
-        return [v for v in values if v <= end + 1e-12]
-    return [float(p) for p in text.split(",") if p.strip()]
+    except (ValueError, OverflowError) as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if count >= MAX_GRID_AXIS_VALUES:
+        raise ConfigurationError(
+            f"grid range spans {count + 1} values; at most {MAX_GRID_AXIS_VALUES} are allowed"
+        )
+    values = [round(start + i * step, 12) for i in range(count + 1)]
+    return [v for v in values if v <= end + 1e-12]
 
 
 def _build_grids(reader: _Reader) -> dict:
@@ -208,7 +222,7 @@ def _build_grids(reader: _Reader) -> dict:
                     if any(v != int(v) for v in values):
                         raise ValueError("ensemble sizes must be whole numbers")
                     values = [int(v) for v in values]
-            except (ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError, ConfigurationError) as exc:
                 raise ConfigurationError(f"bad [grid] {key}: {exc}") from exc
             grids[key] = values
     return grids

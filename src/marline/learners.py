@@ -18,13 +18,13 @@ from .core import (
     POS,
     ConfigurationError,
     Example,
-    argmax_label,
     check_dims,
 )
 
 _MIN_VARIANCE = 1e-12
 _MIN_SPLIT_GAIN = 1e-10
 _N_SPLIT_CANDIDATES = 10
+_TWO_PI = 2.0 * math.pi
 
 
 def hoeffding_bound(range_r: float, delta: float, n: float) -> float:
@@ -59,7 +59,8 @@ class HoeffdingTreeParams:
 
 
 class GaussianEstimator:
-    """Weighted incremental estimate of a single attribute's distribution."""
+    """Weighted incremental estimate of a single attribute's distribution
+    for one class at one leaf. ``_LeafNode.learn`` updates its fields."""
 
     __slots__ = ("weight_sum", "mean", "_m2", "min_value", "max_value")
 
@@ -70,38 +71,25 @@ class GaussianEstimator:
         self.min_value = math.inf
         self.max_value = -math.inf
 
-    def add(self, value: float, weight: float) -> None:
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-        self.weight_sum += weight
-        delta = value - self.mean
-        self.mean += weight * delta / self.weight_sum
-        self._m2 += weight * delta * (value - self.mean)
-
     @property
     def variance(self) -> float:
         if self.weight_sum <= 1.0:
             return 0.0
         return max(self._m2 / (self.weight_sum - 1.0), 0.0)
 
-    def cdf(self, value: float) -> float:
-        var = self.variance
-        if var <= 0.0:
-            return 1.0 if self.mean <= value else 0.0
-        return 0.5 * (1.0 + math.erf((value - self.mean) / math.sqrt(2.0 * var)))
 
-
-def _entropy(weights: list[float]) -> float:
-    total = sum(weights)
+def _entropy(neg: float, pos: float) -> float:
+    """Entropy in bits of two class weights."""
+    total = neg + pos
     if total <= 0.0:
         return 0.0
     h = 0.0
-    for w in weights:
-        if w > 0.0:
-            p = w / total
-            h -= p * math.log2(p)
+    if neg > 0.0:
+        p = neg / total
+        h -= p * math.log2(p)
+    if pos > 0.0:
+        p = pos / total
+        h -= p * math.log2(p)
     return h
 
 
@@ -120,7 +108,7 @@ def _class_terms(leaf: _LeafNode, label: int, total: float) -> tuple[float, list
         n = est.weight_sum
         # max(est.variance, _MIN_VARIANCE), inlined.
         var = max(est._m2 / (n - 1.0) if n > 1.0 else 0.0, _MIN_VARIANCE)
-        attributes.append((est.mean, -0.5 * math.log(2.0 * math.pi * var), 2.0 * var))
+        attributes.append((est.mean, -0.5 * math.log(_TWO_PI * var), 2.0 * var))
     return math.log(prior / total), attributes
 
 
@@ -235,24 +223,53 @@ class _LeafNode:
             if (POS if p_pos > p_neg else NEG) == label:
                 self.nb_correct_weight += weight
         weights[label] += weight
-        for value, per_class in zip(values, self.estimators):
-            per_class[label].add(value, weight)
         self._nb_memo = None
+        # One pass updates the label's estimators and, when the terms are
+        # kept, rebuilds its attribute terms as _class_terms does.
         terms = self._nb_terms
+        attributes = None if terms is None else []
+        for value, per_class in zip(values, self.estimators):
+            est = per_class[label]
+            if value < est.min_value:
+                est.min_value = value
+            if value > est.max_value:
+                est.max_value = value
+            n = est.weight_sum = est.weight_sum + weight
+            delta = value - est.mean
+            mean = est.mean = est.mean + weight * delta / n
+            m2 = est._m2 = est._m2 + weight * delta * (value - mean)
+            if attributes is not None:
+                var = m2 / (n - 1.0) if n > 1.0 else 0.0
+                if var < _MIN_VARIANCE:
+                    var = _MIN_VARIANCE
+                attributes.append((mean, -0.5 * math.log(_TWO_PI * var), 2.0 * var))
         if terms is not None:
-            # The other class keeps its attribute terms; both priors move.
+            # The label's prior is positive now; the other class keeps its
+            # attribute terms, and both priors move.
             total = weights[NEG] + weights[POS]
+            terms[label] = (math.log(weights[label] / total), attributes)
             other = POS if label == NEG else NEG
-            terms[label] = _class_terms(self, label, total)
             prior = weights[other]
             terms[other] = (math.log(prior / total) if prior > 0.0 else -math.inf, terms[other][1])
 
     def best_split_per_attribute(self) -> list[tuple[float, float]]:
         """For each attribute, (best info gain, threshold achieving it)."""
-        pre_entropy = _entropy(self.class_weights)
-        total = self.total_weight
+        weight_neg, weight_pos = self.class_weights
+        pre_entropy = _entropy(weight_neg, weight_pos)
+        total = weight_neg + weight_pos
         results: list[tuple[float, float]] = []
         for per_class in self.estimators:
+            # Per class with weight: its weight, mean and sqrt(2 var), or
+            # None where its variance is not positive and its cdf a step.
+            classes = []
+            for est in per_class:
+                if est.weight_sum > 0.0:
+                    var = est.variance
+                    classes.append(
+                        (est.weight_sum, est.mean, None if var <= 0.0 else math.sqrt(2.0 * var))
+                    )
+                else:
+                    classes.append(None)
             lo = min(est.min_value for est in per_class if est.weight_sum > 0.0)
             hi = max(est.max_value for est in per_class if est.weight_sum > 0.0)
             best_gain, best_threshold = 0.0, math.nan
@@ -261,18 +278,19 @@ class _LeafNode:
                 for i in range(1, _N_SPLIT_CANDIDATES + 1):
                     threshold = lo + i * step
                     left = [0.0, 0.0]
-                    for label in (NEG, POS):
-                        est = per_class[label]
-                        if est.weight_sum > 0.0:
-                            left[label] = est.weight_sum * est.cdf(threshold)
-                    right = [
-                        self.class_weights[NEG] - left[NEG],
-                        self.class_weights[POS] - left[POS],
-                    ]
-                    w_left, w_right = sum(left), sum(right)
+                    for label, stats in enumerate(classes):
+                        if stats is not None:
+                            weight, mean, scale = stats
+                            if scale is None:
+                                cdf = 1.0 if mean <= threshold else 0.0
+                            else:
+                                cdf = 0.5 * (1.0 + math.erf((threshold - mean) / scale))
+                            left[label] = weight * cdf
+                    left_neg, left_pos = left
+                    right_neg, right_pos = weight_neg - left_neg, weight_pos - left_pos
                     gain = pre_entropy - (
-                        w_left / total * _entropy(left)
-                        + w_right / total * _entropy(right)
+                        (left_neg + left_pos) / total * _entropy(left_neg, left_pos)
+                        + (right_neg + right_pos) / total * _entropy(right_neg, right_pos)
                     )
                     if gain > best_gain:
                         best_gain, best_threshold = gain, threshold
@@ -503,20 +521,27 @@ class OnlineBoosting(_EnsembleBase):
     def learn(self, values: list[float], label: int, rng: np.random.Generator) -> None:
         """:meth:`train` on a list of ``n_features`` floats. Unchecked."""
         self.trained_count += 1
+        # The sums are worked on as floats and written back as arrays.
+        correct_sums = self.lambda_correct.tolist()
+        wrong_sums = self.lambda_wrong.tolist()
+        low, high = self._EPS, 1.0 - self._EPS
         lam = 1.0
         for m, tree in enumerate(self.sub_classifiers):
             k = float(rng.poisson(lam))
             if k > 0.0:
                 tree.learn(values, label, k)
-            correct = argmax_label(tree.predict_pair(values)) == label
+            p_neg, p_pos = tree.predict_pair(values)
+            correct = (POS if p_pos > p_neg else NEG) == label
             if correct:
-                self.lambda_correct[m] += lam
+                correct_sums[m] += lam
             else:
-                self.lambda_wrong[m] += lam
-            total = self.lambda_correct[m] + self.lambda_wrong[m]
-            error = self.lambda_wrong[m] / total if total > 0.0 else 0.0
-            error = min(max(error, self._EPS), 1.0 - self._EPS)
+                wrong_sums[m] += lam
+            total = correct_sums[m] + wrong_sums[m]
+            error = wrong_sums[m] / total if total > 0.0 else 0.0
+            error = min(max(error, low), high)
             lam = lam / (2.0 * (1.0 - error)) if correct else lam / (2.0 * error)
+        self.lambda_correct = np.array(correct_sums)
+        self.lambda_wrong = np.array(wrong_sums)
 
 
 ENSEMBLES = {"bagging": OnlineBagging, "boosting": OnlineBoosting}

@@ -20,9 +20,9 @@ DEGENERACY_TOL = 1e-9
 class CentroidTracker:
     """Per-class feature centroids with exponential forgetting.
 
-    Each class keeps a decayed feature sum and a decayed normaliser; the first
-    example of a class sets the centroid directly. With forgetting factor 1
-    the centroid reduces to the arithmetic mean.
+    Each class keeps a decayed feature sum, a list of floats, and a decayed
+    normaliser; the first example of a class sets the centroid directly. With
+    forgetting factor 1 the centroid reduces to the arithmetic mean.
     """
 
     # Unset until first built; a class default, so that a tracker restored
@@ -36,20 +36,26 @@ class CentroidTracker:
             raise ConfigurationError("forgetting_factor must be in (0, 1]")
         self.n_features = n_features
         self.forgetting_factor = forgetting_factor
-        self.sum_c = [np.zeros(n_features), np.zeros(n_features)]
+        self.sum_c = [[0.0] * n_features, [0.0] * n_features]
         self.normalizer = [0.0, 0.0]
         self.seen = [False, False]
+
+    def __setstate__(self, state: dict) -> None:
+        # Trackers pickled before the sums were lists hold them as arrays.
+        state["sum_c"] = [s if isinstance(s, list) else s.tolist() for s in state["sum_c"]]
+        self.__dict__.update(state)
 
     def update(self, example: Example) -> None:
         check_dims(example.features, self.n_features, "CentroidTracker.update")
         label = example.label
+        values = example.features.tolist()
         if not self.seen[label]:
-            self.sum_c[label] = example.features.copy()
+            self.sum_c[label] = values
             self.normalizer[label] = 1.0
             self.seen[label] = True
         else:
             theta = self.forgetting_factor
-            self.sum_c[label] = theta * self.sum_c[label] + example.features
+            self.sum_c[label] = [theta * s + x for s, x in zip(self.sum_c[label], values)]
             self.normalizer[label] = theta * self.normalizer[label] + 1.0
         self._frame = None
 
@@ -58,7 +64,7 @@ class CentroidTracker:
             raise ValueError(f"unknown label {label!r}")
         if not self.seen[label]:
             return None
-        return self.sum_c[label] / self.normalizer[label]
+        return np.array(self.sum_c[label]) / self.normalizer[label]
 
     @property
     def both_classes_seen(self) -> bool:
@@ -76,9 +82,10 @@ class CentroidTracker:
         classes have been observed. Built on first use and dropped by
         :meth:`update`, so the same object is returned until then."""
         if self._frame is None and self.both_classes_seen:
-            sum_c, normalizer = self.sum_c, self.normalizer
-            c_pos = sum_c[POS] / normalizer[POS]
-            self._frame = ConceptFrame(c_pos - sum_c[NEG] / normalizer[NEG], c_pos)
+            n_neg, n_pos = self.normalizer
+            c_pos = [s / n_pos for s in self.sum_c[POS]]
+            vector = [c - s / n_neg for c, s in zip(c_pos, self.sum_c[NEG])]
+            self._frame = ConceptFrame(vector, c_pos)
         return self._frame
 
     def __getstate__(self) -> dict:
@@ -122,20 +129,21 @@ def _degenerate(src: ConceptFrame, tgt: ConceptFrame) -> bool:
 
 
 class ConceptFrame:
-    """Alignment terms of one concept: its concept vector, the vector's norm,
-    its unit vector and POS centroid as lists of floats. The terms never
-    change once built; a frame also remembers its reflections against the
-    last target frame it projected from."""
+    """Alignment terms of one concept, from its concept vector and POS
+    centroid given as lists of floats: the vector's norm, its unit vector and
+    the centroid. The terms never change once built; a frame also remembers
+    its reflections against the last target frame it projected from."""
 
     __slots__ = ("vector", "norm", "unit", "c_pos", "_memo")
 
-    def __init__(self, vector: np.ndarray, c_pos: np.ndarray | None = None) -> None:
+    def __init__(self, vector: list[float], c_pos: list[float] | None = None) -> None:
         self.vector = vector
         # The arithmetic of np.linalg.norm on a 1-D float vector, without
-        # its dispatch.
-        self.norm = math.sqrt(vector.dot(vector))
-        self.unit = [x / self.norm for x in vector.tolist()] if self.norm > 0.0 else None
-        self.c_pos = None if c_pos is None else c_pos.tolist()
+        # its dispatch: a sum of squares in Python rounds otherwise.
+        array = np.array(vector)
+        self.norm = math.sqrt(array.dot(array))
+        self.unit = [x / self.norm for x in vector] if self.norm > 0.0 else None
+        self.c_pos = c_pos
         self._memo: tuple[ConceptFrame | None, Reflections | None] = (None, None)
 
     def project(self, values: list[float], target: ConceptFrame) -> list[float]:
@@ -202,7 +210,7 @@ def align_frames(src: ConceptFrame, tgt: ConceptFrame) -> AlignMap:
     the same map without forming it.
     """
     if _degenerate(src, tgt):
-        return AlignMap(matrix=np.eye(src.vector.shape[0]), scale=1.0, degenerate=True)
+        return AlignMap(matrix=np.eye(len(src.vector)), scale=1.0, degenerate=True)
     scale = src.norm / tgt.norm
     u, v = np.array(src.unit), np.array(tgt.unit)
     w = u + v
@@ -222,7 +230,7 @@ def build_align_map(v_src: np.ndarray, v_tgt: np.ndarray) -> AlignMap:
         raise ValueError(
             f"vector shapes must match and be 1-D, got {v_src.shape} and {v_tgt.shape}"
         )
-    return align_frames(ConceptFrame(v_src), ConceptFrame(v_tgt))
+    return align_frames(ConceptFrame(v_src.tolist()), ConceptFrame(v_tgt.tolist()))
 
 
 def project_example(

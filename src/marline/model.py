@@ -213,8 +213,9 @@ class MarlineModel:
                 self.lambda_wrong.fill(0.0)
                 self.performance.fill(1.0)
 
-        pool.current.ensemble.learn(values, example.label, rng)
-        pool.current.tracker.update(example)
+        concept = pool.current
+        concept.ensemble.learn(values, example.label, rng)
+        concept.tracker.update(example)
 
         if stream_id == self.target_id:
             self._update_weights(values, example.label)

@@ -7,9 +7,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marline.cli import (
     EXIT_DATA,
@@ -226,6 +229,31 @@ def test_grid_range_parsing_matches_published_counts(tmp_path):
     assert len(sigmas) == 10
     sizes = _parse_grid_range("1:1:30")
     assert len(sizes) == 30
+    assert len(_parse_grid_range("0:1:9999")) == 10_000
+    with pytest.raises(ConfigurationError, match="spans 10001 values; at most 10000"):
+        _parse_grid_range("0:1:10000")
+
+
+grid_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, 1.0, 1e-9, 1e-12, 1e308, -1e308, 5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=grid_numbers, step=grid_numbers, end=grid_numbers)
+def test_any_grid_range_is_parsed_promptly_or_is_a_usage_error(start, step, end):
+    from marline.cli import MAX_GRID_AXIS_VALUES, _parse_grid_range
+
+    begin = time.perf_counter()
+    try:
+        values = _parse_grid_range(f"{start!r}:{step!r}:{end!r}")
+    except ConfigurationError:
+        pass
+    else:
+        assert len(values) <= MAX_GRID_AXIS_VALUES
+    assert time.perf_counter() - begin < 1.0
 
 
 @pytest.mark.parametrize(
@@ -236,6 +264,7 @@ def test_grid_range_parsing_matches_published_counts(tmp_path):
         ("ensemble_size=1:nan:3", "cannot convert float NaN to integer"),
         ("ensemble_size=inf", "cannot convert float infinity to integer"),
         ("ensemble_size=1.5,2", "ensemble sizes must be whole numbers"),
+        ("forgetting_factor=0:1e-9:1", "grid range spans 1000000001 values"),
     ],
 )
 def test_malformed_grid_axis_is_a_usage_error(tmp_path, capsys, axis, message):

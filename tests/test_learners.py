@@ -23,6 +23,7 @@ from marline.learners import (
     HoeffdingTreeParams,
     OnlineBagging,
     OnlineBoosting,
+    _class_terms,
     _LeafNode,
     hoeffding_bound,
     make_ensemble,
@@ -381,9 +382,14 @@ def leaf_pair(neg, pos):
     return leaf.naive_bayes_distribution([])
 
 
-def bits(pair):
-    """``pair`` exactly: the sign of a zero counts, and NaN equals NaN."""
-    return [x.hex() for x in pair]
+def exact(obj):
+    """``obj`` with every float as its hex string, so that equality is
+    bit-for-bit: the sign of a zero counts, and NaN equals NaN."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return [exact(x) for x in obj]
+    return obj
 
 
 # A class logit is a log prior (at most 0, or -inf for a class without
@@ -413,7 +419,7 @@ def logit_pairs(draw):
 @settings(max_examples=500, deadline=None)
 @given(logit_pairs())
 def test_one_exp_naive_bayes_pair_equals_the_two_exp_form(case):
-    assert bits(leaf_pair(*case)) == bits(two_exp_pair(*case))
+    assert exact(leaf_pair(*case)) == exact(two_exp_pair(*case))
 
 
 @pytest.mark.parametrize(
@@ -435,7 +441,7 @@ def test_one_exp_naive_bayes_pair_equals_the_two_exp_form(case):
     ],
 )
 def test_one_exp_naive_bayes_pair_on_ties_infinities_underflow_and_nan(neg, pos):
-    assert bits(leaf_pair(neg, pos)) == bits(two_exp_pair(neg, pos))
+    assert exact(leaf_pair(neg, pos)) == exact(two_exp_pair(neg, pos))
 
 
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
@@ -518,6 +524,167 @@ def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
             b.nb_correct_weight,
         )
         assert tree.predict_pair(values) == plain.predict_pair(values)
+
+
+def leaf_statistics(leaf):
+    """The class weights, every estimator's fields and the naive-Bayes terms
+    of ``leaf``."""
+    estimators = [
+        [(e.weight_sum, e.mean, e._m2, e.min_value, e.max_value) for e in per_class]
+        for per_class in leaf.estimators
+    ]
+    return exact([leaf.class_weights, estimators, leaf._nb_terms])
+
+
+def reference_add(est, value, weight):
+    """A weighted value into one estimator, as ``GaussianEstimator.add`` did
+    before leaves updated their estimators inline."""
+    if value < est.min_value:
+        est.min_value = value
+    if value > est.max_value:
+        est.max_value = value
+    est.weight_sum += weight
+    delta = value - est.mean
+    est.mean += weight * delta / est.weight_sum
+    est._m2 += weight * delta * (value - est.mean)
+
+
+def reference_leaf_learn(leaf, values, label, weight):
+    """The statistics and terms update of ``_LeafNode.learn`` as it was: one
+    ``reference_add`` per attribute, then the label's terms rebuilt by
+    ``_class_terms`` and the other class's prior recomputed."""
+    weights = leaf.class_weights
+    weights[label] += weight
+    for value, per_class in zip(values, leaf.estimators):
+        reference_add(per_class[label], value, weight)
+    terms = leaf._nb_terms
+    if terms is not None:
+        total = weights[NEG] + weights[POS]
+        other = POS if label == NEG else NEG
+        terms[label] = _class_terms(leaf, label, total)
+        prior = weights[other]
+        terms[other] = (math.log(prior / total) if prior > 0.0 else -math.inf, terms[other][1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(learning_sequences())
+def test_leaf_learn_equals_estimator_adds_and_a_term_rebuild(case):
+    d, examples = case
+    leaf, reference = _LeafNode(d), _LeafNode(d)
+    for values, label, weight, probe in examples:
+        if probe:
+            # Builds the terms, which from then on learn keeps current.
+            leaf.naive_bayes_distribution(values)
+            reference.naive_bayes_distribution(values)
+        leaf.learn(values, label, weight, False)
+        reference_leaf_learn(reference, values, label, weight)
+        assert leaf_statistics(leaf) == leaf_statistics(reference)
+
+
+def reference_cdf(est, value):
+    """``GaussianEstimator.cdf`` as it was: the variance and its square root
+    recomputed for every threshold."""
+    var = est.variance
+    if var <= 0.0:
+        return 1.0 if est.mean <= value else 0.0
+    return 0.5 * (1.0 + math.erf((value - est.mean) / math.sqrt(2.0 * var)))
+
+
+def reference_entropy(weights):
+    total = sum(weights)
+    if total <= 0.0:
+        return 0.0
+    h = 0.0
+    for w in weights:
+        if w > 0.0:
+            p = w / total
+            h -= p * math.log2(p)
+    return h
+
+
+def reference_best_split(leaf):
+    """``best_split_per_attribute`` as it was, through ``reference_cdf``."""
+    pre_entropy = reference_entropy(leaf.class_weights)
+    total = leaf.total_weight
+    results = []
+    for per_class in leaf.estimators:
+        lo = min(est.min_value for est in per_class if est.weight_sum > 0.0)
+        hi = max(est.max_value for est in per_class if est.weight_sum > 0.0)
+        best_gain, best_threshold = 0.0, math.nan
+        if hi > lo:
+            step = (hi - lo) / 11
+            for i in range(1, 11):
+                threshold = lo + i * step
+                left = [0.0, 0.0]
+                for label in (NEG, POS):
+                    est = per_class[label]
+                    if est.weight_sum > 0.0:
+                        left[label] = est.weight_sum * reference_cdf(est, threshold)
+                right = [leaf.class_weights[NEG] - left[NEG], leaf.class_weights[POS] - left[POS]]
+                w_left, w_right = sum(left), sum(right)
+                gain = pre_entropy - (
+                    w_left / total * reference_entropy(left)
+                    + w_right / total * reference_entropy(right)
+                )
+                if gain > best_gain:
+                    best_gain, best_threshold = gain, threshold
+        results.append((best_gain, best_threshold))
+    return results
+
+
+@st.composite
+def split_leaves(draw):
+    """Leaves as a split attempt reads them. Each class has a weight, none
+    for some; each attribute and class with weight a value range, the same
+    single value for both classes on some attributes, a mean in it or on a
+    candidate threshold, and an m2 that leaves the variance at 0 on some. A
+    weight of at most 1 has no variance either."""
+    d = draw(st.integers(1, 3))
+    leaf = _LeafNode(d)
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 1.0), st.floats(1.0, 500.0))
+    weights = [draw(weight), draw(weight)]
+    if weights == [0.0, 0.0]:
+        weights[draw(st.sampled_from([NEG, POS]))] = 1.5
+    leaf.class_weights = weights
+    value = st.floats(-100.0, 100.0)
+    m2 = st.one_of(st.just(0.0), st.floats(-1.0, 0.0), st.floats(0.0, 1e4))
+    for per_class in leaf.estimators:
+        single = draw(st.one_of(st.none(), value))
+        for label, est in enumerate(per_class):
+            if weights[label] == 0.0:
+                continue
+            if single is None:
+                lo, hi = sorted([draw(value), draw(value)])
+            else:
+                lo = hi = single
+            est.weight_sum = weights[label]
+            est.min_value, est.max_value = lo, hi
+            # A range of +0.0 and -0.0 holds no float that hypothesis draws.
+            est.mean = draw(st.floats(lo, hi)) if lo < hi else lo
+            est._m2 = draw(m2)
+        seen = [est for est in per_class if est.weight_sum > 0.0]
+        lo = min(est.min_value for est in seen)
+        step = (max(est.max_value for est in seen) - lo) / 11
+        for est in seen:
+            if draw(st.booleans()):
+                est.mean = lo + draw(st.integers(1, 10)) * step
+    return leaf
+
+
+@settings(max_examples=500, deadline=None)
+@given(split_leaves())
+def test_split_candidates_equal_the_cdf_form(leaf):
+    assert exact(leaf.best_split_per_attribute()) == exact(reference_best_split(leaf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(learning_sequences())
+def test_split_candidates_of_learnt_leaves_equal_the_cdf_form(case):
+    d, examples = case
+    leaf = _LeafNode(d)
+    for values, label, weight, _ in examples:
+        leaf.learn(values, label, weight, False)
+        assert exact(leaf.best_split_per_attribute()) == exact(reference_best_split(leaf))
 
 
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
@@ -633,6 +800,55 @@ def test_boosting_accumulators_stay_nonnegative_and_learn():
     holdout = gaussian_stream(rng, 500, np.array([0.0, 0.0]), np.array([3.0, 3.0]))
     accuracy = np.mean([argmax_label(boost.predict(ex.features)) == ex.label for ex in holdout])
     assert accuracy >= 0.9
+
+
+def reference_boosting_learn(ens, values, label, rng):
+    """``OnlineBoosting.learn`` as it was, on the numpy scalars of the
+    lambda arrays, updated in place."""
+    ens.trained_count += 1
+    lam = 1.0
+    for m, tree in enumerate(ens.sub_classifiers):
+        k = float(rng.poisson(lam))
+        if k > 0.0:
+            tree.learn(values, label, k)
+        correct = argmax_label(tree.predict_pair(values)) == label
+        if correct:
+            ens.lambda_correct[m] += lam
+        else:
+            ens.lambda_wrong[m] += lam
+        total = ens.lambda_correct[m] + ens.lambda_wrong[m]
+        error = ens.lambda_wrong[m] / total if total > 0.0 else 0.0
+        error = min(max(error, ens._EPS), 1.0 - ens._EPS)
+        lam = lam / (2.0 * (1.0 - error)) if correct else lam / (2.0 * error)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 6),
+    leaf_prediction=st.sampled_from(["nb_adaptive", "majority"]),
+    separation=st.floats(0.0, 4.0),
+)
+def test_boosting_in_floats_equals_the_numpy_scalar_loop(seed, size, leaf_prediction, separation):
+    params = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5, leaf_prediction=leaf_prediction)
+    ens, reference = (OnlineBoosting(2, size, params) for _ in range(2))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = gaussian_stream(
+        np.random.default_rng(seed + 1), 120, np.zeros(2), np.full(2, separation)
+    )
+    for ex in stream:
+        values = ex.features.tolist()
+        ens.learn(values, ex.label, rng)
+        reference_boosting_learn(reference, values, ex.label, reference_rng)
+        for got, want in ((ens.lambda_correct, reference.lambda_correct),
+                          (ens.lambda_wrong, reference.lambda_wrong)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert exact(ens.member_pairs(values)) == exact(reference.member_pairs(values))
+    assert ens.trained_count == reference.trained_count
+    assert [t.n_splits for t in ens.sub_classifiers] == [
+        t.n_splits for t in reference.sub_classifiers
+    ]
 
 
 def test_make_ensemble_dispatches_kinds():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,82 @@ def test_tracker_rejects_dimension_mismatch():
     tracker = CentroidTracker(n_features=2, forgetting_factor=1.0)
     with pytest.raises(DimensionMismatchError):
         tracker.update(Example(np.array([1.0, 2.0, 3.0]), NEG))
+
+
+class ArrayTracker:
+    """``CentroidTracker`` as it was, with each decayed sum a numpy array."""
+
+    def __init__(self, n_features, theta):
+        self.theta = theta
+        self.sum_c = [np.zeros(n_features), np.zeros(n_features)]
+        self.normalizer = [0.0, 0.0]
+        self.seen = [False, False]
+
+    def update(self, features, label):
+        if not self.seen[label]:
+            self.sum_c[label] = features.copy()
+            self.normalizer[label] = 1.0
+            self.seen[label] = True
+        else:
+            self.sum_c[label] = self.theta * self.sum_c[label] + features
+            self.normalizer[label] = self.theta * self.normalizer[label] + 1.0
+
+    def centroid(self, label):
+        return self.sum_c[label] / self.normalizer[label]
+
+    def frame_terms(self):
+        """The vector, norm, unit vector and POS centroid of the frame, as
+        the frame was built from arrays."""
+        c_pos = self.sum_c[POS] / self.normalizer[POS]
+        vector = c_pos - self.sum_c[NEG] / self.normalizer[NEG]
+        norm = math.sqrt(vector.dot(vector))
+        unit = [x / norm for x in vector.tolist()] if norm > 0.0 else None
+        return vector.tolist(), norm, unit, c_pos.tolist()
+
+
+def hexed(values):
+    return None if values is None else [float(x).hex() for x in values]
+
+
+@st.composite
+def tracker_sequences(draw):
+    d = draw(st.integers(1, 4))
+    theta = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    value = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300), st.just(-0.0))
+    examples = draw(
+        st.lists(
+            st.tuples(st.lists(value, min_size=d, max_size=d), st.sampled_from([NEG, POS])),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return d, theta, examples
+
+
+@settings(max_examples=200, deadline=None)
+@given(tracker_sequences())
+def test_tracker_in_floats_equals_the_array_form(case):
+    d, theta, examples = case
+    tracker, reference = CentroidTracker(d, theta), ArrayTracker(d, theta)
+    for values, label in examples:
+        features = np.array(values)
+        tracker.update(Example(features, label))
+        reference.update(features, label)
+        for c in (NEG, POS):
+            assert hexed(tracker.sum_c[c]) == hexed(reference.sum_c[c])
+            assert tracker.normalizer[c] == reference.normalizer[c]
+            if tracker.seen[c]:
+                assert tracker.centroid(c).tobytes() == reference.centroid(c).tobytes()
+        frame = tracker.frame()
+        if frame is None:
+            assert not all(reference.seen)
+            continue
+        vector, norm, unit, c_pos = reference.frame_terms()
+        assert hexed(frame.vector) == hexed(vector)
+        assert norm.hex() == frame.norm.hex()
+        assert hexed(frame.unit) == hexed(unit)
+        assert hexed(frame.c_pos) == hexed(c_pos)
+        assert tracker.concept_vector().tobytes() == np.array(vector).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +427,8 @@ def alignment_cases(draw):
 @given(alignment_cases())
 def test_reflections_match_the_matrix_form(case):
     v_src, v_tgt, c_src, c_tgt, x = case
-    src, tgt = ConceptFrame(v_src, c_src), ConceptFrame(v_tgt, c_tgt)
+    src = ConceptFrame(v_src.tolist(), c_src.tolist())
+    tgt = ConceptFrame(v_tgt.tolist(), c_tgt.tolist())
     amap = build_align_map(v_src, v_tgt)
     project = Reflections(src, tgt).apply
     if amap.degenerate:

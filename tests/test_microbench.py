@@ -1,7 +1,8 @@
 """Microbenchmarks of the per-step projection, centroid update and frame,
-member prediction, bagging training, test-then-train pair (on examples and
-on lists), performance update, voting weights, drift detector update,
-source observe and weighting step, and the cost model of acceptance 7.
+member prediction, tree learning, bagging and boosting training, split
+candidates, test-then-train pair (on examples and on lists), performance
+update, voting weights, drift detector update, source observe and weighting
+step, and the cost model of acceptance 7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``.
@@ -17,7 +18,7 @@ import pytest
 
 from marline.core import Example
 from marline.drift import DriftStatus, HddmA
-from marline.learners import HoeffdingTreeParams, make_ensemble
+from marline.learners import HoeffdingTree, HoeffdingTreeParams, make_ensemble
 from marline.mapping import CentroidTracker, ConceptFrame
 from marline.model import (
     EPS_CLAMP,
@@ -34,8 +35,8 @@ def frames(d: int):
     """A source frame, two equal target frames that are distinct objects,
     and a point, all of dimension ``d``."""
     rng = np.random.default_rng(d)
-    source = ConceptFrame(rng.standard_normal(d), rng.standard_normal(d))
-    v_tgt, c_tgt = rng.standard_normal(d), rng.standard_normal(d)
+    source = ConceptFrame(rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist())
+    v_tgt, c_tgt = rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist()
     targets = [ConceptFrame(v_tgt, c_tgt), ConceptFrame(v_tgt, c_tgt)]
     return source, targets, rng.standard_normal(d).tolist()
 
@@ -106,6 +107,47 @@ def test_bagging_train(benchmark):
     next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
     benchmark(lambda: ensemble.train(next_example(), rng))
     assert ensemble.trained_count > 300
+
+
+@pytest.mark.parametrize("leaf_prediction", ["nb_adaptive", "majority"])
+def test_tree_learn(benchmark, leaf_prediction):
+    # One weighted example into a tree warmed on 300 examples, whose leaves
+    # keep their naive-Bayes terms current.
+    rng = np.random.default_rng(7)
+    tree = HoeffdingTree(2, HoeffdingTreeParams(leaf_prediction=leaf_prediction))
+    examples = [gaussian_example(rng, t) for t in range(1000)]
+    for example in examples[:300]:
+        tree.learn(example.features.tolist(), example.label, 1.0)
+        tree.predict_pair(example.features.tolist())
+    next_pair = itertools.cycle([(ex.features.tolist(), ex.label) for ex in examples]).__next__
+
+    def step():
+        values, label = next_pair()
+        tree.learn(values, label, 1.0)
+
+    benchmark(step)
+    assert tree.n_learned > 300
+
+
+def test_boosting_learn(benchmark):
+    rng = np.random.default_rng(7)
+    ensemble = warmed_ensemble("boosting", rng)
+    examples = [gaussian_example(rng, t) for t in range(1000)]
+    next_pair = itertools.cycle([(ex.features.tolist(), ex.label) for ex in examples]).__next__
+    benchmark(lambda: ensemble.learn(*next_pair(), rng))
+    assert ensemble.trained_count > 300
+
+
+def test_best_split_per_attribute(benchmark):
+    # The split candidates of a leaf that has seen 200 examples of two
+    # overlapping classes on two features.
+    rng = np.random.default_rng(7)
+    tree = HoeffdingTree(2, HoeffdingTreeParams(grace_period=10_000))
+    for t in range(200):
+        example = gaussian_example(rng, t)
+        tree.learn(example.features.tolist(), example.label, 1.0)
+    candidates = benchmark(tree._root.best_split_per_attribute)
+    assert len(candidates) == 2 and candidates[0][0] > 0.0
 
 
 def test_test_then_train_pair(benchmark):

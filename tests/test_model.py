@@ -23,7 +23,7 @@ from marline.core import (
 from marline.drift import DriftStatus
 from marline.evaluation import BaselineApproach
 from marline.learners import HoeffdingTree, _LeafNode
-from marline.mapping import ConceptFrame, Reflections
+from marline.mapping import CentroidTracker, ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
     MarlineConfig,
@@ -679,8 +679,10 @@ def reference_projection(features, concept, is_current_target, target_tracker):
     v_src = concept.tracker.concept_vector()
     if v_src is None:
         return values
-    source = ConceptFrame(v_src, concept.tracker.centroid(POS))
-    target = ConceptFrame(target_tracker.concept_vector(), target_tracker.centroid(POS))
+    source = ConceptFrame(v_src.tolist(), concept.tracker.centroid(POS).tolist())
+    target = ConceptFrame(
+        target_tracker.concept_vector().tolist(), target_tracker.centroid(POS).tolist()
+    )
     return Reflections(source, target).apply(values)
 
 
@@ -935,6 +937,57 @@ def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
             m.observe("T", ex, r)
         for p in probes[:5]:
             assert np.array_equal(model.predict(p).scores, restored.predict(p).scores)
+
+
+def test_snapshot_restores_trackers_pickled_with_array_sums(tmp_path):
+    # Trackers used to keep each decayed feature sum as a numpy array. Such
+    # a version-3 snapshot still loads with list sums, predicts the same, and
+    # goes on learning as the model it was saved from.
+    import copyreg
+    import pickle
+
+    rng = np.random.default_rng(24)
+    model = MarlineModel(small_config(ensemble_size=3))
+    for ex in alternating_stream(rng, 150, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    probes = np.random.default_rng(25).standard_normal((30, 2)) * 2 + 1.5
+    before = [model.predict(p) for p in probes]
+
+    reduced = []
+
+    class ArraySums(pickle.Pickler):
+        def reducer_override(self, obj):
+            if not isinstance(obj, CentroidTracker):
+                return NotImplemented
+            state = {k: v for k, v in vars(obj).items() if k != "_frame"}
+            state["sum_c"] = [np.array(s) for s in obj.sum_c]
+            reduced.append(obj)
+            return copyreg.__newobj__, (CentroidTracker,), state
+
+    path = tmp_path / "model.bin"
+    with open(path, "wb") as fh:
+        ArraySums(fh).dump({"format": "marline-model", "version": 3, "model": model})
+    assert len(reduced) == len(model.concepts) == 2
+    restored = MarlineModel.load(str(path))
+    for original, concept in zip(model.concepts, restored.concepts):
+        sums = concept.tracker.sum_c
+        assert all(type(s) is list and all(type(x) is float for x in s) for s in sums)
+        assert sums == original.tracker.sum_c
+    for p, a in zip(probes, before):
+        b = restored.predict(p)
+        assert a.label == b.label
+        assert np.array_equal(a.scores, b.scores)
+    restored_rng = copy.deepcopy(rng)
+    for ex in alternating_stream(np.random.default_rng(26), 40, (0.0, 0.0), (3.0, 3.0)):
+        for m, r in ((model, rng), (restored, restored_rng)):
+            m.observe("S1", ex, r)
+            m.observe("T", ex, r)
+        for p in probes[:5]:
+            assert np.array_equal(model.predict(p).scores, restored.predict(p).scores)
+    for original, concept in zip(model.concepts, restored.concepts):
+        assert concept.tracker.sum_c == original.tracker.sum_c
+    assert np.array_equal(model.performance, restored.performance)
 
 
 def test_snapshot_rejects_version_one(tmp_path):
