@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ConfigurationError, Example, argmax_label, check_dims
 from .drift import DriftStatus, make_detector
-from .learners import make_ensemble
+from .learners import make_ensemble, mean_pair
 from .model import MarlineConfig, MarlineModel
 from .streams import (
     CsvDataset,
@@ -148,12 +148,15 @@ class BaselineApproach:
             return
         check_dims(example.features, self.config.n_features, "BaselineApproach.observe")
         values = example.features.tolist()
+        pairs = None
         if self.detector is not None:
-            correct = argmax_label(self.ensemble.vote(values)) == example.label
+            pairs = self.ensemble.memo_pairs(values)
+            correct = argmax_label(mean_pair(pairs)) == example.label
             if self.detector.update(correct) is DriftStatus.DRIFT:
                 self.ensemble = self._fresh_ensemble()
                 self.detector.reset()
-        self.ensemble.learn(values, example.label, self.rng)
+                pairs = None
+        self.ensemble.learn(values, example.label, self.rng, pairs)
 
     def source_weight_ratio(self) -> float | None:
         return None

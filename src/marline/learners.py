@@ -26,6 +26,8 @@ _MIN_SPLIT_GAIN = 1e-10
 _N_SPLIT_CANDIDATES = 10
 _TWO_PI = 2.0 * math.pi
 
+Pair = tuple[float, float]  # (p_neg, p_pos)
+
 
 def hoeffding_bound(range_r: float, delta: float, n: float) -> float:
     """Confidence radius sqrt(R^2 ln(1/delta) / (2n)) for n observations."""
@@ -116,9 +118,8 @@ class _LeafNode:
     """Growing leaf holding class counts and per-attribute Gaussian stats.
 
     Its naive-Bayes terms are built on first use and then kept current by
-    ``learn``. Its last naive-Bayes evaluation is memoised for ``learn``'s
-    nb-adaptive check, which in a test-then-train step sees the values that
-    the prediction before it has just evaluated. Snapshots store neither.
+    ``learn``; its majority pair is built on first use and dropped by
+    ``learn``. Snapshots store neither.
     """
 
     __slots__ = (
@@ -128,9 +129,9 @@ class _LeafNode:
         "mc_correct_weight",
         "nb_correct_weight",
         "_nb_terms",
-        "_nb_memo",
+        "_majority",
     )
-    _CACHES = ("_nb_terms", "_nb_memo")
+    _CACHES = ("_nb_terms", "_majority")
 
     def __init__(self, n_features: int) -> None:
         self.class_weights = [0.0, 0.0]
@@ -141,7 +142,7 @@ class _LeafNode:
         self.mc_correct_weight = 0.0
         self.nb_correct_weight = 0.0
         self._nb_terms: list | None = None
-        self._nb_memo: tuple[list[float], tuple[float, float]] | None = None
+        self._majority: Pair | None = None
 
     def __getstate__(self) -> dict:
         return {
@@ -156,20 +157,19 @@ class _LeafNode:
         if isinstance(state, tuple):
             state = state[1]
         for name in self.__slots__:
-            if name not in self._CACHES:
-                setattr(self, name, state[name])
-        self._nb_terms = None
-        self._nb_memo = None
+            setattr(self, name, None if name in self._CACHES else state[name])
 
     @property
     def total_weight(self) -> float:
         return self.class_weights[NEG] + self.class_weights[POS]
 
-    def majority_distribution(self) -> tuple[float, float]:
-        total = self.total_weight
-        if total <= 0.0:
-            return (0.5, 0.5)
-        return (self.class_weights[NEG] / total, self.class_weights[POS] / total)
+    def majority_distribution(self) -> Pair:
+        pair = self._majority
+        if pair is None:
+            neg, pos = self.class_weights
+            total = neg + pos
+            pair = self._majority = (0.5, 0.5) if total <= 0.0 else (neg / total, pos / total)
+        return pair
 
     def _naive_bayes_terms(self) -> list[tuple[float, list]]:
         """Per class, its log prior and its attribute terms."""
@@ -193,37 +193,33 @@ class _LeafNode:
         # after a -inf one give (0.5, 0.5), any other NaN gives NaNs.
         if pos > neg:
             r = math.exp(neg - pos)
-            pair = (r / (r + 1.0), 1.0 / (r + 1.0))
-        elif neg > pos:
+            return (r / (r + 1.0), 1.0 / (r + 1.0))
+        if neg > pos:
             r = math.exp(pos - neg)
-            pair = (1.0 / (1.0 + r), r / (1.0 + r))
-        elif neg == pos or neg == -math.inf:
-            pair = (0.5, 0.5)
-        else:
-            pair = (math.nan, math.nan)
-        self._nb_memo = (values, pair)
-        return pair
+            return (1.0 / (1.0 + r), r / (1.0 + r))
+        if neg == pos or neg == -math.inf:
+            return (0.5, 0.5)
+        return (math.nan, math.nan)
 
-    def learn(self, values: list[float], label: int, weight: float, nb_adaptive: bool) -> None:
+    def learn(
+        self, values: list[float], label: int, weight: float, nb_adaptive: bool, pair=None
+    ) -> None:
+        """Absorb one weighted example. A ``pair`` that the tree predicted at
+        ``values`` in this state stands in for naive Bayes where it was that."""
         weights = self.class_weights
         # Track which leaf predictor is doing better, judged before absorbing
         # the example it is judged on. Only nb_adaptive leaves read the result.
         if nb_adaptive:
-            total = weights[NEG] + weights[POS]
-            majority = POS if total > 0.0 and weights[POS] / total > weights[NEG] / total else NEG
-            if majority == label:
+            if pair is None or self.mc_correct_weight > self.nb_correct_weight:
+                pair = self.naive_bayes_distribution(values)
+            p_neg, p_pos = self.majority_distribution()
+            if (POS if p_pos > p_neg else NEG) == label:
                 self.mc_correct_weight += weight
-            # Equal values route and evaluate alike (+0.0 and -0.0 included),
-            # so the memo is keyed on list equality.
-            memo = self._nb_memo
-            if memo is not None and memo[0] == values:
-                p_neg, p_pos = memo[1]
-            else:
-                p_neg, p_pos = self.naive_bayes_distribution(values)
+            p_neg, p_pos = pair
             if (POS if p_pos > p_neg else NEG) == label:
                 self.nb_correct_weight += weight
         weights[label] += weight
-        self._nb_memo = None
+        self._majority = None
         # One pass updates the label's estimators and, when the terms are
         # kept, rebuilds its attribute terms as _class_terms does.
         terms = self._nb_terms
@@ -340,9 +336,11 @@ class HoeffdingTree:
             return
         self.learn(example.features.tolist(), example.label, weight)
 
-    def learn(self, values: list[float], label: int, weight: float) -> None:
-        """Absorb one example given as a list of ``n_features`` floats, with
-        a positive weight; may grow the tree. Unchecked: callers check."""
+    def learn(
+        self, values: list[float], label: int, weight: float, pair: Pair | None = None
+    ) -> None:
+        """Absorb a list of ``n_features`` floats with a positive weight, given
+        :meth:`predict_pair` at it if known; may grow the tree. Unchecked."""
         parent: _SplitNode | None = None
         went_left = False
         node = self._root
@@ -351,7 +349,7 @@ class HoeffdingTree:
             went_left = values[node.attribute] <= node.threshold
             node = node.left if went_left else node.right
         params = self.params
-        node.learn(values, label, weight, params.leaf_prediction == "nb_adaptive")
+        node.learn(values, label, weight, params.leaf_prediction == "nb_adaptive", pair)
         self.n_learned += 1
         total = node.class_weights[NEG] + node.class_weights[POS]
         if total - node.weight_at_last_attempt >= params.grace_period:
@@ -378,13 +376,13 @@ class HoeffdingTree:
                 parent.right = split
             self.n_splits += 1
 
-    def predict_pair(self, values: list[float]) -> tuple[float, float]:
+    def predict_pair(self, values: list[float]) -> Pair:
         """``(p_neg, p_pos)`` at the leaf a list of ``n_features`` floats routes to."""
         node = self._root
         while node.__class__ is _SplitNode:
             node = node.left if values[node.attribute] <= node.threshold else node.right
         if self.params.leaf_prediction == "majority" or node.mc_correct_weight > node.nb_correct_weight:
-            return node.majority_distribution()
+            return node._majority or node.majority_distribution()
         return node.naive_bayes_distribution(values)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -398,21 +396,19 @@ class _EnsembleBase:
     """Shared plumbing for the fixed-size online ensembles.
 
     An ensemble takes a list of floats both ways and hands it to every
-    member: :meth:`vote` and each ensemble's ``learn(values, label, rng)``.
-    :meth:`predict` and :meth:`train` are their checked wrappers for arrays
-    and examples. A member pass is :meth:`member_pairs`, a list of the
-    members' float pairs, which the model's vote and weight update call;
-    :meth:`member_distributions` is its array view. The last pass is
-    memoised. Its one reader is :meth:`vote`, and so ``predict``, which in a
-    test-then-train step repeats the pass just made at the same values: the
-    target's drift check after the model's vote, the vote's fallback, and
-    the baseline's reset check after its prediction. ``member_pairs``
-    always makes a fresh pass. The memo is keyed on the values, the member
-    trees and each tree's count of learnt examples, so training or replacing
-    a member by any route drops it. Snapshots do not store it.
+    member: :meth:`vote` and each ensemble's ``learn(values, label, rng,
+    pairs)``. :meth:`predict` and :meth:`train` are their checked wrappers
+    for arrays and examples. A member pass is :meth:`member_pairs`, a list
+    of the members' float pairs; :meth:`member_distributions` is its array
+    view. :meth:`memo_pairs`, which :meth:`vote` goes through, memoises its
+    pass, so that a target's drift check reuses the pass of the prediction
+    before it and hands those pairs to ``learn``. The memo is keyed on the
+    values, the member trees and each tree's count of learnt examples, so
+    training or replacing a member by any route drops it. Snapshots do not
+    store it.
     """
 
-    _memo: tuple[list[float], tuple, list[tuple[float, float]]] | None = None
+    _memo: tuple[list[float], tuple, list[Pair]] | None = None
 
     def __init__(
         self,
@@ -445,35 +441,30 @@ class _EnsembleBase:
         state.pop("_memo", None)
         return state
 
-    def _members_key(self) -> tuple:
-        members = self.sub_classifiers
-        return tuple(members), [tree.n_learned for tree in members]
-
-    def member_pairs(self, values: list[float]) -> list[tuple[float, float]]:
+    def member_pairs(self, values: list[float]) -> list[Pair]:
         """``(p_neg, p_pos)`` of each of the k members, in member order, at a
-        list of ``n_features`` floats. Always a fresh pass; it writes the memo."""
-        pairs = [tree.predict_pair(values) for tree in self.sub_classifiers]
-        self._memo = (values, self._members_key(), pairs)
+        list of ``n_features`` floats."""
+        return [tree.predict_pair(values) for tree in self.sub_classifiers]
+
+    def memo_pairs(self, values: list[float]) -> list[Pair]:
+        """:meth:`member_pairs`, reused while the values (+0.0 and -0.0 alike),
+        the members and their counts of learnt examples stay equal."""
+        memo, members = self._memo, self.sub_classifiers
+        key = tuple(members), [tree.n_learned for tree in members]
+        if memo is not None and memo[0] == values and memo[1] == key:
+            return memo[2]
+        pairs = self.member_pairs(values)
+        self._memo = (values, key, pairs)
         return pairs
 
     def member_distributions(self, values: list[float]) -> np.ndarray:
         """:meth:`member_pairs` as a ``(k, 2)`` array."""
         return np.array(self.member_pairs(values))
 
-    def vote(self, values: list[float]) -> tuple[float, float]:
+    def vote(self, values: list[float]) -> Pair:
         """Unweighted mean ``(p_neg, p_pos)`` of the members' class
         distributions at a list of ``n_features`` floats. Unchecked."""
-        memo = self._memo
-        if memo is not None and memo[0] == values and memo[1] == self._members_key():
-            pairs = memo[2]
-        else:
-            pairs = self.member_pairs(values)
-        neg = pos = 0.0
-        for p_neg, p_pos in pairs:
-            neg += p_neg
-            pos += p_pos
-        k = len(self.sub_classifiers)
-        return neg / k, pos / k
+        return mean_pair(self.memo_pairs(values))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Unweighted mean of the members' class distributions."""
@@ -487,18 +478,32 @@ class _EnsembleBase:
         self.learn(example.features.tolist(), example.label, rng)
 
 
+def mean_pair(pairs: list[Pair]) -> Pair:
+    """Unweighted mean of a member pass."""
+    neg = pos = 0.0
+    for p_neg, p_pos in pairs:
+        neg += p_neg
+        pos += p_pos
+    k = len(pairs)
+    return neg / k, pos / k
+
+
 class OnlineBagging(_EnsembleBase):
     """Online bagging: each member trains with an independent Poisson(1) weight."""
 
-    def learn(self, values: list[float], label: int, rng: np.random.Generator) -> None:
-        """:meth:`train` on a list of ``n_features`` floats. Unchecked."""
+    def learn(
+        self, values: list[float], label: int, rng: np.random.Generator, pairs: list | None = None
+    ) -> None:
+        """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
+        if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
         members = self.sub_classifiers
         # One batch of k draws: the same weights, in member order, as k
         # scalar draws, and the generator is left in the same state.
-        for tree, k in zip(members, rng.poisson(1.0, len(members)).tolist()):
+        draws = rng.poisson(1.0, len(members)).tolist()
+        for tree, k, pair in zip(members, draws, pairs or [None] * len(draws)):
             if k > 0:
-                tree.learn(values, label, float(k))
+                tree.learn(values, label, float(k), pair)
 
 
 class OnlineBoosting(_EnsembleBase):
@@ -518,8 +523,11 @@ class OnlineBoosting(_EnsembleBase):
         self.lambda_correct = np.zeros(self.ensemble_size)
         self.lambda_wrong = np.zeros(self.ensemble_size)
 
-    def learn(self, values: list[float], label: int, rng: np.random.Generator) -> None:
-        """:meth:`train` on a list of ``n_features`` floats. Unchecked."""
+    def learn(
+        self, values: list[float], label: int, rng: np.random.Generator, pairs: list | None = None
+    ) -> None:
+        """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
+        if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
         # The sums are worked on as floats and written back as arrays.
         correct_sums = self.lambda_correct.tolist()
@@ -528,9 +536,11 @@ class OnlineBoosting(_EnsembleBase):
         lam = 1.0
         for m, tree in enumerate(self.sub_classifiers):
             k = float(rng.poisson(lam))
+            pair = pairs[m] if pairs else None
             if k > 0.0:
-                tree.learn(values, label, k)
-            p_neg, p_pos = tree.predict_pair(values)
+                tree.learn(values, label, k, pair)
+            # A member that did not learn still predicts its handed pair.
+            p_neg, p_pos = tree.predict_pair(values) if k > 0.0 or pair is None else pair
             correct = (POS if p_pos > p_neg else NEG) == label
             if correct:
                 correct_sums[m] += lam

@@ -108,10 +108,6 @@ class AlignMap:
     degenerate: bool = False
 
 
-def _householder(w: np.ndarray) -> np.ndarray:
-    return np.eye(w.shape[0]) - 2.0 * np.outer(w, w) / float(w @ w)
-
-
 def _dot(a: list[float], b: list[float]) -> float:
     # An explicit loop, not sum(): Python 3.12 sums floats with compensation
     # and 3.11 does not, so sum() would make the result depend on the version.
@@ -119,13 +115,6 @@ def _dot(a: list[float], b: list[float]) -> float:
     for x, y in zip(a, b):
         total += x * y
     return total
-
-
-def _degenerate(src: ConceptFrame, tgt: ConceptFrame) -> bool:
-    """Whether either concept vector is shorter than ``DEGENERACY_TOL``
-    scaled by 1 + the larger norm."""
-    eps = DEGENERACY_TOL * (1.0 + max(src.norm, tgt.norm))
-    return src.norm <= eps or tgt.norm <= eps
 
 
 class ConceptFrame:
@@ -136,7 +125,7 @@ class ConceptFrame:
 
     __slots__ = ("vector", "norm", "unit", "c_pos", "_memo")
 
-    def __init__(self, vector: list[float], c_pos: list[float] | None = None) -> None:
+    def __init__(self, vector: list[float], c_pos: list[float]) -> None:
         self.vector = vector
         # The arithmetic of np.linalg.norm on a 1-D float vector, without
         # its dispatch: a sum of squares in Python rounds otherwise.
@@ -159,14 +148,15 @@ class ConceptFrame:
 
 
 class Reflections:
-    """The map of :func:`align_frames` from ``tgt`` to ``src``, kept as the
-    reflections it is the product of and applied to lists of floats, so that
-    no matrix is formed. Both frames need a POS centroid.
+    """The scaled rotation carrying ``tgt``'s concept vector onto ``src``'s,
+    kept as the reflections it is the product of and applied to lists of
+    floats, so that no matrix is formed.
 
     Each reflection is a vector w with its factor 2/(w·w): H_w y =
-    y - factor (w·y) w. The rotation H_u H_{u+v} applies H_{u+v} first; an
-    antiparallel pair has the single H_v and a degenerate pair none, in which
-    case :meth:`apply` returns its input, as :func:`project_example` does.
+    y - factor (w·y) w. The rotation H_u H_{u+v}, for the unit vectors u of
+    ``src`` and v of ``tgt``, applies H_{u+v} first; an antiparallel pair
+    has the single H_v and a degenerate pair none, in which case
+    :meth:`apply` returns its input, as :func:`project_example` does.
     """
 
     __slots__ = ("c_tgt", "c_src", "scale", "steps")
@@ -176,7 +166,8 @@ class Reflections:
         self.c_src = src.c_pos
         self.scale = 1.0
         self.steps: list[tuple[list[float], float]] | None = None
-        if _degenerate(src, tgt):
+        eps = DEGENERACY_TOL * (1.0 + max(src.norm, tgt.norm))
+        if not (src.norm > eps and tgt.norm > eps):  # so is a NaN or infinite norm
             return
         self.scale = src.norm / tgt.norm
         u, v = src.unit, tgt.unit
@@ -193,44 +184,34 @@ class Reflections:
             return values
         y = [x - c for x, c in zip(values, self.c_tgt)]
         for w, factor in self.steps:
-            k = factor * _dot(w, y)
+            dot = 0.0  # _dot(w, y), inlined
+            for a, b in zip(w, y):
+                dot += a * b
+            k = factor * dot
             y = [b - k * a for a, b in zip(w, y)]
         scale = self.scale
         return [c + scale * b for c, b in zip(self.c_src, y)]
 
 
-def align_frames(src: ConceptFrame, tgt: ConceptFrame) -> AlignMap:
-    """Matrix R with R @ tgt.vector == src.vector, as a scaled two-reflection
-    rotation.
-
-    The rotation part is H_u @ H_{u+v} for the unit vectors u, v of the
-    inputs; antiparallel inputs use the single reflection H_v instead. Either
-    input with norm below the (relative) ``DEGENERACY_TOL`` yields an
-    identity fallback map flagged degenerate. :class:`Reflections` applies
-    the same map without forming it.
-    """
-    if _degenerate(src, tgt):
-        return AlignMap(matrix=np.eye(len(src.vector)), scale=1.0, degenerate=True)
-    scale = src.norm / tgt.norm
-    u, v = np.array(src.unit), np.array(tgt.unit)
-    w = u + v
-    if float(np.linalg.norm(w)) > DEGENERACY_TOL:
-        rotation = _householder(u) @ _householder(w)
-    else:
-        rotation = _householder(v)
-    return AlignMap(matrix=rotation * scale, scale=scale, degenerate=False)
-
-
 def build_align_map(v_src: np.ndarray, v_tgt: np.ndarray) -> AlignMap:
-    """Matrix R with R @ v_tgt == v_src: :func:`align_frames` on the frames
-    of the two vectors."""
+    """Matrix R with R @ v_tgt == v_src: the :class:`Reflections` of the
+    frames of the two vectors, with zero centroids, applied to the unit
+    basis. A degenerate pair gives the identity, flagged degenerate."""
     v_src = np.asarray(v_src, dtype=float)
     v_tgt = np.asarray(v_tgt, dtype=float)
     if v_src.shape != v_tgt.shape or v_src.ndim != 1:
         raise ValueError(
             f"vector shapes must match and be 1-D, got {v_src.shape} and {v_tgt.shape}"
         )
-    return align_frames(ConceptFrame(v_src.tolist()), ConceptFrame(v_tgt.tolist()))
+    origin = [0.0] * v_src.shape[0]
+    reflections = Reflections(
+        ConceptFrame(v_src.tolist(), origin), ConceptFrame(v_tgt.tolist(), origin)
+    )
+    basis = np.eye(v_src.shape[0])
+    if reflections.steps is None:
+        return AlignMap(matrix=basis, scale=1.0, degenerate=True)
+    columns = [reflections.apply(e) for e in basis.tolist()]
+    return AlignMap(matrix=np.array(columns).T, scale=reflections.scale, degenerate=False)
 
 
 def project_example(

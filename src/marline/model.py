@@ -20,7 +20,7 @@ from .core import (
     check_features,
 )
 from .drift import DriftStatus, make_detector
-from .learners import ENSEMBLES, HoeffdingTreeParams, make_ensemble
+from .learners import ENSEMBLES, HoeffdingTreeParams, make_ensemble, mean_pair
 from .mapping import CentroidTracker, ConceptFrame
 
 SNAPSHOT_FORMAT = "marline-model"
@@ -200,24 +200,27 @@ class MarlineModel:
         if pool is None:
             pool = self._new_concept(stream_id)
 
-        # Drift monitoring uses the newest ensemble's prediction on the
-        # example before anything trains on it.
-        predicted = argmax_label(pool.current.ensemble.vote(values))
-        status = pool.detector.update(predicted == example.label)
+        # Drift monitoring uses the newest ensemble's pass on the example before
+        # anything trains on it; a target example may find a prediction's in the memo.
+        is_target = stream_id == self.target_id
+        ensemble = pool.current.ensemble
+        pairs = ensemble.memo_pairs(values) if is_target else ensemble.member_pairs(values)
+        status = pool.detector.update(argmax_label(mean_pair(pairs)) == example.label)
         drift = status is DriftStatus.DRIFT
         if drift:
             self._new_concept(stream_id)
             pool.detector.reset()
-            if stream_id == self.target_id:
+            if is_target:
                 self.lambda_correct.fill(0.0)
                 self.lambda_wrong.fill(0.0)
                 self.performance.fill(1.0)
+            pairs = None
 
         concept = pool.current
-        concept.ensemble.learn(values, example.label, rng)
+        concept.ensemble.learn(values, example.label, rng, pairs)
         concept.tracker.update(example)
 
-        if stream_id == self.target_id:
+        if is_target:
             self._update_weights(values, example.label)
         return drift
 
@@ -277,22 +280,25 @@ class MarlineModel:
         k = self.config.ensemble_size
         weights = self._voting_weights()
         weighted_concepts = weights.reshape(-1, k).any(axis=1).tolist()
-        target = target_pool.current.tracker.frame()
+        current = target_pool.current
+        target = current.tracker.frame()
         if target is None or not any(weighted_concepts):
-            return self._fallback(target_pool, features)
+            return self._fallback(current, values)
 
         neg = pos = 0.0
         for i, (concept, weighted) in enumerate(zip(self.concepts, weighted_concepts)):
             if not weighted:
                 continue
-            projected = _projected(values, concept.tracker.frame(), target)
-            p_neg, p_pos = (
-                weights[i * k : (i + 1) * k] @ np.array(concept.ensemble.member_pairs(projected))
-            ).tolist()
+            ensemble = concept.ensemble
+            if concept is current:  # the pass that this example's drift check reuses
+                pairs = ensemble.memo_pairs(values)
+            else:
+                pairs = ensemble.member_pairs(_projected(values, concept.tracker.frame(), target))
+            p_neg, p_pos = (weights[i * k : (i + 1) * k] @ np.array(pairs)).tolist()
             neg += p_neg
             pos += p_pos
         if neg == pos:
-            return self._fallback(target_pool, features)
+            return self._fallback(current, values)
         scores = np.array([neg, pos])
         return Prediction(argmax_label(scores), scores)
 
@@ -371,8 +377,8 @@ class MarlineModel:
             self._weights = sub_classifier_weights(self.performance, self.config.performance_index)
         return self._weights
 
-    def _fallback(self, target_pool: StreamPool, features: np.ndarray) -> Prediction:
-        scores = target_pool.current.ensemble.predict(features)
+    def _fallback(self, concept: ConceptState, values: list[float]) -> Prediction:
+        scores = np.array(concept.ensemble.vote(values))
         return Prediction(argmax_label(scores), scores)
 
 

@@ -39,7 +39,7 @@ class StubTree:
         self.distribution = np.asarray(distribution, dtype=float)
         self.train_calls = []
 
-    def learn(self, values, label, weight):
+    def learn(self, values, label, weight, pair=None):
         self.train_calls.append((values, label, weight))
 
     def predict_pair(self, values):
@@ -511,9 +511,9 @@ def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
         tree.train(example, weight)
         plain.train(example, weight)
         assert leaf._nb_terms == leaf._naive_bayes_terms()
-        assert leaf._nb_memo is None
-    # Probing before training, which lets learn reuse the probe's naive-Bayes
-    # evaluation, leaves the learner exactly as training alone does.
+        assert leaf._majority is None
+    # Probing before training, which builds the leaves' caches, leaves the
+    # learner exactly as training alone does.
     assert (tree.n_splits, tree.n_learned) == (plain.n_splits, plain.n_learned)
     for values, _, _, _ in examples:
         a, b = leaf_of(tree, values), leaf_of(plain, values)
@@ -875,3 +875,120 @@ def test_seeded_ensembles_are_bit_reproducible():
     probes = np.random.default_rng(19).standard_normal((50, 2)) * 2
     for p in probes:
         assert np.array_equal(a.predict(p), b.predict(p))
+
+
+# ----------------------------------------------------------------------
+# The drift check's pairs handed to learn, and the cached majority pair
+# ----------------------------------------------------------------------
+
+
+def tree_leaves(tree):
+    found, nodes = [], [tree._root]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, _LeafNode):
+            found.append(node)
+        else:
+            nodes += [node.left, node.right]
+    return found
+
+
+def fresh_majority(leaf):
+    """The majority pair of ``leaf``, computed from its class weights."""
+    neg, pos = leaf.class_weights
+    total = neg + pos
+    if total <= 0.0:
+        return (0.5, 0.5)
+    return (neg / total, pos / total)
+
+
+@st.composite
+def ensemble_streams(draw):
+    """An ensemble kind, a leaf predictor, a dimension, a seed and a stream
+    of labelled lists of floats, each flagged if the drift check's pass is
+    to reuse a vote made just before it. Values are few, so that equal
+    values, zeros of both signs, nb-adaptive leaves on either side of their
+    check, and splits all occur."""
+    kind = draw(st.sampled_from(["bagging", "boosting"]))
+    leaf_prediction = draw(st.sampled_from(["nb_adaptive", "majority"]))
+    d = draw(st.integers(1, 3))
+    value = st.one_of(
+        st.integers(-3, 3).map(float), st.just(-0.0), st.floats(-4.0, 4.0, allow_nan=False)
+    )
+    examples = [
+        (
+            draw(st.lists(value, min_size=d, max_size=d)),
+            draw(st.sampled_from([NEG, POS])),
+            draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 80)))
+    ]
+    return kind, leaf_prediction, d, draw(st.integers(0, 2**32 - 1)), examples
+
+
+def learner_pair(kind, leaf_prediction, d):
+    params = HoeffdingTreeParams(grace_period=5, tie_threshold=0.9, leaf_prediction=leaf_prediction)
+    return make_ensemble(kind, d, 3, params), make_ensemble(kind, d, 3, params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ensemble_streams())
+def test_learning_with_the_drift_check_pairs_equals_learning_without(case):
+    kind, leaf_prediction, d, seed, examples = case
+    handed, plain = learner_pair(kind, leaf_prediction, d)
+    rng, plain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for values, label, voted in examples:
+        if voted:
+            # A vote at equal values, -0.0 made +0.0, leaves the pass that
+            # the drift check then reuses.
+            handed.vote([x + 0.0 for x in values])
+        pairs = handed.memo_pairs(values)
+        assert exact(pairs) == exact(plain.member_pairs(values))
+        handed.learn(values, label, rng, pairs)
+        plain.learn(values, label, plain_rng)
+        assert pickle.dumps(handed) == pickle.dumps(plain)
+        assert rng.bit_generator.state == plain_rng.bit_generator.state
+    for a, b in zip(handed.sub_classifiers, plain.sub_classifiers):
+        for values, _, _ in examples:
+            assert exact(a.predict_pair(values)) == exact(b.predict_pair(values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ensemble_streams())
+def test_cached_majority_pairs_equal_a_fresh_computation(case):
+    kind, leaf_prediction, d, seed, examples = case
+    ensemble, _ = learner_pair(kind, leaf_prediction, d)
+    rng = np.random.default_rng(seed)
+    for values, label, probe in examples:
+        pairs = ensemble.memo_pairs(values) if probe else None
+        ensemble.learn(values, label, rng, pairs)
+        for tree in ensemble.sub_classifiers:
+            for leaf in tree_leaves(tree):
+                if leaf._majority is not None:
+                    assert exact(leaf._majority) == exact(fresh_majority(leaf))
+                assert exact(leaf.majority_distribution()) == exact(fresh_majority(leaf))
+
+
+def test_a_handed_naive_bayes_pair_spares_the_leaf_an_evaluation(monkeypatch):
+    rng = np.random.default_rng(31)
+    tree = HoeffdingTree(2, HoeffdingTreeParams(grace_period=10_000))
+    for ex in gaussian_stream(rng, 40, np.array([0.0, 0.0]), np.array([3.0, 3.0])):
+        tree.train(ex, 1.0)
+    leaf = tree._root
+    evaluations = []
+    evaluate = _LeafNode.naive_bayes_distribution
+
+    def counted(self, values):
+        evaluations.append(values)
+        return evaluate(self, values)
+
+    monkeypatch.setattr(_LeafNode, "naive_bayes_distribution", counted)
+    x = [1.0, 2.0]
+    leaf.mc_correct_weight, leaf.nb_correct_weight = 1.0, 2.0  # predicts naive Bayes
+    tree.learn(x, POS, 1.0, tree.predict_pair(x))
+    assert len(evaluations) == 1  # the prediction's
+    leaf.mc_correct_weight, leaf.nb_correct_weight = 2.0, 1.0  # predicts its majority
+    tree.learn(x, POS, 1.0, tree.predict_pair(x))
+    assert len(evaluations) == 2  # the nb-adaptive check's
+    tree.learn(x, POS, 1.0)
+    assert len(evaluations) == 3

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from marline.core import NEG, POS, DimensionMismatchError, Example
 from marline.mapping import (
+    DEGENERACY_TOL,
     AlignMap,
     CentroidTracker,
     ConceptFrame,
     Reflections,
-    align_frames,
     build_align_map,
     project_example,
 )
@@ -209,6 +209,39 @@ def test_concept_vector_unavailable_with_one_class():
 # ----------------------------------------------------------------------
 
 
+def householder(w):
+    return np.eye(w.shape[0]) - 2.0 * np.outer(w, w) / float(w @ w)
+
+
+def householder_map(v_src, v_tgt):
+    """The align map formed as a matrix: the scaled rotation H_u @ H_{u+v}
+    for the unit vectors u of ``v_src`` and v of ``v_tgt``, or H_v where
+    u + v is shorter than ``DEGENERACY_TOL``; the identity, flagged
+    degenerate, where either vector is shorter than ``DEGENERACY_TOL``
+    scaled by 1 + the larger norm. The reference for ``build_align_map``
+    and ``Reflections``."""
+    v_src, v_tgt = np.asarray(v_src, dtype=float), np.asarray(v_tgt, dtype=float)
+    n_src, n_tgt = float(np.linalg.norm(v_src)), float(np.linalg.norm(v_tgt))
+    eps = DEGENERACY_TOL * (1.0 + max(n_src, n_tgt))
+    if n_src <= eps or n_tgt <= eps:
+        return AlignMap(matrix=np.eye(v_src.shape[0]), scale=1.0, degenerate=True)
+    u, v = v_src / n_src, v_tgt / n_tgt
+    w = u + v
+    if float(np.linalg.norm(w)) > DEGENERACY_TOL:
+        rotation = householder(u) @ householder(w)
+    else:
+        rotation = householder(v)
+    scale = n_src / n_tgt
+    return AlignMap(matrix=rotation * scale, scale=scale, degenerate=False)
+
+
+def assert_close_map(got, expected):
+    """Equal flags and scale; matrices equal to 1e-12 of 1 + the scale."""
+    assert got.degenerate == expected.degenerate
+    assert got.scale == expected.scale
+    assert np.abs(got.matrix - expected.matrix).max() <= 1e-12 * (1.0 + expected.scale)
+
+
 def test_equal_vectors_give_identity_map():
     v = np.array([3.0, -1.0, 2.0])
     amap = build_align_map(v, v)
@@ -333,15 +366,27 @@ def test_frame_is_built_once_per_centroid_change():
     assert moved.c_pos == tracker.centroid(POS).tolist()
 
 
+def frame_map(src, tgt):
+    """The map of ``Reflections(src, tgt)``, with zero centroids, applied to
+    the unit basis, as a matrix."""
+    reflections = Reflections(src, tgt)
+    if reflections.steps is None:
+        return AlignMap(matrix=np.eye(len(src.vector)), scale=1.0, degenerate=True)
+    reflections.c_tgt = reflections.c_src = [0.0] * len(src.vector)
+    columns = [reflections.apply(e) for e in np.eye(len(src.vector)).tolist()]
+    return AlignMap(matrix=np.array(columns).T, scale=reflections.scale)
+
+
 def test_frame_maps_equal_build_align_map_bit_for_bit():
     rng = np.random.default_rng(11)
     for d in (1, 2, 3, 7):
         for _ in range(50):
             src = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
             tgt = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
-            assert_same_map(
-                align_frames(src.frame(), tgt.frame()),
-                build_align_map(src.concept_vector(), tgt.concept_vector()),
+            amap = build_align_map(src.concept_vector(), tgt.concept_vector())
+            assert_same_map(frame_map(src.frame(), tgt.frame()), amap)
+            assert_close_map(
+                amap, householder_map(src.concept_vector(), tgt.concept_vector())
             )
             x = rng.standard_normal(d) * 3
             assert src.frame().project(x.tolist(), tgt.frame()) == pytest.approx(
@@ -355,13 +400,23 @@ def test_coincident_centroids_give_the_degenerate_map():
     assert coincident.frame().unit is None
     x = [1.5, -2.0]
     for src, tgt in ((coincident, regular), (regular, coincident)):
-        amap = align_frames(src.frame(), tgt.frame())
+        amap = build_align_map(src.concept_vector(), tgt.concept_vector())
         assert amap.degenerate
-        assert_same_map(amap, build_align_map(src.concept_vector(), tgt.concept_vector()))
+        assert_same_map(amap, householder_map(src.concept_vector(), tgt.concept_vector()))
         reflections = Reflections(src.frame(), tgt.frame())
         assert reflections.steps is None
         assert reflections.scale == 1.0
         assert src.frame().project(x, tgt.frame()) is x
+
+
+@pytest.mark.parametrize("vector", [[math.nan, 1.0], [math.inf, 1.0], [math.inf, -math.inf]])
+def test_frames_of_no_finite_norm_give_the_degenerate_map(vector):
+    regular = ConceptFrame([1.0, 2.0], [0.0, 0.0])
+    odd = ConceptFrame(vector, [0.0, 0.0])
+    x = [1.5, -2.0]
+    for src, tgt in ((odd, regular), (regular, odd)):
+        assert Reflections(src, tgt).steps is None
+        assert src.project(x, tgt) is x
 
 
 def test_antiparallel_frames_use_the_target_reflection():
@@ -369,8 +424,9 @@ def test_antiparallel_frames_use_the_target_reflection():
     tgt = tracker_with([0.0, 0.0], [3.0, 0.0])
     reflections = Reflections(src.frame(), tgt.frame())
     assert reflections.steps == [(tgt.frame().unit, 2.0)]
-    amap = align_frames(src.frame(), tgt.frame())
-    assert_same_map(amap, build_align_map(src.concept_vector(), tgt.concept_vector()))
+    amap = build_align_map(src.concept_vector(), tgt.concept_vector())
+    assert_same_map(frame_map(src.frame(), tgt.frame()), amap)
+    assert_close_map(amap, householder_map(src.concept_vector(), tgt.concept_vector()))
     assert amap.matrix @ tgt.concept_vector() == pytest.approx(src.concept_vector())
     c_tgt, c_src = tgt.centroid(POS), src.centroid(POS)
     image = src.frame().project((c_tgt + tgt.concept_vector()).tolist(), tgt.frame())
@@ -429,7 +485,8 @@ def test_reflections_match_the_matrix_form(case):
     v_src, v_tgt, c_src, c_tgt, x = case
     src = ConceptFrame(v_src.tolist(), c_src.tolist())
     tgt = ConceptFrame(v_tgt.tolist(), c_tgt.tolist())
-    amap = build_align_map(v_src, v_tgt)
+    amap = householder_map(v_src, v_tgt)
+    assert_close_map(build_align_map(v_src, v_tgt), amap)
     project = Reflections(src, tgt).apply
     if amap.degenerate:
         assert project(x.tolist()) == x.tolist()

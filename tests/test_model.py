@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import copy
+import copyreg
+import os
 import pickle
+import tempfile
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marline.core import (
@@ -22,7 +25,7 @@ from marline.core import (
 )
 from marline.drift import DriftStatus
 from marline.evaluation import BaselineApproach
-from marline.learners import HoeffdingTree, _LeafNode
+from marline.learners import HoeffdingTree, HoeffdingTreeParams, _LeafNode
 from marline.mapping import CentroidTracker, ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
@@ -42,7 +45,7 @@ class StubTree:
         self.distribution = np.asarray(distribution, dtype=float)
         self.seen_features = []
 
-    def learn(self, values, label, weight):
+    def learn(self, values, label, weight, pair=None):
         pass
 
     def predict_pair(self, values):
@@ -858,9 +861,10 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     probes = np.random.default_rng(13).standard_normal((20, 2)) * 2 + 1.5
     before = [model.predict(p) for p in probes]
     assert all(c.tracker._frame is not None for c in model.concepts)
-    assert all(c.ensemble._memo is not None for c in model.concepts)
+    assert model.pools["T"].current.ensemble._memo is not None
     assert any(leaf._nb_terms is not None for leaf in leaves(model))
-    assert any(leaf._nb_memo is not None for leaf in leaves(model))
+    for leaf in leaves(model):
+        leaf.majority_distribution()
 
     found = []
 
@@ -873,6 +877,7 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     frames = [c.tracker.frame() for c in model.concepts]
     memos = [c.ensemble._memo for c in model.concepts]
     terms = [leaf._nb_terms for leaf in leaves(model)]
+    majorities = [leaf._majority for leaf in leaves(model)]
     path = tmp_path / "model.bin"
     model.save(str(path))
     Spy(io.BytesIO()).dump(model)
@@ -880,11 +885,12 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     assert [c.tracker.frame() for c in model.concepts] == frames
     assert [c.ensemble._memo for c in model.concepts] == memos
     assert [leaf._nb_terms for leaf in leaves(model)] == terms
+    assert [leaf._majority for leaf in leaves(model)] == majorities
     restored = MarlineModel.load(str(path))
     assert all(c.tracker._frame is None for c in restored.concepts)
     assert all("_memo" not in vars(c.ensemble) for c in restored.concepts)
     assert all(
-        leaf._nb_terms is None and leaf._nb_memo is None for leaf in leaves(restored)
+        leaf._nb_terms is None and leaf._majority is None for leaf in leaves(restored)
     )
     for p, a in zip(probes, before):
         b = restored.predict(p)
@@ -892,14 +898,24 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
         assert np.array_equal(a.scores, b.scores)
 
 
-def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
-    # Leaves used to pickle as the default slots state (None, slots), with
-    # their naive-Bayes terms and without the memo slot, and trees without
-    # their count of learnt examples. Such a version-3 snapshot still loads,
-    # predicts the same, and goes on learning as the model it was saved from.
-    import copyreg
-    import pickle
+class EarlierLayout(pickle.Pickler):
+    """Pickles leaves as they used to be: the default slots state (None,
+    slots), with their naive-Bayes terms and without a majority slot, and
+    trees without their count of learnt examples."""
 
+    def reducer_override(self, obj):
+        if isinstance(obj, HoeffdingTree):
+            state = {k: v for k, v in vars(obj).items() if k != "n_learned"}
+            return copyreg.__newobj__, (HoeffdingTree,), state
+        if not isinstance(obj, _LeafNode):
+            return NotImplemented
+        slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_majority"}
+        return copyreg.__newobj__, (_LeafNode,), (None, slots)
+
+
+def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
+    # Such a version-3 snapshot still loads, predicts the same, and goes on
+    # learning as the model it was saved from.
     rng = np.random.default_rng(14)
     model = MarlineModel(small_config(ensemble_size=3))
     for ex in alternating_stream(rng, 200, (0.0, 0.0), (3.0, 3.0)):
@@ -908,17 +924,6 @@ def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
     probes = np.random.default_rng(15).standard_normal((30, 2)) * 2 + 1.5
     before = [model.predict(p) for p in probes]
     assert any(leaf._nb_terms is not None for leaf in leaves(model))
-
-    class EarlierLayout(pickle.Pickler):
-        def reducer_override(self, obj):
-            if isinstance(obj, HoeffdingTree):
-                state = {k: v for k, v in vars(obj).items() if k != "n_learned"}
-                return copyreg.__newobj__, (HoeffdingTree,), state
-            if not isinstance(obj, _LeafNode):
-                return NotImplemented
-            slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_nb_memo"}
-            return copyreg.__newobj__, (_LeafNode,), (None, slots)
-
     path = tmp_path / "model.bin"
     with open(path, "wb") as fh:
         EarlierLayout(fh).dump({"format": "marline-model", "version": 3, "model": model})
@@ -937,6 +942,48 @@ def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
             m.observe("T", ex, r)
         for p in probes[:5]:
             assert np.array_equal(model.predict(p).scores, restored.predict(p).scores)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    base_ensemble=st.sampled_from(["bagging", "boosting"]),
+    leaf_prediction=st.sampled_from(["nb_adaptive", "majority"]),
+    earlier=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 150),
+)
+def test_version_3_snapshots_load_and_continue_identically(
+    base_ensemble, leaf_prediction, earlier, seed, n
+):
+    # A snapshot holds no caches: no leaf terms or majority pairs and no
+    # ensemble memo, so the restored model rebuilds them and hands the same
+    # pairs to learn. Saved in the current layout or the earlier one, it
+    # predicts and learns as the model it was saved from.
+    tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5, leaf_prediction=leaf_prediction)
+    model = MarlineModel(small_config(ensemble_size=3, base_ensemble=base_ensemble, tree=tree))
+    rng = np.random.default_rng(seed)
+    for ex in alternating_stream(rng, n, (0.0, 0.0), (2.0, 2.0)):
+        model.observe("S1", ex, rng)
+        model.predict(ex.features)
+        model.observe("T", ex, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        if earlier:
+            with open(path, "wb") as fh:
+                EarlierLayout(fh).dump({"format": "marline-model", "version": 3, "model": model})
+        else:
+            model.save(path)
+        restored = MarlineModel.load(path)
+    restored_rng = copy.deepcopy(rng)
+    for ex in alternating_stream(np.random.default_rng(seed + 1), 60, (0.0, 0.0), (2.0, 2.0)):
+        for stream_id in ("S1", "T"):
+            scores = [m.predict(ex.features).scores.tobytes() for m in (model, restored)]
+            assert scores[0] == scores[1]
+            model.observe(stream_id, ex, rng)
+            restored.observe(stream_id, ex, restored_rng)
+        for name in ("lambda_correct", "lambda_wrong", "performance"):
+            assert getattr(model, name).tobytes() == getattr(restored, name).tobytes()
+    assert rng.bit_generator.state == restored_rng.bit_generator.state
 
 
 def test_snapshot_restores_trackers_pickled_with_array_sums(tmp_path):
@@ -1129,3 +1176,61 @@ def test_target_example_cost_scales_roughly_linearly_with_concepts():
     baseline = min(timed_model(2) for _ in range(3))  # 3 concepts
     doubled = min(timed_model(5) for _ in range(3))  # 6 concepts
     assert doubled / baseline <= 2.5
+
+
+# ----------------------------------------------------------------------
+# properties over random streams
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def interleaved_streams(draw):
+    """A config, and a stream of (stream id, features, label) entries over a
+    target and one to three sources, each entry flagged if its stream's
+    detector is to fire on it. Features are any finite floats, drawn mostly
+    from a few values so that trees split and centroids coincide."""
+    sources = [f"S{i}" for i in range(draw(st.integers(1, 3)))]
+    config = small_config(
+        ensemble_size=draw(st.integers(1, 3)),
+        base_ensemble=draw(st.sampled_from(["bagging", "boosting"])),
+        forgetting_factor=draw(st.floats(0.05, 1.0)),
+        performance_index=draw(st.floats(0.0, 1.0)),
+    )
+    value = st.one_of(
+        st.integers(-3, 3).map(float), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    entries = [
+        (
+            draw(st.sampled_from(["T", *sources])),
+            draw(st.lists(value, min_size=2, max_size=2)),
+            draw(st.sampled_from([NEG, POS])),
+            draw(st.integers(0, 9)) == 0,
+        )
+        for _ in range(draw(st.integers(1, 60)))
+    ]
+    return config, entries
+
+
+# Centroid sums that overflow give a concept vector of NaN norm, which the
+# projection once took for a regular one and crashed on.
+OVERFLOWING_CENTROIDS = (
+    small_config(ensemble_size=1),
+    [("S0", [1e308, 1e308], t % 2, False) for t in range(4)]
+    + [("T", [1e308, 1e308], t % 2, False) for t in range(2)],
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(interleaved_streams())
+@example(OVERFLOWING_CENTROIDS)
+def test_source_weight_ratio_stays_in_the_unit_interval(case):
+    config, entries = case
+    model = MarlineModel(config)
+    rng = np.random.default_rng(0)
+    for stream_id, features, label, fire in entries:
+        if stream_id in model.pools:
+            model.pools[stream_id].detector = StubDetector({1} if fire else ())
+        model.observe(stream_id, Example(np.array(features), label), rng)
+        assert 0.0 <= model.source_weight_ratio() <= 1.0
+        model.predict(np.array(features))

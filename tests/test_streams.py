@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marline.core import NEG, POS, ConfigurationError, DataError, Example
 from marline.streams import (
@@ -295,6 +297,44 @@ def test_row_filter_selects_subsets(tmp_path):
     assert [e.features[0] for e in examples] == [1.0, 3.0]
     # median of {5, 7} is 6: labels NEG, POS
     assert [e.label for e in examples] == [NEG, POS]
+
+
+_FILTER_NAMES = st.text(alphabet="ab_ =<>!&.1", max_size=4)
+_FILTER_CLAUSES = st.builds(
+    "{}{}{}".format,
+    _FILTER_NAMES,
+    st.sampled_from(["==", "!=", "<=", ">=", "<", ">", "=", "=<", "!", ""]),
+    st.one_of(st.text(max_size=6), st.floats().map(repr), st.integers().map(str)),
+)
+_FILTER_CELLS = st.one_of(
+    st.none(), st.text(max_size=6), st.floats().map(repr), st.integers().map(str)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(max_size=20), st.lists(_FILTER_CLAUSES, max_size=4).map(" & ".join)),
+    st.data(),
+)
+def test_row_filters_raise_only_configuration_errors(text, data):
+    # A filter comes from the config and its cells from a CSV row, where
+    # csv.DictReader gives None for a missing cell and a list under the key
+    # None for extra ones. ConfigurationError exits 2; anything else would
+    # exit 4 as an internal error.
+    try:
+        row_filter = RowFilter.parse(text)
+    except ConfigurationError:
+        return
+    columns = [column for column, _, _ in row_filter.conditions]
+    columns = data.draw(st.lists(st.sampled_from(columns))) if columns else []
+    row = {column: data.draw(_FILTER_CELLS) for column in columns}
+    row.update(data.draw(st.dictionaries(_FILTER_NAMES, _FILTER_CELLS, max_size=3)))
+    if data.draw(st.booleans()):
+        row[None] = data.draw(st.lists(st.text(max_size=3), max_size=2))
+    try:
+        assert row_filter.matches(row) in (True, False)
+    except ConfigurationError:
+        pass
 
 
 def test_median_split_is_nearly_balanced_on_distinct_values(tmp_path):
