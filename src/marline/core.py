@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +56,23 @@ def check_dims(features: np.ndarray, expected: int, context: str) -> None:
         )
 
 
+# The largest accepted |feature|. Squared differences of such features stay
+# near 1e200, so leaf statistics and centroid sums stay finite for any
+# example weight and stream length.
+MAX_ABS_FEATURE = 1e100
+
+
 def check_features(features: np.ndarray, expected: int, context: str) -> list[float]:
-    """``check_dims``, then raise DataError unless every feature is finite.
-    Returns the features as a list of floats."""
+    """``check_dims``, then raise DataError unless every feature is finite
+    and at most ``MAX_ABS_FEATURE`` in size. Returns the features as a list
+    of floats."""
     check_dims(features, expected, context)
     values = features.tolist()
-    if not all(map(math.isfinite, values)):
-        raise DataError(f"{context}: features must be finite, got {values}")
+    # NaN fails both comparisons.
+    if not all(-MAX_ABS_FEATURE <= v <= MAX_ABS_FEATURE for v in values):
+        raise DataError(
+            f"{context}: features must be finite and within +-{MAX_ABS_FEATURE:g}, got {values}"
+        )
     return values
 
 

@@ -141,7 +141,9 @@ class BaselineApproach:
         )
 
     def predict(self, features: np.ndarray) -> int:
-        return argmax_label(self.ensemble.predict(features))
+        features = np.asarray(features, dtype=float)
+        check_dims(features, self.config.n_features, "BaselineApproach.predict")
+        return argmax_label(mean_pair(self.ensemble.memo_pairs(features.tolist())))
 
     def observe(self, stream_id: str, example: Example) -> None:
         if stream_id != self.target_id:

@@ -317,10 +317,6 @@ class HoeffdingTree:
     :meth:`train` are their checked wrappers for arrays and examples.
     """
 
-    # Examples learnt; ensembles key their memo on it. The first learn sets
-    # it on the instance, so trees pickled before it existed load as well.
-    n_learned = 0
-
     def __init__(self, n_features: int, params: HoeffdingTreeParams | None = None) -> None:
         if n_features < 1:
             raise ConfigurationError("n_features must be >= 1")
@@ -350,7 +346,6 @@ class HoeffdingTree:
             node = node.left if went_left else node.right
         params = self.params
         node.learn(values, label, weight, params.leaf_prediction == "nb_adaptive", pair)
-        self.n_learned += 1
         total = node.class_weights[NEG] + node.class_weights[POS]
         if total - node.weight_at_last_attempt >= params.grace_period:
             node.weight_at_last_attempt = total
@@ -399,16 +394,14 @@ class _EnsembleBase:
     member: :meth:`vote` and each ensemble's ``learn(values, label, rng,
     pairs)``. :meth:`predict` and :meth:`train` are their checked wrappers
     for arrays and examples. A member pass is :meth:`member_pairs`, a list
-    of the members' float pairs; :meth:`member_distributions` is its array
-    view. :meth:`memo_pairs`, which :meth:`vote` goes through, memoises its
-    pass, so that a target's drift check reuses the pass of the prediction
-    before it and hands those pairs to ``learn``. The memo is keyed on the
-    values, the member trees and each tree's count of learnt examples, so
-    training or replacing a member by any route drops it. Snapshots do not
-    store it.
+    of the members' float pairs. :meth:`memo_pairs` keeps its last pass
+    until the ensemble learns, so that a target's drift check reuses the
+    pass of the prediction before it and hands those pairs to ``learn``.
+    Members train only through ``learn``, which drops the kept pass.
+    Snapshots do not store it.
     """
 
-    _memo: tuple[list[float], tuple, list[Pair]] | None = None
+    _memo: tuple[list[float], list[Pair]] | None = None
 
     def __init__(
         self,
@@ -447,24 +440,19 @@ class _EnsembleBase:
         return [tree.predict_pair(values) for tree in self.sub_classifiers]
 
     def memo_pairs(self, values: list[float]) -> list[Pair]:
-        """:meth:`member_pairs`, reused while the values (+0.0 and -0.0 alike),
-        the members and their counts of learnt examples stay equal."""
-        memo, members = self._memo, self.sub_classifiers
-        key = tuple(members), [tree.n_learned for tree in members]
-        if memo is not None and memo[0] == values and memo[1] == key:
-            return memo[2]
+        """:meth:`member_pairs`, kept and reused at equal values (+0.0 and
+        -0.0 alike) until the ensemble learns."""
+        memo = self._memo
+        if memo is not None and memo[0] == values:
+            return memo[1]
         pairs = self.member_pairs(values)
-        self._memo = (values, key, pairs)
+        self._memo = (values, pairs)
         return pairs
-
-    def member_distributions(self, values: list[float]) -> np.ndarray:
-        """:meth:`member_pairs` as a ``(k, 2)`` array."""
-        return np.array(self.member_pairs(values))
 
     def vote(self, values: list[float]) -> Pair:
         """Unweighted mean ``(p_neg, p_pos)`` of the members' class
         distributions at a list of ``n_features`` floats. Unchecked."""
-        return mean_pair(self.memo_pairs(values))
+        return mean_pair(self.member_pairs(values))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Unweighted mean of the members' class distributions."""
@@ -497,6 +485,7 @@ class OnlineBagging(_EnsembleBase):
         """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
         if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
+        self._memo = None
         members = self.sub_classifiers
         # One batch of k draws: the same weights, in member order, as k
         # scalar draws, and the generator is left in the same state.
@@ -529,6 +518,7 @@ class OnlineBoosting(_EnsembleBase):
         """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
         if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
+        self._memo = None
         # The sums are worked on as floats and written back as arrays.
         correct_sums = self.lambda_correct.tolist()
         wrong_sums = self.lambda_wrong.tolist()

@@ -201,7 +201,7 @@ class MarlineModel:
             pool = self._new_concept(stream_id)
 
         # Drift monitoring uses the newest ensemble's pass on the example before
-        # anything trains on it; a target example may find a prediction's in the memo.
+        # anything trains on it; a target example reuses any pass its prediction kept.
         is_target = stream_id == self.target_id
         ensemble = pool.current.ensemble
         pairs = ensemble.memo_pairs(values) if is_target else ensemble.member_pairs(values)
@@ -378,7 +378,7 @@ class MarlineModel:
         return self._weights
 
     def _fallback(self, concept: ConceptState, values: list[float]) -> Prediction:
-        scores = np.array(concept.ensemble.vote(values))
+        scores = np.array(mean_pair(concept.ensemble.memo_pairs(values)))
         return Prediction(argmax_label(scores), scores)
 
 

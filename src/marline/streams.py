@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import NEG, POS, ConfigurationError, DataError, Example
+from .core import MAX_ABS_FEATURE, NEG, POS, ConfigurationError, DataError, Example
 
 DRIFT_TYPES = ("no_drift", "abrupt", "incremental")
 INTERLEAVE_POLICIES = ("round_robin", "target_paced")
@@ -377,13 +377,14 @@ class CsvDataset:
 
 
 def _number(spec: CsvStreamSpec, idx: int, row: dict, column: str) -> float:
-    """The finite number in ``column`` of file row ``idx``, else DataError."""
+    """The finite number of size at most ``MAX_ABS_FEATURE`` in ``column`` of
+    file row ``idx``, else DataError."""
     cell = row[column]
     try:
         value = float(cell)
-        if math.isfinite(value):
+        if -MAX_ABS_FEATURE <= value <= MAX_ABS_FEATURE:
             return value
-        problem = "non-finite"
+        problem = "out-of-range" if math.isfinite(value) else "non-finite"
     except (TypeError, ValueError):
         problem = "non-numeric"
     role = "target" if column == spec.target_column else "value"
@@ -413,6 +414,8 @@ def ingest_csv(spec: CsvStreamSpec) -> list[Example]:
             ]
     except OSError as exc:
         raise ConfigurationError(f"cannot read {spec.path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{spec.path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise ConfigurationError(f"{spec.path}: no rows match the filter")
 

@@ -354,6 +354,22 @@ def write_csv_config(tmp_path, body=CSV_CONFIG):
 
 
 @pytest.mark.parametrize(
+    "row, named",
+    [(b"\xff,1,2", "unreadable CSV"), (b"1e101,1,2", "row 3: out-of-range value '1e101'")],
+)
+def test_a_csv_row_not_utf8_or_beyond_the_feature_bound_is_a_data_error(
+    tmp_path, capsys, row, named
+):
+    config = write_csv_config(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b,cnt\n1,2,3\n" + row + b"\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", config, "--out", str(out), "--set", f"target.path={bad}"])
+    assert code == EXIT_DATA
+    assert f"{bad}: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "base, old, new, named",
     [
         ("run", "runs = 2", "rnus = 2", "unknown config key [experiment] rnus"),

@@ -33,8 +33,6 @@ from marline.learners import (
 class StubTree:
     """Fixed-prediction sub-classifier that records training calls."""
 
-    n_learned = 0
-
     def __init__(self, distribution):
         self.distribution = np.asarray(distribution, dtype=float)
         self.train_calls = []
@@ -166,12 +164,18 @@ def test_learning_a_list_grows_the_tree_training_an_example_grows():
     weights = rng.integers(1, 4, len(stream)).astype(float).tolist()
     params = HoeffdingTreeParams(grace_period=50)
     learnt, trained = HoeffdingTree(2, params), HoeffdingTree(2, params)
+    unsplit = HoeffdingTree(2, HoeffdingTreeParams(grace_period=10_000))
     for ex, weight in zip(stream, weights):
         learnt.learn(ex.features.tolist(), ex.label, weight)
         trained.train(ex, weight)
+        unsplit.train(ex, weight)
     assert trained.n_splits > 0
-    assert trained.n_learned == len(stream)
     assert pickle.dumps(learnt) == pickle.dumps(trained)
+    # Every example reached a leaf with its weight.
+    expected = [0.0, 0.0]
+    for ex, weight in zip(stream, weights):
+        expected[ex.label] += weight
+    assert unsplit._root.class_weights == expected
 
 
 def test_tree_rejects_dimension_mismatch():
@@ -457,7 +461,7 @@ def test_member_distributions_equal_per_tree_predictions(kind, leaf_prediction):
         trees = ensemble.sub_classifiers
         for p in probes:
             expected = np.array([t.predict(p) for t in trees])
-            assert np.array_equal(ensemble.member_distributions(p.tolist()), expected)
+            assert np.array_equal(np.array(ensemble.member_pairs(p.tolist())), expected)
             for tree, row in zip(trees, expected):
                 assert np.array_equal(row, reference_leaf_distribution(tree, p))
             total = np.zeros(2)
@@ -514,7 +518,7 @@ def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
         assert leaf._majority is None
     # Probing before training, which builds the leaves' caches, leaves the
     # learner exactly as training alone does.
-    assert (tree.n_splits, tree.n_learned) == (plain.n_splits, plain.n_learned)
+    assert pickle.dumps(tree) == pickle.dumps(plain)
     for values, _, _, _ in examples:
         a, b = leaf_of(tree, values), leaf_of(plain, values)
         assert a.class_weights == b.class_weights
@@ -712,11 +716,11 @@ def test_vote_is_the_mean_predict_returns(kind):
     for ex in gaussian_stream(rng, 300, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
         ens.train(ex, rng)
     a, b = [0.3, 1.9], [1.1, 0.4]
-    vote_a = ens.vote(a)  # a fresh pass
-    assert vote_a == tuple(ens.predict(np.array(a)))  # the memo's
-    predicted_b = tuple(ens.predict(np.array(b)))  # a fresh pass
-    assert ens.vote(b) == predicted_b  # the memo's
-    assert ens.vote(a) == vote_a  # a fresh pass again
+    vote_a = ens.vote(a)
+    assert vote_a == tuple(ens.predict(np.array(a)))
+    predicted_b = tuple(ens.predict(np.array(b)))
+    assert ens.vote(b) == predicted_b
+    assert ens.vote(a) == vote_a
 
 
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
@@ -765,6 +769,23 @@ def test_ensemble_prediction_follows_members_changed_outside_train(kind, change)
     after = ens.predict(x)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, fresh / len(ens.sub_classifiers))
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+def test_learning_drops_the_kept_pass(kind):
+    # A pass kept at x serves equal values until the ensemble learns; after
+    # learning x, the pass at x is a fresh one.
+    rng = np.random.default_rng(32)
+    ens = make_ensemble(kind, 2, 3)
+    for ex in gaussian_stream(rng, 60, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.train(ex, rng)
+    x = [0.2, 0.1]
+    kept = ens.memo_pairs(x)
+    assert ens.memo_pairs([0.2, 0.1]) is kept
+    ens.learn(x, POS, rng, kept)
+    fresh = ens.member_pairs(x)
+    assert fresh != kept
+    assert ens.memo_pairs(x) == fresh
 
 
 # ----------------------------------------------------------------------
@@ -939,9 +960,9 @@ def test_learning_with_the_drift_check_pairs_equals_learning_without(case):
     rng, plain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for values, label, voted in examples:
         if voted:
-            # A vote at equal values, -0.0 made +0.0, leaves the pass that
-            # the drift check then reuses.
-            handed.vote([x + 0.0 for x in values])
+            # A prediction's pass at equal values, -0.0 made +0.0, is the
+            # one that the drift check then reuses.
+            handed.memo_pairs([x + 0.0 for x in values])
         pairs = handed.memo_pairs(values)
         assert exact(pairs) == exact(plain.member_pairs(values))
         handed.learn(values, label, rng, pairs)

@@ -11,6 +11,7 @@ them with ``python -m pytest -m bench tests/test_microbench.py``.
 from __future__ import annotations
 
 import itertools
+import pickle
 import time
 
 import numpy as np
@@ -94,11 +95,11 @@ def warmed_ensemble(kind, rng, leaf_prediction="nb_adaptive"):
 
 @pytest.mark.parametrize("leaf_prediction", ["nb_adaptive", "majority"])
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
-def test_member_distributions(benchmark, kind, leaf_prediction):
+def test_member_pairs(benchmark, kind, leaf_prediction):
     ensemble = warmed_ensemble(kind, np.random.default_rng(7), leaf_prediction)
     values = [1.2, 1.7]
-    distributions = benchmark(ensemble.member_distributions, values)
-    assert distributions.shape == (10, 2)
+    pairs = benchmark(ensemble.member_pairs, values)
+    assert len(pairs) == 10
 
 
 def test_bagging_train(benchmark):
@@ -125,8 +126,10 @@ def test_tree_learn(benchmark, leaf_prediction):
         values, label = next_pair()
         tree.learn(values, label, 1.0)
 
+    assert tree._root.total_weight == 300.0
+    warmed = pickle.dumps(tree)
     benchmark(step)
-    assert tree.n_learned > 300
+    assert pickle.dumps(tree) != warmed
 
 
 def test_boosting_learn(benchmark):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marline.core import (
+    MAX_ABS_FEATURE,
     NEG,
     POS,
     ConfigurationError,
@@ -24,8 +25,8 @@ from marline.core import (
     Example,
 )
 from marline.drift import DriftStatus
-from marline.evaluation import BaselineApproach
-from marline.learners import HoeffdingTree, HoeffdingTreeParams, _LeafNode
+from marline.evaluation import APPROACHES, BaselineApproach
+from marline.learners import HoeffdingTree, HoeffdingTreeParams, _EnsembleBase, _LeafNode
 from marline.mapping import CentroidTracker, ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
@@ -38,8 +39,6 @@ from marline.model import (
 
 class StubTree:
     """Sub-classifier returning a fixed distribution, recording its inputs."""
-
-    n_learned = 0
 
     def __init__(self, distribution):
         self.distribution = np.asarray(distribution, dtype=float)
@@ -591,6 +590,44 @@ def test_update_weights_rejects_non_finite_features_before_any_state_changes():
     assert np.all(np.isfinite(model.lambda_correct))
 
 
+@pytest.mark.parametrize("bad", [1e101, -1e160, 1e300])
+@pytest.mark.parametrize("stream_id", ["S1", "T"])
+def test_a_feature_beyond_the_bound_is_rejected_before_any_state_changes(bad, stream_id):
+    # Squared, such a feature would overflow the leaves' Gaussian statistics
+    # and turn every later prediction NaN.
+    rng = np.random.default_rng(35)
+    model = MarlineModel(small_config(ensemble_size=3))
+    for ex in alternating_stream(rng, 200, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    snapshot, rng_state = pickle.dumps(model), rng.bit_generator.state
+    for features in ([bad, -bad], [1.0, bad]):
+        example = Example(np.array(features), POS)
+        with pytest.raises(DataError, match="within"):
+            model.observe(stream_id, example, rng)
+        with pytest.raises(DataError, match="within"):
+            model.predict(example.features)
+        with pytest.raises(DataError, match="within"):
+            model.update_weights(example)
+    assert pickle.dumps(model) == snapshot
+    assert rng.bit_generator.state == rng_state
+
+
+def test_features_at_the_bound_leave_later_predictions_finite():
+    rng = np.random.default_rng(35)
+    model = MarlineModel(small_config(ensemble_size=3))
+    stream = alternating_stream(rng, 400, (0.0, 0.0), (3.0, 3.0))
+    for t, ex in enumerate(stream):
+        if t == 200:
+            ex = Example(np.array([MAX_ABS_FEATURE, -MAX_ABS_FEATURE]), ex.label)
+        model.observe("S1", ex, rng)
+        model.predict(ex.features)
+        model.observe("T", ex, rng)
+        if t >= 200:
+            assert np.all(np.isfinite(model.predict(ex.features).scores))
+    assert np.all(np.isfinite(model.performance))
+
+
 # ----------------------------------------------------------------------
 # source weight ratio
 # ----------------------------------------------------------------------
@@ -725,8 +762,10 @@ class PerConceptReference:
         if not target.tracker.both_classes_seen:
             return
         probs = [
-            concept.ensemble.member_distributions(
-                reference_projection(example.features, concept, current, target.tracker)
+            np.array(
+                concept.ensemble.member_pairs(
+                    reference_projection(example.features, concept, current, target.tracker)
+                )
             )[:, example.label]
             for concept, current in concepts
         ]
@@ -759,7 +798,7 @@ class PerConceptReference:
             w = weights[n * k : (n + 1) * k]
             if w.any():
                 projected = reference_projection(features, concept, current, target.tracker)
-                scores += w @ concept.ensemble.member_distributions(projected)
+                scores += w @ np.array(concept.ensemble.member_pairs(projected))
         if scores[NEG] == scores[POS]:
             return target.ensemble.predict(features)
         return scores
@@ -900,13 +939,9 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
 
 class EarlierLayout(pickle.Pickler):
     """Pickles leaves as they used to be: the default slots state (None,
-    slots), with their naive-Bayes terms and without a majority slot, and
-    trees without their count of learnt examples."""
+    slots), with their naive-Bayes terms and without a majority slot."""
 
     def reducer_override(self, obj):
-        if isinstance(obj, HoeffdingTree):
-            state = {k: v for k, v in vars(obj).items() if k != "n_learned"}
-            return copyreg.__newobj__, (HoeffdingTree,), state
         if not isinstance(obj, _LeafNode):
             return NotImplemented
         slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_majority"}
@@ -929,8 +964,6 @@ def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
         EarlierLayout(fh).dump({"format": "marline-model", "version": 3, "model": model})
     restored = MarlineModel.load(str(path))
     assert all(leaf._nb_terms is None for leaf in leaves(restored))
-    trees = [tree for c in restored.concepts for tree in c.ensemble.sub_classifiers]
-    assert all("n_learned" not in vars(tree) for tree in trees)
     for p, a in zip(probes, before):
         b = restored.predict(p)
         assert a.label == b.label
@@ -944,21 +977,31 @@ def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
             assert np.array_equal(model.predict(p).scores, restored.predict(p).scores)
 
 
+class CountedLayout(pickle.Pickler):
+    """Pickles trees as they were while ensembles keyed their kept pass on
+    each tree's count of learnt examples, ``n_learned``."""
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, HoeffdingTree):
+            return NotImplemented
+        return copyreg.__newobj__, (HoeffdingTree,), {**vars(obj), "n_learned": 7}
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     base_ensemble=st.sampled_from(["bagging", "boosting"]),
     leaf_prediction=st.sampled_from(["nb_adaptive", "majority"]),
-    earlier=st.booleans(),
+    layout=st.sampled_from([None, EarlierLayout, CountedLayout]),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 150),
 )
 def test_version_3_snapshots_load_and_continue_identically(
-    base_ensemble, leaf_prediction, earlier, seed, n
+    base_ensemble, leaf_prediction, layout, seed, n
 ):
     # A snapshot holds no caches: no leaf terms or majority pairs and no
-    # ensemble memo, so the restored model rebuilds them and hands the same
-    # pairs to learn. Saved in the current layout or the earlier one, it
-    # predicts and learns as the model it was saved from.
+    # kept member pass, so the restored model rebuilds them and hands the
+    # same pairs to learn. Saved in the current layout or an earlier one,
+    # it predicts and learns as the model it was saved from.
     tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5, leaf_prediction=leaf_prediction)
     model = MarlineModel(small_config(ensemble_size=3, base_ensemble=base_ensemble, tree=tree))
     rng = np.random.default_rng(seed)
@@ -968,12 +1011,15 @@ def test_version_3_snapshots_load_and_continue_identically(
         model.observe("T", ex, rng)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.bin")
-        if earlier:
-            with open(path, "wb") as fh:
-                EarlierLayout(fh).dump({"format": "marline-model", "version": 3, "model": model})
-        else:
+        if layout is None:
             model.save(path)
+        else:
+            with open(path, "wb") as fh:
+                layout(fh).dump({"format": "marline-model", "version": 3, "model": model})
         restored = MarlineModel.load(path)
+    if layout is CountedLayout:
+        trees = [tree for c in restored.concepts for tree in c.ensemble.sub_classifiers]
+        assert all(vars(tree)["n_learned"] == 7 for tree in trees)
     restored_rng = copy.deepcopy(rng)
     for ex in alternating_stream(np.random.default_rng(seed + 1), 60, (0.0, 0.0), (2.0, 2.0)):
         for stream_id in ("S1", "T"):
@@ -1150,6 +1196,30 @@ def test_baseline_reset_observe_evaluates_each_member_once(monkeypatch):
     assert sorted(map(id, calls)) == sorted(map(id, members))
 
 
+@pytest.mark.parametrize("approach", ["marline_with_source", "base_detector_reset"])
+@pytest.mark.parametrize("base_ensemble", ["bagging", "boosting"])
+def test_duplicate_target_rows_end_as_with_no_kept_pass(monkeypatch, approach, base_ensemble):
+    # Each target example arrives twice in a row, as duplicate CSV rows do,
+    # and is predicted before each observe. The pass that a prediction keeps
+    # serves only the drift check before the next learn, so the run ends as
+    # one that never reuses a pass.
+    def run():
+        cls, flag = APPROACHES[approach]
+        config = small_config(ensemble_size=3, base_ensemble=base_ensemble)
+        learner = cls(config, "T", flag, np.random.default_rng(36))
+        labels = []
+        for ex in alternating_stream(np.random.default_rng(37), 150, (0.0, 0.0), (2.0, 2.0)):
+            learner.observe("S1", ex)
+            for _ in range(2):
+                labels.append(learner.predict(ex.features))
+                learner.observe("T", ex)
+        return labels, pickle.dumps(learner)
+
+    kept = run()
+    monkeypatch.setattr(_EnsembleBase, "memo_pairs", _EnsembleBase.member_pairs)
+    assert run() == kept
+
+
 # ----------------------------------------------------------------------
 # cost scaling
 # ----------------------------------------------------------------------
@@ -1211,8 +1281,9 @@ def interleaved_streams(draw):
     return config, entries
 
 
-# Centroid sums that overflow give a concept vector of NaN norm, which the
-# projection once took for a regular one and crashed on.
+# Centroid sums that overflowed gave a concept vector of NaN norm, which the
+# projection once took for a regular one and crashed on. Such features are
+# now rejected.
 OVERFLOWING_CENTROIDS = (
     small_config(ensemble_size=1),
     [("S0", [1e308, 1e308], t % 2, False) for t in range(4)]
@@ -1231,6 +1302,11 @@ def test_source_weight_ratio_stays_in_the_unit_interval(case):
     for stream_id, features, label, fire in entries:
         if stream_id in model.pools:
             model.pools[stream_id].detector = StubDetector({1} if fire else ())
-        model.observe(stream_id, Example(np.array(features), label), rng)
+        example = Example(np.array(features), label)
+        if max(map(abs, features)) > MAX_ABS_FEATURE:
+            with pytest.raises(DataError):
+                model.observe(stream_id, example, rng)
+            continue
+        model.observe(stream_id, example, rng)
         assert 0.0 <= model.source_weight_ratio() <= 1.0
-        model.predict(np.array(features))
+        model.predict(example.features)

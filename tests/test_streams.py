@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marline.core import NEG, POS, ConfigurationError, DataError, Example
+from marline.core import MAX_ABS_FEATURE, NEG, POS, ConfigurationError, DataError, Example
 from marline.streams import (
     BENCHMARK_FAMILIES,
     CsvStreamSpec,
@@ -352,6 +354,76 @@ def test_median_split_is_nearly_balanced_on_distinct_values(tmp_path):
 def test_missing_file_is_a_configuration_error(tmp_path):
     with pytest.raises(ConfigurationError, match="nope.csv"):
         ingest_csv(CsvStreamSpec(str(tmp_path / "nope.csv"), ("a",), "cnt"))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"a,cnt\n1,2\n\xff,3\n", b"\xfe\xffa,cnt\n1,2\n", b'a,cnt\n"' + b"x" * 200_000 + b'",1\n'],
+)
+def test_a_file_that_is_not_utf8_csv_is_a_data_error_naming_it(tmp_path, content):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match="binary.csv: unreadable CSV"):
+        ingest_csv(CsvStreamSpec(str(path), ("a",), "cnt"))
+
+
+@pytest.mark.parametrize("cell", ["1e101", "-1e101", "1e300"])
+def test_a_number_beyond_the_feature_bound_reports_row_number(tmp_path, cell):
+    path = write_csv(tmp_path / "huge.csv", ["a", "cnt"], [[1, 2], [cell, 3], [2, 4]])
+    with pytest.raises(DataError, match="row 3: out-of-range value"):
+        ingest_csv(CsvStreamSpec(path, ("a",), "cnt"))
+    with pytest.raises(DataError, match="row 3: out-of-range target"):
+        ingest_csv(CsvStreamSpec(path, ("cnt",), "a"))
+    path = write_csv(tmp_path / "bound.csv", ["a", "cnt"], [[1e100, 2], [-1e100, 3]])
+    examples = ingest_csv(CsvStreamSpec(path, ("a",), "cnt"))
+    assert [e.features[0] for e in examples] == [MAX_ABS_FEATURE, -MAX_ABS_FEATURE]
+
+
+_CSV_CELLS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e101", "-1e100", "nan", "inf", "", '"', " ", "a"]),
+    st.text(max_size=4),
+)
+_CSV_TEXT = st.lists(
+    st.lists(_CSV_CELLS, min_size=2, max_size=4).map(",".join), min_size=1, max_size=6
+).map("\n".join)
+
+
+@st.composite
+def csv_bytes(draw):
+    """A file's bytes: a header that names the columns or not, rows of
+    cells, and now and then raw bytes spliced in anywhere."""
+    header = draw(st.sampled_from(["a,b,cnt", "cnt,a,b", "a,cnt", ""]))
+    content = (header + "\n" + draw(_CSV_TEXT)).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(st.binary(min_size=1, max_size=4)) + content[at:]
+    return content
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(csv_bytes(), st.binary(max_size=40)),
+    st.sampled_from(["", "b == 1", "a > 0 & b != x"]),
+)
+@example(b"a,b,cnt\n1,1,2\n\xff,1,3\n", "")
+def test_ingest_csv_raises_only_data_or_configuration_errors(content, filter_text):
+    # DataError exits 3 and ConfigurationError 2; anything else would exit
+    # 4 as an internal error.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        spec = CsvStreamSpec(path, ("a", "b"), "cnt", RowFilter.parse(filter_text))
+        try:
+            examples = ingest_csv(spec)
+        except (DataError, ConfigurationError):
+            return
+    assert examples
+    for e in examples:
+        assert e.features.shape == (2,)
+        assert np.all(np.abs(e.features) <= MAX_ABS_FEATURE)
 
 
 # ----------------------------------------------------------------------
