@@ -325,6 +325,12 @@ class HoeffdingTree:
         self._root: _LeafNode | _SplitNode = _LeafNode(n_features)
         self.n_splits = 0
 
+    def __setstate__(self, state: dict) -> None:
+        # Trees pickled while ensembles keyed their kept pass on a count of
+        # learnt examples carry it; nothing reads it.
+        state.pop("n_learned", None)
+        self.__dict__.update(state)
+
     def train(self, example: Example, weight: float = 1.0) -> None:
         """Absorb one weighted example; may grow the tree."""
         check_dims(example.features, self.n_features, "HoeffdingTree.train")
@@ -371,14 +377,25 @@ class HoeffdingTree:
                 parent.right = split
             self.n_splits += 1
 
+    def _majority_answer(self, leaf: _LeafNode) -> Pair | None:
+        """The majority pair ``leaf`` answers with, or None where it answers
+        by naive Bayes."""
+        if self.params.leaf_prediction == "majority" or leaf.mc_correct_weight > leaf.nb_correct_weight:
+            return leaf._majority or leaf.majority_distribution()
+        return None
+
     def predict_pair(self, values: list[float]) -> Pair:
         """``(p_neg, p_pos)`` at the leaf a list of ``n_features`` floats routes to."""
         node = self._root
         while node.__class__ is _SplitNode:
             node = node.left if values[node.attribute] <= node.threshold else node.right
-        if self.params.leaf_prediction == "majority" or node.mc_correct_weight > node.nb_correct_weight:
-            return node._majority or node.majority_distribution()
-        return node.naive_bayes_distribution(values)
+        return self._majority_answer(node) or node.naive_bayes_distribution(values)
+
+    def fixed_pair(self) -> Pair | None:
+        """The pair :meth:`predict_pair` gives at any input while the tree is
+        one leaf that answers by majority; None where it reads its input."""
+        root = self._root
+        return None if root.__class__ is _SplitNode else self._majority_answer(root)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class distribution at the leaf ``features`` routes to."""
@@ -397,11 +414,15 @@ class _EnsembleBase:
     of the members' float pairs. :meth:`memo_pairs` keeps its last pass
     until the ensemble learns, so that a target's drift check reuses the
     pass of the prediction before it and hands those pairs to ``learn``.
-    Members train only through ``learn``, which drops the kept pass.
-    Snapshots do not store it.
+    :meth:`fixed_pairs` is the pass at any input where no member reads its
+    input, also kept until the ensemble learns. Members train only through
+    ``learn``, which drops both. Snapshots store neither.
     """
 
     _memo: tuple[list[float], list[Pair]] | None = None
+    # The members' fixed pairs, False where some member reads its input, or
+    # None until asked.
+    _fixed: list[Pair] | bool | None = None
 
     def __init__(
         self,
@@ -432,6 +453,7 @@ class _EnsembleBase:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_memo", None)
+        state.pop("_fixed", None)
         return state
 
     def member_pairs(self, values: list[float]) -> list[Pair]:
@@ -448,6 +470,21 @@ class _EnsembleBase:
         pairs = self.member_pairs(values)
         self._memo = (values, pairs)
         return pairs
+
+    def fixed_pairs(self) -> list[Pair] | None:
+        """:meth:`member_pairs` at any input, where every member has a
+        ``fixed_pair``; None where some member reads its input."""
+        fixed = self._fixed
+        if fixed is None:
+            fixed = []
+            for tree in self.sub_classifiers:
+                pair = tree.fixed_pair()
+                if pair is None:
+                    fixed = False
+                    break
+                fixed.append(pair)
+            self._fixed = fixed
+        return fixed or None
 
     def vote(self, values: list[float]) -> Pair:
         """Unweighted mean ``(p_neg, p_pos)`` of the members' class
@@ -485,7 +522,7 @@ class OnlineBagging(_EnsembleBase):
         """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
         if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
-        self._memo = None
+        self._memo = self._fixed = None
         members = self.sub_classifiers
         # One batch of k draws: the same weights, in member order, as k
         # scalar draws, and the generator is left in the same state.
@@ -518,7 +555,7 @@ class OnlineBoosting(_EnsembleBase):
         """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
         if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
-        self._memo = None
+        self._memo = self._fixed = None
         # The sums are worked on as floats and written back as arrays.
         correct_sums = self.lambda_correct.tolist()
         wrong_sums = self.lambda_wrong.tolist()

@@ -20,7 +20,7 @@ from .core import (
     check_features,
 )
 from .drift import DriftStatus, make_detector
-from .learners import ENSEMBLES, HoeffdingTreeParams, make_ensemble, mean_pair
+from .learners import ENSEMBLES, HoeffdingTreeParams, Pair, make_ensemble, mean_pair
 from .mapping import CentroidTracker, ConceptFrame
 
 SNAPSHOT_FORMAT = "marline-model"
@@ -247,8 +247,7 @@ class MarlineModel:
 
         p_correct = []
         for concept in self.concepts:
-            projected = _projected(values, concept.tracker.frame(), target)
-            p_correct += [pair[label] for pair in concept.ensemble.member_pairs(projected)]
+            p_correct += [pair[label] for pair in _concept_pairs(concept, values, target)]
         self.lambda_correct, self.lambda_wrong, self.performance, _, _ = update_performance_stats(
             self.lambda_correct,
             self.lambda_wrong,
@@ -289,11 +288,10 @@ class MarlineModel:
         for i, (concept, weighted) in enumerate(zip(self.concepts, weighted_concepts)):
             if not weighted:
                 continue
-            ensemble = concept.ensemble
             if concept is current:  # the pass that this example's drift check reuses
-                pairs = ensemble.memo_pairs(values)
+                pairs = concept.ensemble.memo_pairs(values)
             else:
-                pairs = ensemble.member_pairs(_projected(values, concept.tracker.frame(), target))
+                pairs = _concept_pairs(concept, values, target)
             p_neg, p_pos = (weights[i * k : (i + 1) * k] @ np.array(pairs)).tolist()
             neg += p_neg
             pos += p_pos
@@ -380,6 +378,17 @@ class MarlineModel:
     def _fallback(self, concept: ConceptState, values: list[float]) -> Prediction:
         scores = np.array(mean_pair(concept.ensemble.memo_pairs(values)))
         return Prediction(argmax_label(scores), scores)
+
+
+def _concept_pairs(
+    concept: ConceptState, values: list[float], target: ConceptFrame
+) -> list[Pair]:
+    """The member pass of ``concept`` at its projection of ``values``: its
+    fixed pass, with no projection, where no member reads its input."""
+    ensemble = concept.ensemble
+    return ensemble.fixed_pairs() or ensemble.member_pairs(
+        _projected(values, concept.tracker.frame(), target)
+    )
 
 
 def _projected(

@@ -731,15 +731,25 @@ PINNED_OUTPUTS = {
     "grid": {
         "grid_results.csv": "c0ee84614c4351e6a428d5f11d8481e523dfdb6722cd792d04d6ae0b5f730aef",
     },
+    # A run of the grid's CSV pair config: boosting over majority leaves with
+    # DDM, whose short-lived target concepts often hold only single-leaf
+    # trees, so every step's accuracy and source_weight_ratio pin the passes
+    # that skip the projection.
+    "run-csv": {
+        "results.csv": "fa81974bb842284bd56969db13e7411f7a619c0aa71d0f51e403ae4ac514786c",
+        "segments.csv": "0a66b0a708fa0e792e5ef21c03d8c82a78ff811a86ee0f16a31af8a92700835a",
+        "summary.csv": "681eb83c9847eb772f813974a973db93036f0ae6cae91af30c559c8a45655b34",
+    },
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
-def test_cli_outputs_are_pinned_byte_for_byte(tmp_path, command):
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_cli_outputs_are_pinned_byte_for_byte(tmp_path, case):
     # The sha256 of every file each subcommand writes, recorded from a known
     # good build (Python 3.11, numpy 2.4, x86-64): a refactor that changes any
-    # output byte fails here.
-    body = write_pinned_csv_pair(tmp_path) if command == "grid" else RUN_CONFIG
+    # output byte fails here. A case named command-csv runs on the CSV pair.
+    command, _, data = case.partition("-")
+    body = write_pinned_csv_pair(tmp_path) if command == "grid" or data == "csv" else RUN_CONFIG
     config = write_config(tmp_path / "pinned.ini", body)
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
@@ -747,4 +757,4 @@ def test_cli_outputs_are_pinned_byte_for_byte(tmp_path, command):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
     }
-    assert digests == PINNED_OUTPUTS[command]
+    assert digests == PINNED_OUTPUTS[case]

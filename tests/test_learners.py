@@ -25,6 +25,7 @@ from marline.learners import (
     OnlineBoosting,
     _class_terms,
     _LeafNode,
+    _SplitNode,
     hoeffding_bound,
     make_ensemble,
 )
@@ -42,6 +43,9 @@ class StubTree:
 
     def predict_pair(self, values):
         return tuple(self.distribution.tolist())
+
+    def fixed_pair(self):
+        return None  # reads its input, so that every pass calls predict_pair
 
 
 class StubRng:
@@ -786,6 +790,62 @@ def test_learning_drops_the_kept_pass(kind):
     fresh = ens.member_pairs(x)
     assert fresh != kept
     assert ens.memo_pairs(x) == fresh
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    learning_sequences(),
+    st.sampled_from(["majority", "mc above nb", "mc equal to nb", "mc below nb", "split"]),
+    st.floats(0.0, 50.0),
+    st.data(),
+)
+def test_a_fixed_pair_is_the_pair_at_any_values(case, shape, tally, data):
+    # A one-leaf tree that answers by majority, as a majority leaf does and
+    # an nb-adaptive leaf does while its majority tally is above its
+    # naive-Bayes tally, has a fixed pair: predict_pair at any values. An
+    # nb-adaptive leaf on the other side of its tally, and a tree with a
+    # split, have none.
+    d, examples = case
+    leaf_prediction = "majority" if shape == "majority" else "nb_adaptive"
+    tree = HoeffdingTree(d, HoeffdingTreeParams(grace_period=10**6, leaf_prediction=leaf_prediction))
+    if shape == "split":
+        tree._root = _SplitNode(0, 0.0, d)
+    for values, label, weight, _ in examples:
+        tree.learn(values, label, weight)
+    if shape.startswith("mc"):
+        tree._root.nb_correct_weight = tally
+        tree._root.mc_correct_weight = tally + {"above": 1.0, "equal": 0.0, "below": -1.0}[
+            shape.split()[1]
+        ]
+    fixed = tree.fixed_pair()
+    assert (fixed is None) == (shape not in ("majority", "mc above nb"))
+    value = st.floats(-20.0, 20.0, allow_nan=False)
+    probes = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=5))
+    for values in probes + [values for values, _, _, _ in examples]:
+        if fixed is not None:
+            assert exact(tree.predict_pair(values)) == exact(fixed)
+
+
+@pytest.mark.parametrize("kind", ["bagging", "boosting"])
+def test_learning_drops_the_kept_fixed_pass(kind):
+    # Single majority leaves ignore their input: the ensemble keeps their
+    # pairs as its fixed pass until it learns, and then builds it afresh.
+    rng = np.random.default_rng(33)
+    params = HoeffdingTreeParams(grace_period=10_000, leaf_prediction="majority")
+    ens = make_ensemble(kind, 2, 3, params)
+    kept = ens.fixed_pairs()
+    assert kept == ens.member_pairs([4.0, -4.0]) == [(0.5, 0.5)] * 3
+    assert ens.fixed_pairs() is kept
+    for _ in range(3):
+        ens.learn([1.0, 2.0], POS, rng)
+    fresh = ens.member_pairs([4.0, -4.0])
+    assert fresh != kept
+    assert ens.fixed_pairs() == fresh
+    # A member that splits reads its input from then on.
+    ens.sub_classifiers[1]._root = _SplitNode(0, 0.0, 2)
+    assert ens.fixed_pairs() == fresh
+    ens.learn([1.0, 2.0], NEG, rng)
+    assert ens.fixed_pairs() is None
 
 
 # ----------------------------------------------------------------------

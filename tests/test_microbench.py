@@ -1,8 +1,9 @@
 """Microbenchmarks of the per-step projection, centroid update and frame,
 member prediction, tree learning, bagging and boosting training, split
 candidates, test-then-train pair (on examples and on lists), performance
-update, voting weights, drift detector update, source observe and weighting
-step, and the cost model of acceptance 7.
+update, voting weights, drift detector update, source observe, weighting
+step (also over frozen concepts of single majority leaves), and the cost
+model of acceptance 7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``.
@@ -59,10 +60,10 @@ def test_frame_projection_memo_hit(benchmark, d):
     assert len(image) == d
 
 
-def gaussian_example(rng, t):
-    """Example ``t`` of two alternating Gaussian classes on two features."""
-    mean = np.array([3.0, 3.0]) if t % 2 else np.zeros(2)
-    return Example(mean + rng.standard_normal(2), t % 2)
+def gaussian_example(rng, t, d=2):
+    """Example ``t`` of two alternating Gaussian classes on ``d`` features."""
+    mean = np.full(d, 3.0) if t % 2 else np.zeros(d)
+    return Example(mean + rng.standard_normal(d), t % 2)
 
 
 def test_tracker_update_and_frame(benchmark):
@@ -258,6 +259,41 @@ def test_weighting_step_eight_concepts(benchmark):
 
     benchmark(step)
     assert len(model.concepts) == 8
+
+
+def test_weighting_step_frozen_single_leaf_concepts(benchmark):
+    # One predict + update_weights step on a d = 4 boosting model over
+    # majority leaves: a target and a source warmed on 300 examples, and
+    # seven frozen source concepts of single leaves cut after 10 examples
+    # each, as DDM cuts short-lived concepts.
+    rng = np.random.default_rng(9)
+    config = MarlineConfig(
+        n_features=4,
+        ensemble_size=10,
+        base_ensemble="boosting",
+        tree=HoeffdingTreeParams(leaf_prediction="majority"),
+    )
+    model = MarlineModel(config)
+    for t in range(300):
+        example = gaussian_example(rng, t, 4)
+        model.observe("S0", example, rng)
+        model.observe("T", example, rng)
+        if t < 70:
+            model.observe("S1", example, rng)
+            if t % 10 == 9:
+                model._new_concept("S1")
+    frozen = model.pools["S1"].concepts[:-1]
+    assert len(frozen) == 7
+    assert all(c.ensemble.fixed_pairs() is not None for c in frozen)
+    next_example = itertools.cycle([gaussian_example(rng, t, 4) for t in range(1000)]).__next__
+
+    def step():
+        example = next_example()
+        model.predict(example.features)
+        model.update_weights(example)
+
+    benchmark(step)
+    assert len(model.concepts) == 10
 
 
 def test_acceptance_7_cost_model(capsys):
