@@ -9,6 +9,7 @@ statistics.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,9 @@ class _LeafNode:
     """Growing leaf holding class counts and per-attribute Gaussian stats.
 
     Its naive-Bayes terms are built on first use and then kept current by
-    ``learn``; its majority pair is built on first use and dropped by
-    ``learn``. Snapshots store neither.
+    ``learn``; its majority pair and its answer (that pair where the leaf
+    answers by majority, False where it answers by naive Bayes) are built
+    on first use and dropped by ``learn``. Snapshots store none of them.
     """
 
     __slots__ = (
@@ -130,8 +132,9 @@ class _LeafNode:
         "nb_correct_weight",
         "_nb_terms",
         "_majority",
+        "_answer",
     )
-    _CACHES = ("_nb_terms", "_majority")
+    _CACHES = ("_nb_terms", "_majority", "_answer")
 
     def __init__(self, n_features: int) -> None:
         self.class_weights = [0.0, 0.0]
@@ -143,6 +146,7 @@ class _LeafNode:
         self.nb_correct_weight = 0.0
         self._nb_terms: list | None = None
         self._majority: Pair | None = None
+        self._answer: Pair | bool | None = None
 
     def __getstate__(self) -> dict:
         return {
@@ -181,12 +185,23 @@ class _LeafNode:
         if terms is None:
             terms = self._nb_terms = self._naive_bayes_terms()
         (neg, neg_attributes), (pos, pos_attributes) = terms
-        for value, (mean, log_norm, two_var) in zip(values, neg_attributes):
-            diff = value - mean
-            neg += log_norm - diff * diff / two_var
-        for value, (mean, log_norm, two_var) in zip(values, pos_attributes):
-            diff = value - mean
-            pos += log_norm - diff * diff / two_var
+        if neg_attributes and pos_attributes:
+            # Both logits in one sweep, each with its own operations in order.
+            for value, (neg_mean, neg_norm, neg_two_var), (pos_mean, pos_norm, pos_two_var) in zip(
+                values, neg_attributes, pos_attributes
+            ):
+                diff = value - neg_mean
+                neg += neg_norm - diff * diff / neg_two_var
+                diff = value - pos_mean
+                pos += pos_norm - diff * diff / pos_two_var
+        else:
+            # A class without weight has no terms; the other still sums its own.
+            for value, (mean, log_norm, two_var) in zip(values, neg_attributes):
+                diff = value - mean
+                neg += log_norm - diff * diff / two_var
+            for value, (mean, log_norm, two_var) in zip(values, pos_attributes):
+                diff = value - mean
+                pos += log_norm - diff * diff / two_var
         # Normalised by the larger logit, whose exp(0.0) is exactly 1.0, so
         # only the other side takes an exp. The rest are the pairs of the
         # two-exp form: equal logits (both -inf included) and a NaN logit
@@ -219,7 +234,7 @@ class _LeafNode:
             if (POS if p_pos > p_neg else NEG) == label:
                 self.nb_correct_weight += weight
         weights[label] += weight
-        self._majority = None
+        self._majority = self._answer = None
         # One pass updates the label's estimators and, when the terms are
         # kept, rebuilds its attribute terms as _class_terms does.
         terms = self._nb_terms
@@ -312,9 +327,11 @@ class HoeffdingTree:
     exceeds the Hoeffding bound, or when the bound itself drops below the tie
     threshold, re-evaluated every ``grace_period`` units of example weight.
 
-    Members of an ensemble take lists of ``n_features`` floats both ways,
-    through :meth:`predict_pair` and :meth:`learn`; :meth:`predict` and
-    :meth:`train` are their checked wrappers for arrays and examples.
+    Trees take lists of ``n_features`` floats both ways, through
+    :meth:`predict_pair` and :meth:`learn`; :meth:`predict` and :meth:`train`
+    are their checked wrappers for arrays and examples. An ensemble's member
+    pass routes its trees itself, and :meth:`predict_pair` is that pass over
+    one tree.
     """
 
     def __init__(self, n_features: int, params: HoeffdingTreeParams | None = None) -> None:
@@ -377,25 +394,28 @@ class HoeffdingTree:
                 parent.right = split
             self.n_splits += 1
 
-    def _majority_answer(self, leaf: _LeafNode) -> Pair | None:
-        """The majority pair ``leaf`` answers with, or None where it answers
-        by naive Bayes."""
-        if self.params.leaf_prediction == "majority" or leaf.mc_correct_weight > leaf.nb_correct_weight:
-            return leaf._majority or leaf.majority_distribution()
-        return None
+    def _leaf_answer(self, leaf: _LeafNode) -> Pair | bool:
+        """The answer of ``leaf``, kept on it until it learns: its majority
+        pair where it answers by majority, False where it answers by naive
+        Bayes."""
+        answer = leaf._answer
+        if answer is None:
+            if self.params.leaf_prediction == "majority" or leaf.mc_correct_weight > leaf.nb_correct_weight:
+                answer = leaf.majority_distribution()
+            else:
+                answer = False
+            leaf._answer = answer
+        return answer
 
     def predict_pair(self, values: list[float]) -> Pair:
         """``(p_neg, p_pos)`` at the leaf a list of ``n_features`` floats routes to."""
-        node = self._root
-        while node.__class__ is _SplitNode:
-            node = node.left if values[node.attribute] <= node.threshold else node.right
-        return self._majority_answer(node) or node.naive_bayes_distribution(values)
+        return _member_pairs((self,), values)[0]
 
     def fixed_pair(self) -> Pair | None:
         """The pair :meth:`predict_pair` gives at any input while the tree is
         one leaf that answers by majority; None where it reads its input."""
         root = self._root
-        return None if root.__class__ is _SplitNode else self._majority_answer(root)
+        return None if root.__class__ is _SplitNode else self._leaf_answer(root) or None
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class distribution at the leaf ``features`` routes to."""
@@ -404,14 +424,33 @@ class HoeffdingTree:
         return np.array(self.predict_pair(features.tolist()))
 
 
+def _member_pairs(trees: Iterable[HoeffdingTree], values: list[float]) -> list[Pair]:
+    """``(p_neg, p_pos)`` of each tree at the leaf a list of ``n_features``
+    floats routes to: the leaf's kept majority answer, or its naive Bayes.
+    Every tree is routed here. Past building a leaf's answer once per leaf
+    state, the pass calls only the naive Bayes of leaves that answer by it."""
+    pairs = []
+    append = pairs.append
+    for tree in trees:
+        node = tree._root
+        while node.__class__ is _SplitNode:
+            node = node.left if values[node.attribute] <= node.threshold else node.right
+        answer = node._answer
+        if answer is None:
+            answer = tree._leaf_answer(node)
+        append(answer or node.naive_bayes_distribution(values))
+    return pairs
+
+
 class _EnsembleBase:
     """Shared plumbing for the fixed-size online ensembles.
 
     An ensemble takes a list of floats both ways and hands it to every
     member: :meth:`vote` and each ensemble's ``learn(values, label, rng,
     pairs)``. :meth:`predict` and :meth:`train` are their checked wrappers
-    for arrays and examples. A member pass is :meth:`member_pairs`, a list
-    of the members' float pairs. :meth:`memo_pairs` keeps its last pass
+    for arrays and examples. Its members are :class:`HoeffdingTree` objects
+    of its ``n_features``. A member pass is :meth:`member_pairs`, a list of
+    the members' float pairs. :meth:`memo_pairs` keeps its last pass
     until the ensemble learns, so that a target's drift check reuses the
     pass of the prediction before it and hands those pairs to ``learn``.
     :meth:`fixed_pairs` is the pass at any input where no member reads its
@@ -429,7 +468,7 @@ class _EnsembleBase:
         n_features: int,
         ensemble_size: int,
         tree_params: HoeffdingTreeParams | None = None,
-        sub_classifiers: list | None = None,
+        sub_classifiers: list[HoeffdingTree] | None = None,
     ) -> None:
         if ensemble_size < 1:
             raise ConfigurationError("ensemble_size must be >= 1")
@@ -439,6 +478,13 @@ class _EnsembleBase:
                 raise ConfigurationError(
                     "sub_classifiers length must equal ensemble_size"
                 )
+            for i, tree in enumerate(sub_classifiers):
+                if not isinstance(tree, HoeffdingTree):
+                    raise ConfigurationError(f"sub_classifiers[{i}] is not a HoeffdingTree")
+                if tree.n_features != n_features:
+                    raise ConfigurationError(
+                        f"sub_classifiers[{i}] has n_features {tree.n_features}, not {n_features}"
+                    )
             self.sub_classifiers = list(sub_classifiers)
         else:
             self.sub_classifiers = [
@@ -459,7 +505,7 @@ class _EnsembleBase:
     def member_pairs(self, values: list[float]) -> list[Pair]:
         """``(p_neg, p_pos)`` of each of the k members, in member order, at a
         list of ``n_features`` floats."""
-        return [tree.predict_pair(values) for tree in self.sub_classifiers]
+        return _member_pairs(self.sub_classifiers, values)
 
     def memo_pairs(self, values: list[float]) -> list[Pair]:
         """:meth:`member_pairs`, kept and reused at equal values (+0.0 and
@@ -543,7 +589,7 @@ class OnlineBoosting(_EnsembleBase):
         n_features: int,
         ensemble_size: int,
         tree_params: HoeffdingTreeParams | None = None,
-        sub_classifiers: list | None = None,
+        sub_classifiers: list[HoeffdingTree] | None = None,
     ) -> None:
         super().__init__(n_features, ensemble_size, tree_params, sub_classifiers)
         self.lambda_correct = np.zeros(self.ensemble_size)

@@ -241,13 +241,14 @@ class MarlineModel:
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return
-        target = target_pool.current.tracker.frame()
+        current = target_pool.current
+        target = current.tracker.frame()
         if target is None:
             return
 
         p_correct = []
         for concept in self.concepts:
-            p_correct += [pair[label] for pair in _concept_pairs(concept, values, target)]
+            p_correct += [pair[label] for pair in _concept_pairs(concept, values, current, target)]
         self.lambda_correct, self.lambda_wrong, self.performance, _, _ = update_performance_stats(
             self.lambda_correct,
             self.lambda_wrong,
@@ -288,10 +289,7 @@ class MarlineModel:
         for i, (concept, weighted) in enumerate(zip(self.concepts, weighted_concepts)):
             if not weighted:
                 continue
-            if concept is current:  # the pass that this example's drift check reuses
-                pairs = concept.ensemble.memo_pairs(values)
-            else:
-                pairs = _concept_pairs(concept, values, target)
+            pairs = _concept_pairs(concept, values, current, target)
             p_neg, p_pos = (weights[i * k : (i + 1) * k] @ np.array(pairs)).tolist()
             neg += p_neg
             pos += p_pos
@@ -381,22 +379,20 @@ class MarlineModel:
 
 
 def _concept_pairs(
-    concept: ConceptState, values: list[float], target: ConceptFrame
+    concept: ConceptState, values: list[float], current: ConceptState, target: ConceptFrame
 ) -> list[Pair]:
-    """The member pass of ``concept`` at its projection of ``values``: its
-    fixed pass, with no projection, where no member reads its input."""
+    """The member pass of ``concept`` at its projection of ``values``. The
+    current target concept ``current``, whose frame is ``target``, sees
+    ``values`` as is and keeps its pass, which the drift check and the
+    weight update after a prediction at equal values reuse. Any other
+    concept takes its fixed pass, with no projection, where no member reads
+    its input; one that has not seen both classes has no frame and sees
+    ``values`` as is."""
     ensemble = concept.ensemble
-    return ensemble.fixed_pairs() or ensemble.member_pairs(
-        _projected(values, concept.tracker.frame(), target)
-    )
-
-
-def _projected(
-    values: list[float], source: ConceptFrame | None, target: ConceptFrame
-) -> list[float]:
-    """``values`` seen from the concept whose frame is ``source``. The
-    current target concept's own frame is ``target`` itself, and a concept
-    that has not seen both classes has none; both see ``values`` as is."""
-    if source is None or source is target:
-        return values
-    return source.project(values, target)
+    if concept is current:
+        return ensemble.memo_pairs(values)
+    fixed = ensemble.fixed_pairs()
+    if fixed is not None:
+        return fixed
+    source = concept.tracker.frame()
+    return ensemble.member_pairs(values if source is None else source.project(values, target))

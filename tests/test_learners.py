@@ -31,21 +31,30 @@ from marline.learners import (
 )
 
 
-class StubTree:
-    """Fixed-prediction sub-classifier that records training calls."""
+class StubLeaf:
+    """Leaf answering a fixed distribution as its naive Bayes, so that every
+    member pass evaluates it."""
+
+    _answer = False  # answers by naive Bayes
 
     def __init__(self, distribution):
+        self.distribution = distribution
+
+    def naive_bayes_distribution(self, values):
+        return tuple(self.distribution.tolist())
+
+
+class StubTree(HoeffdingTree):
+    """Fixed-prediction sub-classifier that records training calls."""
+
+    def __init__(self, distribution, n_features):
+        super().__init__(n_features)
         self.distribution = np.asarray(distribution, dtype=float)
+        self._root = StubLeaf(self.distribution)
         self.train_calls = []
 
     def learn(self, values, label, weight, pair=None):
         self.train_calls.append((values, label, weight))
-
-    def predict_pair(self, values):
-        return tuple(self.distribution.tolist())
-
-    def fixed_pair(self):
-        return None  # reads its input, so that every pass calls predict_pair
 
 
 class StubRng:
@@ -222,7 +231,7 @@ def test_distributions_are_valid_probabilities(leaf_prediction):
 def test_bagging_poisson_zero_frequency_matches_pmf():
     # P(Poisson(1) = 0) = exp(-1); count skipped trainings through the
     # ensemble's own sampling path.
-    stub = StubTree([0.5, 0.5])
+    stub = StubTree([0.5, 0.5], 1)
     bag = OnlineBagging(n_features=1, ensemble_size=1, sub_classifiers=[stub])
     rng = np.random.default_rng(9)
     n = 100_000
@@ -288,6 +297,24 @@ def test_bagging_members_diverge_across_30_seeds():
         assert (labels != labels[0]).any(), f"seed {seed}: members identical"
 
 
+@pytest.mark.parametrize("cls", [OnlineBagging, OnlineBoosting])
+def test_ensembles_refuse_members_of_another_dimension(cls):
+    # Naive Bayes zips the values with a leaf's terms, so a wider member
+    # would silently drop attributes.
+    with pytest.raises(ConfigurationError, match=r"sub_classifiers\[0\] has n_features 3, not 2"):
+        cls(2, 2, sub_classifiers=[HoeffdingTree(3), HoeffdingTree(3)])
+    with pytest.raises(ConfigurationError, match=r"sub_classifiers\[1\] has n_features 1, not 2"):
+        cls(2, 2, sub_classifiers=[HoeffdingTree(2), HoeffdingTree(1)])
+
+
+@pytest.mark.parametrize("cls", [OnlineBagging, OnlineBoosting])
+def test_ensembles_refuse_members_that_are_not_trees(cls):
+    with pytest.raises(ConfigurationError, match=r"sub_classifiers\[1\] is not a HoeffdingTree"):
+        cls(2, 2, sub_classifiers=[HoeffdingTree(2), "tree"])
+    with pytest.raises(ConfigurationError, match=r"sub_classifiers\[0\] is not a HoeffdingTree"):
+        cls(1, 1, sub_classifiers=[_LeafNode(1)])
+
+
 def test_ensemble_size_is_fixed_after_construction():
     bag = OnlineBagging(n_features=2, ensemble_size=4)
     rng = np.random.default_rng(13)
@@ -322,7 +349,7 @@ def test_ensemble_prediction_is_arithmetic_mean():
     ens = OnlineBagging(
         n_features=2,
         ensemble_size=2,
-        sub_classifiers=[StubTree([0.8, 0.2]), StubTree([0.4, 0.6])],
+        sub_classifiers=[StubTree([0.8, 0.2], 2), StubTree([0.4, 0.6], 2)],
     )
     assert ens.predict(np.zeros(2)) == pytest.approx([0.6, 0.4])
 
@@ -856,7 +883,7 @@ def test_learning_drops_the_kept_fixed_pass(kind):
 def test_boosting_weight_grows_after_a_misclassifying_member():
     # Member 1 misclassifies but has history error below 1/2, so the weight
     # it hands to member 2 must exceed the weight it received.
-    members = [StubTree([0.0, 1.0]), StubTree([1.0, 0.0]), StubTree([0.0, 1.0])]
+    members = [StubTree([0.0, 1.0], 1), StubTree([1.0, 0.0], 1), StubTree([0.0, 1.0], 1)]
     boost = OnlineBoosting(n_features=1, ensemble_size=3, sub_classifiers=members)
     boost.lambda_correct[:] = [10.0, 3.0, 0.0]
     boost.lambda_wrong[:] = [0.0, 1.0, 0.0]
@@ -1073,3 +1100,116 @@ def test_a_handed_naive_bayes_pair_spares_the_leaf_an_evaluation(monkeypatch):
     assert len(evaluations) == 2  # the nb-adaptive check's
     tree.learn(x, POS, 1.0)
     assert len(evaluations) == 3
+
+
+# ----------------------------------------------------------------------
+# The member pass as one loop, against the per-tree form
+# ----------------------------------------------------------------------
+
+
+def per_tree_pair(tree, values):
+    """A tree's pair as it was evaluated one tree at a time: the route to a
+    leaf, the leaf-choice rule with a majority pair fresh from the class
+    weights, and naive Bayes on freshly built terms, one loop per class,
+    normalised by the larger logit."""
+    node = tree._root
+    while node.__class__ is _SplitNode:
+        node = node.left if values[node.attribute] <= node.threshold else node.right
+    if tree.params.leaf_prediction == "majority" or node.mc_correct_weight > node.nb_correct_weight:
+        return fresh_majority(node)
+    (neg, neg_attributes), (pos, pos_attributes) = node._naive_bayes_terms()
+    for value, (mean, log_norm, two_var) in zip(values, neg_attributes):
+        diff = value - mean
+        neg += log_norm - diff * diff / two_var
+    for value, (mean, log_norm, two_var) in zip(values, pos_attributes):
+        diff = value - mean
+        pos += log_norm - diff * diff / two_var
+    if pos > neg:
+        r = math.exp(neg - pos)
+        return (r / (r + 1.0), 1.0 / (r + 1.0))
+    if neg > pos:
+        r = math.exp(pos - neg)
+        return (1.0 / (1.0 + r), r / (1.0 + r))
+    if neg == pos or neg == -math.inf:
+        return (0.5, 0.5)
+    return (math.nan, math.nan)
+
+
+def split_nodes(tree):
+    found, nodes = [], [tree._root]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, _SplitNode):
+            found.append(node)
+            nodes += [node.left, node.right]
+    return found
+
+
+TALLIES = {"above": 1.0, "equal": 0.0, "below": -1.0}
+
+
+@st.composite
+def member_pass_cases(draw):
+    """An ensemble kind, a leaf predictor, a dimension of 1 to 4, a seed,
+    for each of three members an optional root split on a threshold from
+    the training values, and rounds of a labelled list to learn (the
+    other class possibly never seen), probes that may hold ±0.0, NaN and
+    ±inf, and an optional relation (above, equal or below) to set every
+    leaf's majority tally to against its naive-Bayes tally."""
+    kind = draw(st.sampled_from(["bagging", "boosting"]))
+    leaf_prediction = draw(st.sampled_from(["nb_adaptive", "majority"]))
+    d = draw(st.integers(1, 4))
+    learnt = st.one_of(
+        st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)
+    )
+    probe = st.one_of(learnt, st.sampled_from([math.nan, math.inf, -math.inf]))
+    roots = [
+        draw(st.one_of(st.none(), st.tuples(st.integers(0, d - 1), st.integers(-2, 2).map(float))))
+        for _ in range(3)
+    ]
+    labels = st.sampled_from([NEG, POS])
+    if draw(st.booleans()):  # one class only
+        labels = st.just(draw(labels))
+    rounds = [
+        (
+            draw(st.lists(learnt, min_size=d, max_size=d)),
+            draw(labels),
+            draw(st.lists(st.lists(probe, min_size=d, max_size=d), min_size=1, max_size=3)),
+            draw(st.one_of(st.none(), st.sampled_from(sorted(TALLIES)))),
+        )
+        for _ in range(draw(st.integers(1, 40)))
+    ]
+    return kind, leaf_prediction, d, draw(st.integers(0, 2**32 - 1)), roots, rounds
+
+
+@settings(max_examples=100, deadline=None)
+@given(member_pass_cases())
+def test_the_member_pass_equals_the_per_tree_form_bit_for_bit(case):
+    kind, leaf_prediction, d, seed, roots, rounds = case
+    params = HoeffdingTreeParams(grace_period=4, tie_threshold=0.9, leaf_prediction=leaf_prediction)
+    ensemble = make_ensemble(kind, d, 3, params)
+    for tree, root in zip(ensemble.sub_classifiers, roots):
+        if root is not None:
+            tree._root = _SplitNode(*root, d)
+    rng = np.random.default_rng(seed)
+    trees = ensemble.sub_classifiers
+    for values, label, probes, tally in rounds:
+        ensemble.learn(values, label, rng)
+        if tally is not None:
+            # Set by hand, the tallies drop the kept answers as learn would.
+            for tree in trees:
+                for leaf in tree_leaves(tree):
+                    leaf.mc_correct_weight = leaf.nb_correct_weight + TALLIES[tally]
+                    leaf._answer = None
+        # Probes on every split's threshold as well, so that routing at a
+        # threshold counts.
+        for probe in list(probes):
+            for tree in trees:
+                for node in split_nodes(tree):
+                    on_threshold = list(probe)
+                    on_threshold[node.attribute] = node.threshold
+                    probes.append(on_threshold)
+        for probe in probes:
+            expected = [exact(per_tree_pair(tree, probe)) for tree in trees]
+            assert exact(ensemble.member_pairs(probe)) == expected
+            assert [exact(tree.predict_pair(probe)) for tree in trees] == expected

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from marline import learners
 from marline.core import (
     MAX_ABS_FEATURE,
     NEG,
@@ -37,22 +38,32 @@ from marline.model import (
 )
 
 
-class StubTree:
-    """Sub-classifier returning a fixed distribution, recording its inputs."""
+class StubLeaf:
+    """Leaf answering a fixed distribution as its naive Bayes, so that every
+    member pass evaluates it, and recording its inputs."""
 
-    def __init__(self, distribution):
-        self.distribution = np.asarray(distribution, dtype=float)
-        self.seen_features = []
+    _answer = False  # answers by naive Bayes
 
-    def learn(self, values, label, weight, pair=None):
-        pass
+    def __init__(self, distribution, seen_features):
+        self.distribution = distribution
+        self.seen_features = seen_features
 
-    def predict_pair(self, values):
+    def naive_bayes_distribution(self, values):
         self.seen_features.append(np.asarray(values, dtype=float))
         return tuple(self.distribution.tolist())
 
-    def fixed_pair(self):
-        return None  # reads its input, so that every pass calls predict_pair
+
+class StubTree(HoeffdingTree):
+    """Sub-classifier returning a fixed distribution, recording its inputs."""
+
+    def __init__(self, distribution, n_features=2):
+        super().__init__(n_features)
+        self.distribution = np.asarray(distribution, dtype=float)
+        self.seen_features = []
+        self._root = StubLeaf(self.distribution, self.seen_features)
+
+    def learn(self, values, label, weight, pair=None):
+        pass
 
 
 class StubDetector:
@@ -102,7 +113,7 @@ def install_stub_concept(model, stream_id, dists, c_neg=(0.0, 0.0), c_pos=(1.0, 
     if pool is None:
         pool = model._new_concept(stream_id)
     concept = pool.current
-    concept.ensemble.sub_classifiers = [StubTree(d) for d in dists]
+    concept.ensemble.sub_classifiers = [StubTree(d, model.config.n_features) for d in dists]
     seed_tracker(concept.tracker, c_neg, c_pos)
     return concept
 
@@ -1126,15 +1137,16 @@ def test_snapshot_rejects_garbage(tmp_path):
 
 
 def count_tree_evaluations(monkeypatch):
-    """Record the tree of every ``HoeffdingTree.predict_pair`` call."""
+    """Record every tree that a member pass or a ``predict_pair`` call
+    evaluates; both go through ``learners._member_pairs``."""
     calls = []
-    predict_pair = HoeffdingTree.predict_pair
+    member_pairs = learners._member_pairs
 
-    def counted(tree, values):
-        calls.append(tree)
-        return predict_pair(tree, values)
+    def counted(trees, values):
+        calls.extend(trees)
+        return member_pairs(trees, values)
 
-    monkeypatch.setattr(HoeffdingTree, "predict_pair", counted)
+    monkeypatch.setattr(learners, "_member_pairs", counted)
     return calls
 
 
@@ -1203,6 +1215,36 @@ def test_baseline_reset_observe_evaluates_each_member_once(monkeypatch):
     approach.observe("T", Example(np.array([1.2, 1.7]), POS))
     assert approach.ensemble.sub_classifiers is members
     assert sorted(map(id, calls)) == sorted(map(id, members))
+
+
+def test_update_weights_after_predict_reuses_its_target_pass(monkeypatch):
+    # A weight update right after a prediction at the same features reuses
+    # the pass that the prediction kept on the current target concept; the
+    # learn in observe drops it, so its weight update evaluates them again.
+    rng = np.random.default_rng(18)
+    model = MarlineModel(small_config(ensemble_size=3))
+    for ex in alternating_stream(rng, 200, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    ensemble = model.pools["T"].current.ensemble
+    members = ensemble.sub_classifiers
+    calls = count_tree_evaluations(monkeypatch)
+
+    def target_calls():
+        found = sorted(id(tree) for tree in calls if tree in members)
+        calls.clear()
+        return found
+
+    x = np.array([1.2, 1.7])
+    model.predict(x)
+    model.update_weights(Example(x, POS))
+    assert target_calls() == sorted(map(id, members))
+    model.observe("T", Example(x, POS), rng)
+    assert model.pools["T"].current.ensemble is ensemble
+    assert target_calls() == sorted(map(id, members))
+    model.predict(x)
+    model.update_weights(Example(x, POS))
+    assert target_calls() == []
 
 
 @pytest.mark.parametrize("approach", ["marline_with_source", "base_detector_reset"])
