@@ -11,6 +11,9 @@ import numpy as np
 NEG = 0
 POS = 1
 LABELS = (NEG, POS)
+# The types a label may have. 1.0 == 1, so a float label would pass a test
+# of membership in LABELS alone.
+_LABEL_TYPES = (int, np.integer)
 
 
 class MarlineError(Exception):
@@ -40,7 +43,7 @@ class Example:
         object.__setattr__(
             self, "features", np.asarray(self.features, dtype=float)
         )
-        if self.label not in LABELS:
+        if not isinstance(self.label, _LABEL_TYPES) or self.label not in LABELS:
             raise ValueError(f"label must be {NEG} or {POS}, got {self.label!r}")
 
     @property

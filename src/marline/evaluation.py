@@ -209,6 +209,7 @@ def run_schedule(
     seg_total = 0
     segment = 0
     recent: deque[int] = deque(maxlen=window)
+    in_window = 0  # sum(recent), kept as each step enters and leaves
     for index, (stream_id, example) in enumerate(schedule.entries):
         if stream_id == schedule.target_id:
             if index in reset_indices and seg_total > 0:
@@ -221,10 +222,13 @@ def run_schedule(
             correct = 1 if predicted == example.label else 0
             seg_correct += correct
             seg_total += 1
+            if len(recent) == window:
+                in_window -= recent[0]
             recent.append(correct)
+            in_window += correct
             trace.correct.append(correct)
             trace.running.append(seg_correct / seg_total)
-            trace.windowed.append(sum(recent) / len(recent))
+            trace.windowed.append(in_window / len(recent))
             trace.segment_ids.append(segment)
             approach.observe(stream_id, example)
             ratio = ratio_fn()

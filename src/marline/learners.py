@@ -119,9 +119,9 @@ class _LeafNode:
     """Growing leaf holding class counts and per-attribute Gaussian stats.
 
     Its naive-Bayes terms are built on first use and then kept current by
-    ``learn``; its majority pair and its answer (that pair where the leaf
-    answers by majority, False where it answers by naive Bayes) are built
-    on first use and dropped by ``learn``. Snapshots store none of them.
+    ``learn``; its answer (its majority pair where the leaf answers by
+    majority, False where it answers by naive Bayes) is built on first use
+    and dropped by ``learn``. Snapshots store neither.
     """
 
     __slots__ = (
@@ -131,10 +131,9 @@ class _LeafNode:
         "mc_correct_weight",
         "nb_correct_weight",
         "_nb_terms",
-        "_majority",
         "_answer",
     )
-    _CACHES = ("_nb_terms", "_majority", "_answer")
+    _CACHES = ("_nb_terms", "_answer")
 
     def __init__(self, n_features: int) -> None:
         self.class_weights = [0.0, 0.0]
@@ -145,7 +144,6 @@ class _LeafNode:
         self.mc_correct_weight = 0.0
         self.nb_correct_weight = 0.0
         self._nb_terms: list | None = None
-        self._majority: Pair | None = None
         self._answer: Pair | bool | None = None
 
     def __getstate__(self) -> dict:
@@ -168,12 +166,9 @@ class _LeafNode:
         return self.class_weights[NEG] + self.class_weights[POS]
 
     def majority_distribution(self) -> Pair:
-        pair = self._majority
-        if pair is None:
-            neg, pos = self.class_weights
-            total = neg + pos
-            pair = self._majority = (0.5, 0.5) if total <= 0.0 else (neg / total, pos / total)
-        return pair
+        neg, pos = self.class_weights
+        total = neg + pos
+        return (0.5, 0.5) if total <= 0.0 else (neg / total, pos / total)
 
     def _naive_bayes_terms(self) -> list[tuple[float, list]]:
         """Per class, its log prior and its attribute terms."""
@@ -234,7 +229,7 @@ class _LeafNode:
             if (POS if p_pos > p_neg else NEG) == label:
                 self.nb_correct_weight += weight
         weights[label] += weight
-        self._majority = self._answer = None
+        self._answer = None
         # One pass updates the label's estimators and, when the terms are
         # kept, rebuilds its attribute terms as _class_terms does.
         terms = self._nb_terms

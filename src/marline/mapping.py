@@ -120,10 +120,9 @@ def _dot(a: list[float], b: list[float]) -> float:
 class ConceptFrame:
     """Alignment terms of one concept, from its concept vector and POS
     centroid given as lists of floats: the vector's norm, its unit vector and
-    the centroid. The terms never change once built; a frame also remembers
-    its reflections against the last target frame it projected from."""
+    the centroid. The terms never change once built."""
 
-    __slots__ = ("vector", "norm", "unit", "c_pos", "_memo")
+    __slots__ = ("vector", "norm", "unit", "c_pos")
 
     def __init__(self, vector: list[float], c_pos: list[float]) -> None:
         self.vector = vector
@@ -133,18 +132,6 @@ class ConceptFrame:
         self.norm = math.sqrt(array.dot(array))
         self.unit = [x / self.norm for x in vector] if self.norm > 0.0 else None
         self.c_pos = c_pos
-        self._memo: tuple[ConceptFrame | None, Reflections | None] = (None, None)
-
-    def project(self, values: list[float], target: ConceptFrame) -> list[float]:
-        """``Reflections(self, target).apply(values)``, with the reflections
-        reused while ``target`` is the same frame object. Sound because frames
-        are never mutated and the memo keeps ``target`` alive, so its identity
-        cannot be reused."""
-        memo_target, reflections = self._memo
-        if memo_target is not target:
-            reflections = Reflections(self, target)
-            self._memo = (target, reflections)
-        return reflections.apply(values)
 
 
 class Reflections:

@@ -21,7 +21,7 @@ from .core import (
 )
 from .drift import DriftStatus, make_detector
 from .learners import ENSEMBLES, HoeffdingTreeParams, Pair, make_ensemble, mean_pair
-from .mapping import CentroidTracker, ConceptFrame
+from .mapping import CentroidTracker, ConceptFrame, Reflections
 
 SNAPSHOT_FORMAT = "marline-model"
 SNAPSHOT_VERSION = 3
@@ -395,4 +395,6 @@ def _concept_pairs(
     if fixed is not None:
         return fixed
     source = concept.tracker.frame()
-    return ensemble.member_pairs(values if source is None else source.project(values, target))
+    return ensemble.member_pairs(
+        values if source is None else Reflections(source, target).apply(values)
+    )

@@ -186,6 +186,29 @@ def test_sliding_window_matches_brute_force_oracle():
     assert series == pytest.approx(expected)
 
 
+def test_windowed_accuracy_reads_no_window_per_step(monkeypatch):
+    # The window's sum is kept as steps enter and leave, so no step sums
+    # the window again; the values equal a sum taken on every step.
+    import marline.evaluation as evaluation
+
+    reads = []
+
+    class CountedDeque(evaluation.deque):
+        def __iter__(self):
+            reads.append(len(self))
+            return super().__iter__()
+
+    bits = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0] * 20
+    schedule = target_schedule([i % 2 for i in range(len(bits))])
+    monkeypatch.setattr(evaluation, "deque", CountedDeque)
+    series = run_schedule(ScriptedStub(bits), schedule, False, 0.05).windowed
+    assert reads == []
+    window = 10
+    assert series == [
+        sum(bits[max(0, t - window + 1) : t + 1]) / min(t + 1, window) for t in range(len(bits))
+    ]
+
+
 def test_constant_predictor_converges_to_half_on_balanced_stream():
     n = 400
     schedule = target_schedule([i % 2 for i in range(n)])

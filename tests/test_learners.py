@@ -546,7 +546,7 @@ def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
         tree.train(example, weight)
         plain.train(example, weight)
         assert leaf._nb_terms == leaf._naive_bayes_terms()
-        assert leaf._majority is None
+        assert leaf._answer is None
     # Probing before training, which builds the leaves' caches, leaves the
     # learner exactly as training alone does.
     assert pickle.dumps(tree) == pickle.dumps(plain)
@@ -1072,8 +1072,8 @@ def test_cached_majority_pairs_equal_a_fresh_computation(case):
         ensemble.learn(values, label, rng, pairs)
         for tree in ensemble.sub_classifiers:
             for leaf in tree_leaves(tree):
-                if leaf._majority is not None:
-                    assert exact(leaf._majority) == exact(fresh_majority(leaf))
+                if leaf._answer:  # a kept majority pair
+                    assert exact(leaf._answer) == exact(fresh_majority(leaf))
                 assert exact(leaf.majority_distribution()) == exact(fresh_majority(leaf))
 
 

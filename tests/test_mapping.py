@@ -389,7 +389,7 @@ def test_frame_maps_equal_build_align_map_bit_for_bit():
                 amap, householder_map(src.concept_vector(), tgt.concept_vector())
             )
             x = rng.standard_normal(d) * 3
-            assert src.frame().project(x.tolist(), tgt.frame()) == pytest.approx(
+            assert Reflections(src.frame(), tgt.frame()).apply(x.tolist()) == pytest.approx(
                 matrix_projection(x, src, tgt), rel=1e-12, abs=1e-12
             )
 
@@ -406,7 +406,7 @@ def test_coincident_centroids_give_the_degenerate_map():
         reflections = Reflections(src.frame(), tgt.frame())
         assert reflections.steps is None
         assert reflections.scale == 1.0
-        assert src.frame().project(x, tgt.frame()) is x
+        assert reflections.apply(x) is x
 
 
 @pytest.mark.parametrize("vector", [[math.nan, 1.0], [math.inf, 1.0], [math.inf, -math.inf]])
@@ -415,8 +415,9 @@ def test_frames_of_no_finite_norm_give_the_degenerate_map(vector):
     odd = ConceptFrame(vector, [0.0, 0.0])
     x = [1.5, -2.0]
     for src, tgt in ((odd, regular), (regular, odd)):
-        assert Reflections(src, tgt).steps is None
-        assert src.project(x, tgt) is x
+        reflections = Reflections(src, tgt)
+        assert reflections.steps is None
+        assert reflections.apply(x) is x
 
 
 def test_antiparallel_frames_use_the_target_reflection():
@@ -429,31 +430,12 @@ def test_antiparallel_frames_use_the_target_reflection():
     assert_close_map(amap, householder_map(src.concept_vector(), tgt.concept_vector()))
     assert amap.matrix @ tgt.concept_vector() == pytest.approx(src.concept_vector())
     c_tgt, c_src = tgt.centroid(POS), src.centroid(POS)
-    image = src.frame().project((c_tgt + tgt.concept_vector()).tolist(), tgt.frame())
+    image = reflections.apply((c_tgt + tgt.concept_vector()).tolist())
     assert image == pytest.approx(c_src + src.concept_vector())
     x = np.array([1.0, 2.0])
-    assert src.frame().project(x.tolist(), tgt.frame()) == pytest.approx(
+    assert reflections.apply(x.tolist()) == pytest.approx(
         matrix_projection(x, src, tgt), abs=1e-12
     )
-
-
-def test_projection_reuses_the_reflections_until_the_target_moves():
-    src = tracker_with([0.0, 0.0], [3.0, 1.0])
-    tgt = tracker_with([1.0, 0.0], [2.0, 4.0])
-    x = [0.5, -1.5]
-    first = src.frame().project(x, tgt.frame())
-    reflections = src.frame()._memo[1]
-    assert src.frame().project(x, tgt.frame()) == first
-    assert src.frame()._memo[1] is reflections
-    # An equal frame that is another object is not taken for the same one.
-    other = tracker_with([1.0, 0.0], [2.0, 4.0])
-    assert src.frame().project(x, other.frame()) == first
-    assert src.frame()._memo[1] is not reflections
-    tgt.update(Example(np.array([5.0, 5.0]), POS))
-    moved = src.frame().project(x, tgt.frame())
-    assert src.frame()._memo[0] is tgt.frame()
-    assert moved == Reflections(src.frame(), tgt.frame()).apply(x)
-    assert moved == pytest.approx(matrix_projection(np.array(x), src, tgt), abs=1e-12)
 
 
 @st.composite

@@ -21,7 +21,7 @@ import pytest
 from marline.core import Example
 from marline.drift import DriftStatus, HddmA
 from marline.learners import HoeffdingTree, HoeffdingTreeParams, make_ensemble
-from marline.mapping import CentroidTracker, ConceptFrame
+from marline.mapping import CentroidTracker, ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
     MarlineConfig,
@@ -34,29 +34,19 @@ pytestmark = pytest.mark.bench
 
 
 def frames(d: int):
-    """A source frame, two equal target frames that are distinct objects,
-    and a point, all of dimension ``d``."""
+    """A source frame, a target frame and a point, all of dimension ``d``."""
     rng = np.random.default_rng(d)
     source = ConceptFrame(rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist())
-    v_tgt, c_tgt = rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist()
-    targets = [ConceptFrame(v_tgt, c_tgt), ConceptFrame(v_tgt, c_tgt)]
-    return source, targets, rng.standard_normal(d).tolist()
+    target = ConceptFrame(rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist())
+    return source, target, rng.standard_normal(d).tolist()
 
 
 @pytest.mark.parametrize("d", [2, 4])
-def test_frame_projection_memo_miss(benchmark, d):
-    # Alternating between two target objects misses the memo on every call,
-    # as when the target centroids move on every target step.
-    source, targets, values = frames(d)
-    next_target = itertools.cycle(targets).__next__
-    image = benchmark(lambda: source.project(values, next_target()))
-    assert image == source.project(values, targets[0])
-
-
-@pytest.mark.parametrize("d", [2, 4])
-def test_frame_projection_memo_hit(benchmark, d):
-    source, targets, values = frames(d)
-    image = benchmark(source.project, values, targets[0])
+def test_frame_projection(benchmark, d):
+    # The reflections are built on every call, as a concept's projection
+    # is on every pass.
+    source, target, values = frames(d)
+    image = benchmark(lambda: Reflections(source, target).apply(values))
     assert len(image) == d
 
 

@@ -916,8 +916,6 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     assert all(c.tracker._frame is not None for c in model.concepts)
     assert model.pools["T"].current.ensemble._memo is not None
     assert any(leaf._nb_terms is not None for leaf in leaves(model))
-    for leaf in leaves(model):
-        leaf.majority_distribution()
 
     found = []
 
@@ -930,7 +928,6 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     frames = [c.tracker.frame() for c in model.concepts]
     memos = [c.ensemble._memo for c in model.concepts]
     terms = [leaf._nb_terms for leaf in leaves(model)]
-    majorities = [leaf._majority for leaf in leaves(model)]
     path = tmp_path / "model.bin"
     model.save(str(path))
     Spy(io.BytesIO()).dump(model)
@@ -938,27 +935,61 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     assert [c.tracker.frame() for c in model.concepts] == frames
     assert [c.ensemble._memo for c in model.concepts] == memos
     assert [leaf._nb_terms for leaf in leaves(model)] == terms
-    assert [leaf._majority for leaf in leaves(model)] == majorities
     restored = MarlineModel.load(str(path))
     assert all(c.tracker._frame is None for c in restored.concepts)
     assert all("_memo" not in vars(c.ensemble) for c in restored.concepts)
-    assert all(
-        leaf._nb_terms is None and leaf._majority is None for leaf in leaves(restored)
-    )
+    assert all(leaf._nb_terms is None for leaf in leaves(restored))
     for p, a in zip(probes, before):
         b = restored.predict(p)
         assert a.label == b.label
         assert np.array_equal(a.scores, b.scores)
 
 
+def test_snapshot_bytes_do_not_change_with_what_a_round_builds():
+    # A round of predict and update_weights builds frames, kept and fixed
+    # passes, leaf answers, naive-Bayes terms and voting weights; none of
+    # them reaches the snapshot bytes.
+    rng = np.random.default_rng(16)
+    tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5)
+    model = MarlineModel(small_config(ensemble_size=3, tree=tree))
+    # Classes that overlap, so that some nb-adaptive leaves answer by majority.
+    stream = alternating_stream(rng, 300, (0.0, 0.0), (1.0, 1.0))
+    shifted = alternating_stream(rng, 200, (1.0, -1.0), (-2.0, 2.0))
+    for ex, other in zip(stream[:200], shifted):
+        model.observe("S1", ex, rng)
+        model.observe("S2", other, rng)
+        model.observe("T", ex, rng)
+    # Two restored copies, since a restored model can pickle to other bytes
+    # than the model it was saved from (its attribute names are not shared).
+    model, twin = pickle.loads(pickle.dumps(model)), pickle.loads(pickle.dumps(model))
+    before = pickle.dumps(twin)
+    for ex in stream[200:]:
+        model.predict(ex.features)
+    assert pickle.dumps(model) == before
+    assert model._weights is not None
+    assert all(c.tracker._frame is not None for c in model.concepts)
+    current = model.pools["T"].current
+    assert current.ensemble._memo is not None
+    assert all(c.ensemble._fixed is not None for c in model.concepts if c is not current)
+    answers = [leaf._answer for leaf in leaves(model)]
+    assert any(answers) and False in answers
+    assert all(leaf._nb_terms is not None for leaf in leaves(model) if leaf._answer is False)
+    for ex in stream[200:]:
+        model.predict(ex.features)
+        model.update_weights(ex)
+        model.predict(ex.features)
+        twin.update_weights(ex)
+        assert pickle.dumps(model) == pickle.dumps(twin)
+
+
 class EarlierLayout(pickle.Pickler):
     """Pickles leaves as they used to be: the default slots state (None,
-    slots), with their naive-Bayes terms and without a majority slot."""
+    slots), with their naive-Bayes terms and without an answer slot."""
 
     def reducer_override(self, obj):
         if not isinstance(obj, _LeafNode):
             return NotImplemented
-        slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_majority"}
+        slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_answer"}
         return copyreg.__newobj__, (_LeafNode,), (None, slots)
 
 
@@ -1303,13 +1334,13 @@ def test_a_frozen_concept_of_single_majority_leaves_is_never_projected(
     assert all(c.tracker.frame() is not None for c in frozen)
     assert model.pools["S1"].current.ensemble.fixed_pairs() is None  # its trees split
     projected_from = []
-    project = ConceptFrame.project
+    init = Reflections.__init__
 
-    def spied(frame, values, target):
-        projected_from.append(frame)
-        return project(frame, values, target)
+    def spied(reflections, src, tgt):
+        projected_from.append(src)
+        init(reflections, src, tgt)
 
-    monkeypatch.setattr(ConceptFrame, "project", spied)
+    monkeypatch.setattr(Reflections, "__init__", spied)
     for ex in stream[200:]:
         model.predict(ex.features)
         model.observe("T", ex, rng)

@@ -190,6 +190,17 @@ def test_generated_examples_are_built_on_access_and_read_only():
         examples[20]
 
 
+@pytest.mark.parametrize("label", [0, 1, True, False, np.int64(1), np.int8(0)])
+def test_examples_accept_integer_labels(label):
+    assert Example([1.0, 2.0], label).label == label
+
+
+@pytest.mark.parametrize("label", [1.0, 0.0, np.float64(0.0), 0.5, 2, -1, "1", None])
+def test_examples_refuse_labels_that_are_not_0_or_1_integers(label):
+    with pytest.raises(ValueError, match="label must be"):
+        Example([1.0, 2.0], label)
+
+
 def test_spec_validation_errors():
     concept = GaussianConceptSpec((0.0, 0.0), (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(ConfigurationError):
