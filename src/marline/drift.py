@@ -93,65 +93,47 @@ class HddmA:
             raise ConfigurationError("warning_confidence must be in (0, 1)")
         self.drift_confidence = drift_confidence
         self.warning_confidence = warning_confidence
-        self._derive_logs()
         self.reset()
-
-    def _derive_logs(self) -> None:
-        # The logs that update's bounds take: log(1/drift_confidence),
-        # log(2/drift_confidence) and log(2/warning_confidence). Snapshots
-        # store none (nor did those made before they were kept), so loading
-        # derives them again.
-        self._logs = (
-            math.log(1.0 / self.drift_confidence),
-            math.log(2.0 / self.drift_confidence),
-            math.log(2.0 / self.warning_confidence),
-        )
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_logs"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._derive_logs()
 
     def reset(self) -> None:
         self.observed_count = 0
-        self.total_n = 0
         self.total_c = 0.0
         self.n_min = 0
         self.c_min = 0.0
         self.status = DriftStatus.STABLE
 
     def update(self, prediction_correct: bool) -> DriftStatus:
-        logs = self._logs
         self.observed_count += 1
-        self.total_n += 1
+        n = self.observed_count
         self.total_c += 0.0 if prediction_correct else 1.0
         if self.n_min == 0:
-            self.n_min = self.total_n
+            self.n_min = n
             self.c_min = self.total_c
         else:
             # Move the reference prefix forward while it is not credibly
             # lower-error than the stream as a whole.
-            deviation_min = math.sqrt(logs[0] / (2.0 * self.n_min))
-            deviation_all = math.sqrt(logs[0] / (2.0 * self.total_n))
+            log_drift = math.log(1.0 / self.drift_confidence)
+            deviation_min = math.sqrt(log_drift / (2.0 * self.n_min))
+            deviation_all = math.sqrt(log_drift / (2.0 * n))
             if (
                 self.c_min / self.n_min + deviation_min
-                >= self.total_c / self.total_n + deviation_all
+                >= self.total_c / n + deviation_all
             ):
-                self.n_min = self.total_n
+                self.n_min = n
                 self.c_min = self.total_c
         status = DriftStatus.STABLE
-        if self.n_min != self.total_n:
+        if self.n_min != n:
             # The error mean rose past its prefix mean by at least the
             # Hoeffding deviation of the two sample sizes at a confidence.
-            m = (self.total_n - self.n_min) / (self.n_min * self.total_n)
-            increase = self.total_c / self.total_n - self.c_min / self.n_min
-            if increase >= math.sqrt(m / 2.0 * logs[1]):
+            m = (n - self.n_min) / (self.n_min * n)
+            increase = self.total_c / n - self.c_min / self.n_min
+            if increase >= math.sqrt(
+                m / 2.0 * math.log(2.0 / self.drift_confidence)
+            ):
                 status = DriftStatus.DRIFT
-            elif increase >= math.sqrt(m / 2.0 * logs[2]):
+            elif increase >= math.sqrt(
+                m / 2.0 * math.log(2.0 / self.warning_confidence)
+            ):
                 status = DriftStatus.WARNING
         self.status = status
         return status

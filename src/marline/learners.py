@@ -153,11 +153,7 @@ class _LeafNode:
             if name not in self._CACHES
         }
 
-    def __setstate__(self, state: dict | tuple) -> None:
-        # Leaves pickled before the caches were left out carry the default
-        # slots state (None, slots), terms included; the terms are rebuilt.
-        if isinstance(state, tuple):
-            state = state[1]
+    def __setstate__(self, state: dict) -> None:
         for name in self.__slots__:
             setattr(self, name, None if name in self._CACHES else state[name])
 
@@ -336,12 +332,6 @@ class HoeffdingTree:
         self.params = params or HoeffdingTreeParams()
         self._root: _LeafNode | _SplitNode = _LeafNode(n_features)
         self.n_splits = 0
-
-    def __setstate__(self, state: dict) -> None:
-        # Trees pickled while ensembles keyed their kept pass on a count of
-        # learnt examples carry it; nothing reads it.
-        state.pop("n_learned", None)
-        self.__dict__.update(state)
 
     def train(self, example: Example, weight: float = 1.0) -> None:
         """Absorb one weighted example; may grow the tree."""

@@ -40,11 +40,6 @@ class CentroidTracker:
         self.normalizer = [0.0, 0.0]
         self.seen = [False, False]
 
-    def __setstate__(self, state: dict) -> None:
-        # Trackers pickled before the sums were lists hold them as arrays.
-        state["sum_c"] = [s if isinstance(s, list) else s.tolist() for s in state["sum_c"]]
-        self.__dict__.update(state)
-
     def update(self, example: Example) -> None:
         check_dims(example.features, self.n_features, "CentroidTracker.update")
         label = example.label

@@ -24,7 +24,8 @@ from .learners import ENSEMBLES, HoeffdingTreeParams, Pair, make_ensemble, mean_
 from .mapping import CentroidTracker, ConceptFrame, Reflections
 
 SNAPSHOT_FORMAT = "marline-model"
-SNAPSHOT_VERSION = 3
+# A snapshot loads only at the version it was saved at; a layout change bumps it.
+SNAPSHOT_VERSION = 4
 
 DEFAULT_TARGET_ID = "T"
 
@@ -335,8 +336,13 @@ class MarlineModel:
 
     @classmethod
     def load(cls, path: str) -> "MarlineModel":
+        """Read a snapshot that :meth:`save` wrote at this version; raises
+        :class:`DataError` for another version or a truncated file."""
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+            try:
+                payload = pickle.load(fh)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise DataError(f"{path}: not a model snapshot ({exc})") from exc
         if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
             raise DataError(f"{path}: not a model snapshot")
         if payload.get("version") != SNAPSHOT_VERSION:

@@ -212,7 +212,7 @@ def test_hddm_a_update(benchmark):
             detector.reset()
 
     benchmark(step)
-    assert detector.total_n > 0
+    assert detector.observed_count > 0
 
 
 def acceptance_7_model(n_sources):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import copyreg
 import os
 import pickle
 import tempfile
@@ -28,9 +27,10 @@ from marline.core import (
 from marline.drift import DriftStatus
 from marline.evaluation import APPROACHES, BaselineApproach
 from marline.learners import HoeffdingTree, HoeffdingTreeParams, _EnsembleBase, _LeafNode
-from marline.mapping import CentroidTracker, ConceptFrame, Reflections
+from marline.mapping import ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
+    SNAPSHOT_VERSION,
     MarlineConfig,
     MarlineModel,
     sub_classifier_weights,
@@ -982,71 +982,17 @@ def test_snapshot_bytes_do_not_change_with_what_a_round_builds():
         assert pickle.dumps(model) == pickle.dumps(twin)
 
 
-class EarlierLayout(pickle.Pickler):
-    """Pickles leaves as they used to be: the default slots state (None,
-    slots), with their naive-Bayes terms and without an answer slot."""
-
-    def reducer_override(self, obj):
-        if not isinstance(obj, _LeafNode):
-            return NotImplemented
-        slots = {name: getattr(obj, name) for name in obj.__slots__ if name != "_answer"}
-        return copyreg.__newobj__, (_LeafNode,), (None, slots)
-
-
-def test_snapshot_restores_leaves_pickled_with_their_terms(tmp_path):
-    # Such a version-3 snapshot still loads, predicts the same, and goes on
-    # learning as the model it was saved from.
-    rng = np.random.default_rng(14)
-    model = MarlineModel(small_config(ensemble_size=3))
-    for ex in alternating_stream(rng, 200, (0.0, 0.0), (3.0, 3.0)):
-        model.observe("S1", ex, rng)
-        model.observe("T", ex, rng)
-    probes = np.random.default_rng(15).standard_normal((30, 2)) * 2 + 1.5
-    before = [model.predict(p) for p in probes]
-    assert any(leaf._nb_terms is not None for leaf in leaves(model))
-    path = tmp_path / "model.bin"
-    with open(path, "wb") as fh:
-        EarlierLayout(fh).dump({"format": "marline-model", "version": 3, "model": model})
-    restored = MarlineModel.load(str(path))
-    assert all(leaf._nb_terms is None for leaf in leaves(restored))
-    for p, a in zip(probes, before):
-        b = restored.predict(p)
-        assert a.label == b.label
-        assert np.array_equal(a.scores, b.scores)
-    restored_rng = copy.deepcopy(rng)
-    for ex in alternating_stream(np.random.default_rng(16), 40, (0.0, 0.0), (3.0, 3.0)):
-        for m, r in ((model, rng), (restored, restored_rng)):
-            m.observe("S1", ex, r)
-            m.observe("T", ex, r)
-        for p in probes[:5]:
-            assert np.array_equal(model.predict(p).scores, restored.predict(p).scores)
-
-
-class CountedLayout(pickle.Pickler):
-    """Pickles trees as they were while ensembles keyed their kept pass on
-    each tree's count of learnt examples, ``n_learned``."""
-
-    def reducer_override(self, obj):
-        if not isinstance(obj, HoeffdingTree):
-            return NotImplemented
-        return copyreg.__newobj__, (HoeffdingTree,), {**vars(obj), "n_learned": 7}
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     base_ensemble=st.sampled_from(["bagging", "boosting"]),
     leaf_prediction=st.sampled_from(["nb_adaptive", "majority"]),
-    layout=st.sampled_from([None, EarlierLayout, CountedLayout]),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 150),
 )
-def test_version_3_snapshots_load_and_continue_identically(
-    base_ensemble, leaf_prediction, layout, seed, n
-):
-    # A snapshot holds no caches: no leaf terms or majority pairs and no
-    # kept member pass, so the restored model rebuilds them and hands the
-    # same pairs to learn. Saved in the current layout or an earlier one,
-    # it predicts and learns as the model it was saved from.
+def test_snapshots_load_and_continue_identically(base_ensemble, leaf_prediction, seed, n):
+    # A snapshot holds no caches: no leaf terms or answers and no kept
+    # member pass, so the restored model rebuilds them and hands the same
+    # pairs to learn. It predicts and learns as the model it was saved from.
     tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5, leaf_prediction=leaf_prediction)
     model = MarlineModel(small_config(ensemble_size=3, base_ensemble=base_ensemble, tree=tree))
     rng = np.random.default_rng(seed)
@@ -1056,21 +1002,8 @@ def test_version_3_snapshots_load_and_continue_identically(
         model.observe("T", ex, rng)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.bin")
-        if layout is None:
-            model.save(path)
-        else:
-            with open(path, "wb") as fh:
-                layout(fh).dump({"format": "marline-model", "version": 3, "model": model})
+        model.save(path)
         restored = MarlineModel.load(path)
-        if layout is CountedLayout:
-            # The dead count goes on load, and so stays out of the next save.
-            trees = [tree for c in restored.concepts for tree in c.ensemble.sub_classifiers]
-            assert all("n_learned" not in vars(tree) for tree in trees)
-            restored.save(path)
-            trees = [
-                tree for c in MarlineModel.load(path).concepts for tree in c.ensemble.sub_classifiers
-            ]
-            assert all("n_learned" not in vars(tree) for tree in trees)
     restored_rng = copy.deepcopy(rng)
     for ex in alternating_stream(np.random.default_rng(seed + 1), 60, (0.0, 0.0), (2.0, 2.0)):
         for stream_id in ("S1", "T"):
@@ -1083,61 +1016,150 @@ def test_version_3_snapshots_load_and_continue_identically(
     assert rng.bit_generator.state == restored_rng.bit_generator.state
 
 
-def test_snapshot_restores_trackers_pickled_with_array_sums(tmp_path):
-    # Trackers used to keep each decayed feature sum as a numpy array. Such
-    # a version-3 snapshot still loads with list sums, predicts the same, and
-    # goes on learning as the model it was saved from.
-    import copyreg
-    import pickle
+# The attribute names that each class pickles at SNAPSHOT_VERSION, for the
+# models of `layout_models`. A snapshot loads only at the version it was
+# saved at, so a change to any of these names bumps the version.
+PINNED_LAYOUTS = {
+    4: {
+        "marline.drift.DDM": (
+            "drift_level",
+            "error_sum",
+            "min_observations",
+            "observed_count",
+            "p_min",
+            "s_min",
+            "status",
+            "warning_level",
+        ),
+        "marline.drift.DriftStatus": (),
+        "marline.drift.HddmA": (
+            "c_min",
+            "drift_confidence",
+            "n_min",
+            "observed_count",
+            "status",
+            "total_c",
+            "warning_confidence",
+        ),
+        "marline.learners.GaussianEstimator": (
+            "_m2",
+            "max_value",
+            "mean",
+            "min_value",
+            "weight_sum",
+        ),
+        "marline.learners.HoeffdingTree": ("_root", "n_features", "n_splits", "params"),
+        "marline.learners.HoeffdingTreeParams": (
+            "grace_period",
+            "leaf_prediction",
+            "split_confidence",
+            "tie_threshold",
+        ),
+        "marline.learners.OnlineBagging": ("n_features", "sub_classifiers", "trained_count"),
+        "marline.learners.OnlineBoosting": (
+            "lambda_correct",
+            "lambda_wrong",
+            "n_features",
+            "sub_classifiers",
+            "trained_count",
+        ),
+        "marline.learners._LeafNode": (
+            "class_weights",
+            "estimators",
+            "mc_correct_weight",
+            "nb_correct_weight",
+            "weight_at_last_attempt",
+        ),
+        "marline.learners._SplitNode": ("attribute", "left", "right", "threshold"),
+        "marline.mapping.CentroidTracker": (
+            "forgetting_factor",
+            "n_features",
+            "normalizer",
+            "seen",
+            "sum_c",
+        ),
+        "marline.model.ConceptState": ("ensemble", "tracker"),
+        "marline.model.MarlineConfig": (
+            "base_ensemble",
+            "detector",
+            "detector_params",
+            "ensemble_size",
+            "forgetting_factor",
+            "n_features",
+            "performance_index",
+            "tree",
+        ),
+        "marline.model.MarlineModel": (
+            "concepts",
+            "config",
+            "lambda_correct",
+            "lambda_wrong",
+            "performance",
+            "pools",
+            "target_id",
+        ),
+        "marline.model.StreamPool": ("concepts", "detector"),
+    },
+}
 
-    rng = np.random.default_rng(24)
-    model = MarlineModel(small_config(ensemble_size=3))
-    for ex in alternating_stream(rng, 150, (0.0, 0.0), (3.0, 3.0)):
-        model.observe("S1", ex, rng)
-        model.observe("T", ex, rng)
-    probes = np.random.default_rng(25).standard_normal((30, 2)) * 2 + 1.5
-    before = [model.predict(p) for p in probes]
 
-    reduced = []
+def layout_models():
+    """Two small trained models that between them hold every class a
+    snapshot stores: bagging with nb-adaptive leaves and HDDM_A, boosting
+    with majority leaves and DDM, each with split trees."""
+    models = []
+    for base_ensemble, leaf_prediction, detector in (
+        ("bagging", "nb_adaptive", "hddm_a"),
+        ("boosting", "majority", "ddm"),
+    ):
+        tree = HoeffdingTreeParams(
+            grace_period=20, tie_threshold=0.5, leaf_prediction=leaf_prediction
+        )
+        model = MarlineModel(
+            small_config(base_ensemble=base_ensemble, detector=detector, tree=tree)
+        )
+        rng = np.random.default_rng(1)
+        for ex in alternating_stream(rng, 200, (0.0, 0.0), (2.0, 2.0)):
+            model.observe("S1", ex, rng)
+            model.predict(ex.features)
+            model.observe("T", ex, rng)
+        models.append(model)
+    return models
 
-    class ArraySums(pickle.Pickler):
+
+def pickled_layout(obj):
+    """Per marline class met while pickling ``obj``, the sorted names of the
+    attributes its pickled state holds."""
+    import io
+
+    layout = {}
+
+    class Recorder(pickle.Pickler):
         def reducer_override(self, obj):
-            if not isinstance(obj, CentroidTracker):
-                return NotImplemented
-            state = {k: v for k, v in vars(obj).items() if k != "_frame"}
-            state["sum_c"] = [np.array(s) for s in obj.sum_c]
-            reduced.append(obj)
-            return copyreg.__newobj__, (CentroidTracker,), state
+            cls = type(obj)
+            if cls.__module__.startswith("marline."):
+                reduced = obj.__reduce_ex__(pickle.DEFAULT_PROTOCOL)
+                state = reduced[2] if len(reduced) > 2 else None
+                # A slotted class without __getstate__ pickles (dict, slots).
+                parts = state if isinstance(state, tuple) else (state,)
+                names = tuple(sorted(name for part in parts if part for name in part))
+                key = f"{cls.__module__}.{cls.__qualname__}"
+                assert layout.setdefault(key, names) == names, f"{key} pickles two layouts"
+            return NotImplemented
 
-    path = tmp_path / "model.bin"
-    with open(path, "wb") as fh:
-        ArraySums(fh).dump({"format": "marline-model", "version": 3, "model": model})
-    assert len(reduced) == len(model.concepts) == 2
-    restored = MarlineModel.load(str(path))
-    for original, concept in zip(model.concepts, restored.concepts):
-        sums = concept.tracker.sum_c
-        assert all(type(s) is list and all(type(x) is float for x in s) for s in sums)
-        assert sums == original.tracker.sum_c
-    for p, a in zip(probes, before):
-        b = restored.predict(p)
-        assert a.label == b.label
-        assert np.array_equal(a.scores, b.scores)
-    restored_rng = copy.deepcopy(rng)
-    for ex in alternating_stream(np.random.default_rng(26), 40, (0.0, 0.0), (3.0, 3.0)):
-        for m, r in ((model, rng), (restored, restored_rng)):
-            m.observe("S1", ex, r)
-            m.observe("T", ex, r)
-        for p in probes[:5]:
-            assert np.array_equal(model.predict(p).scores, restored.predict(p).scores)
-    for original, concept in zip(model.concepts, restored.concepts):
-        assert concept.tracker.sum_c == original.tracker.sum_c
-    assert np.array_equal(model.performance, restored.performance)
+    Recorder(io.BytesIO()).dump(obj)
+    return layout
 
 
-def test_snapshot_rejects_version_one(tmp_path):
-    import pickle
+def test_snapshot_layout_is_the_one_pinned_for_its_version():
+    assert pickled_layout(layout_models()) == PINNED_LAYOUTS.get(SNAPSHOT_VERSION), (
+        f"the pickled layout is not the one pinned for version {SNAPSHOT_VERSION}: "
+        "a layout change bumps SNAPSHOT_VERSION and pins the new layout under it"
+    )
 
-    for version in (1, 2):
+
+def test_snapshot_rejects_versions_before_4(tmp_path):
+    for version in (1, 2, 3):
         path = str(tmp_path / f"v{version}.bin")
         with open(path, "wb") as fh:
             pickle.dump(
@@ -1153,13 +1175,26 @@ def test_snapshot_rejects_version_one(tmp_path):
 
 
 def test_snapshot_rejects_garbage(tmp_path):
-    import pickle
-
     path = str(tmp_path / "bad.bin")
     with open(path, "wb") as fh:
         pickle.dump({"format": "something-else"}, fh)
-    with pytest.raises(Exception):
+    with pytest.raises(DataError, match="not a model snapshot"):
         MarlineModel.load(path)
+
+
+def test_a_truncated_snapshot_raises_data_error_at_every_cut(tmp_path):
+    rng = np.random.default_rng(3)
+    model = MarlineModel(small_config())
+    for ex in alternating_stream(rng, 60, (0.0, 0.0), (2.0, 2.0)):
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    path = tmp_path / "model.bin"
+    model.save(str(path))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError, match="not a model snapshot"):
+            MarlineModel.load(str(path))
 
 
 # ----------------------------------------------------------------------
