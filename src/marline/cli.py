@@ -87,7 +87,7 @@ def _load_config(path: str, overrides: list[str]) -> configparser.ConfigParser:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     for item in overrides:
         key_path, equals, value = item.partition("=")

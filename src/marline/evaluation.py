@@ -5,7 +5,6 @@ seeded multi-run averaging over the compared approaches, and grid search.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +27,7 @@ from .streams import (
     ingest_csv,
     interleave,
     reseed_dataset,
+    write_csv,
 )
 
 EVALUATIONS = ("prequential_reset", "sliding_window")
@@ -401,13 +401,6 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_results_csv(result: ExperimentResult, path: str) -> None:
     """Per-run, per-target-step series: run, t, segment, accuracies, ratio."""
     header = ["run", "t", "segment", "accuracy_running", "accuracy_window", "source_weight_ratio"]
@@ -418,7 +411,7 @@ def write_results_csv(result: ExperimentResult, path: str) -> None:
             zip(trace.segment_ids, trace.running, trace.windowed, trace.weight_ratio), start=1
         )
     )
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def write_summary_csv(result: ExperimentResult, path: str) -> None:
@@ -431,7 +424,7 @@ def write_summary_csv(result: ExperimentResult, path: str) -> None:
         "source_weight_ratio_mean": result.mean_weight_ratio,
     }
     rows = ([t, *map(_fmt, values)] for t, values in enumerate(zip(*columns.values()), start=1))
-    _write_csv(path, ["t", *columns], rows)
+    write_csv(path, ["t", *columns], rows)
 
 
 def write_segments_csv(result: ExperimentResult, path: str) -> None:
@@ -440,7 +433,7 @@ def write_segments_csv(result: ExperimentResult, path: str) -> None:
         [s, _fmt(mean), _fmt(std)]
         for s, (mean, std) in enumerate(zip(result.segment_means, result.segment_stds))
     )
-    _write_csv(path, ["segment", "accuracy_mean", "accuracy_std"], rows)
+    write_csv(path, ["segment", "accuracy_mean", "accuracy_std"], rows)
 
 
 def write_grid_csv(result: GridSearchResult, path: str) -> None:
@@ -448,4 +441,4 @@ def write_grid_csv(result: GridSearchResult, path: str) -> None:
     rows = (
         [*(row[axis] for axis in DEFAULT_GRIDS), _fmt(row["objective"])] for row in result.rows
     )
-    _write_csv(path, [*DEFAULT_GRIDS, "objective"], rows)
+    write_csv(path, [*DEFAULT_GRIDS, "objective"], rows)

@@ -118,10 +118,10 @@ def _class_terms(leaf: _LeafNode, label: int, total: float) -> tuple[float, list
 class _LeafNode:
     """Growing leaf holding class counts and per-attribute Gaussian stats.
 
-    Its naive-Bayes terms are built on first use and then kept current by
-    ``learn``; its answer (its majority pair where the leaf answers by
-    majority, False where it answers by naive Bayes) is built on first use
-    and dropped by ``learn``. Snapshots store neither.
+    Its answer is its majority pair where it answers by majority, False
+    where it answers by naive Bayes; ``learn`` writes it, and snapshots store
+    it. Its naive-Bayes terms are built on first use and then kept current
+    by ``learn``; snapshots do not store them.
     """
 
     __slots__ = (
@@ -133,7 +133,7 @@ class _LeafNode:
         "_nb_terms",
         "_answer",
     )
-    _CACHES = ("_nb_terms", "_answer")
+    _CACHES = ("_nb_terms",)
 
     def __init__(self, n_features: int) -> None:
         self.class_weights = [0.0, 0.0]
@@ -144,7 +144,9 @@ class _LeafNode:
         self.mc_correct_weight = 0.0
         self.nb_correct_weight = 0.0
         self._nb_terms: list | None = None
-        self._answer: Pair | bool | None = None
+        # An empty leaf's answer under either rule: the majority of no
+        # weight, and naive Bayes with both logits at -inf at any input.
+        self._answer: Pair | bool = (0.5, 0.5)
 
     def __getstate__(self) -> dict:
         return {
@@ -225,7 +227,6 @@ class _LeafNode:
             if (POS if p_pos > p_neg else NEG) == label:
                 self.nb_correct_weight += weight
         weights[label] += weight
-        self._answer = None
         # One pass updates the label's estimators and, when the terms are
         # kept, rebuilds its attribute terms as _class_terms does.
         terms = self._nb_terms
@@ -253,6 +254,13 @@ class _LeafNode:
             other = POS if label == NEG else NEG
             prior = weights[other]
             terms[other] = (math.log(prior / total) if prior > 0.0 else -math.inf, terms[other][1])
+        # The adaptive leaf rule of Holmes, Kirkby & Pfahringer (2005), written
+        # only here: an nb-adaptive leaf answers by majority while its majority
+        # tally is above its naive-Bayes tally.
+        if not nb_adaptive or self.mc_correct_weight > self.nb_correct_weight:
+            self._answer = self.majority_distribution()
+        else:
+            self._answer = False
 
     def best_split_per_attribute(self) -> list[tuple[float, float]]:
         """For each attribute, (best info gain, threshold achieving it)."""
@@ -379,19 +387,6 @@ class HoeffdingTree:
                 parent.right = split
             self.n_splits += 1
 
-    def _leaf_answer(self, leaf: _LeafNode) -> Pair | bool:
-        """The answer of ``leaf``, kept on it until it learns: its majority
-        pair where it answers by majority, False where it answers by naive
-        Bayes."""
-        answer = leaf._answer
-        if answer is None:
-            if self.params.leaf_prediction == "majority" or leaf.mc_correct_weight > leaf.nb_correct_weight:
-                answer = leaf.majority_distribution()
-            else:
-                answer = False
-            leaf._answer = answer
-        return answer
-
     def predict_pair(self, values: list[float]) -> Pair:
         """``(p_neg, p_pos)`` at the leaf a list of ``n_features`` floats routes to."""
         return _member_pairs((self,), values)[0]
@@ -400,7 +395,7 @@ class HoeffdingTree:
         """The pair :meth:`predict_pair` gives at any input while the tree is
         one leaf that answers by majority; None where it reads its input."""
         root = self._root
-        return None if root.__class__ is _SplitNode else self._leaf_answer(root) or None
+        return None if root.__class__ is _SplitNode else root._answer or None
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class distribution at the leaf ``features`` routes to."""
@@ -411,19 +406,16 @@ class HoeffdingTree:
 
 def _member_pairs(trees: Iterable[HoeffdingTree], values: list[float]) -> list[Pair]:
     """``(p_neg, p_pos)`` of each tree at the leaf a list of ``n_features``
-    floats routes to: the leaf's kept majority answer, or its naive Bayes.
-    Every tree is routed here. Past building a leaf's answer once per leaf
-    state, the pass calls only the naive Bayes of leaves that answer by it."""
+    floats routes to: the leaf's majority answer, or its naive Bayes. Every
+    tree is routed here, and only the leaves that answer by naive Bayes are
+    evaluated."""
     pairs = []
     append = pairs.append
     for tree in trees:
         node = tree._root
         while node.__class__ is _SplitNode:
             node = node.left if values[node.attribute] <= node.threshold else node.right
-        answer = node._answer
-        if answer is None:
-            answer = tree._leaf_answer(node)
-        append(answer or node.naive_bayes_distribution(values))
+        append(node._answer or node.naive_bayes_distribution(values))
     return pairs
 
 

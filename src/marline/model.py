@@ -23,9 +23,10 @@ from .drift import DriftStatus, make_detector
 from .learners import ENSEMBLES, HoeffdingTreeParams, Pair, make_ensemble, mean_pair
 from .mapping import CentroidTracker, ConceptFrame, Reflections
 
-SNAPSHOT_FORMAT = "marline-model"
 # A snapshot loads only at the version it was saved at; a layout change bumps it.
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
+# The first line of a snapshot, checked before anything in it is unpickled.
+SNAPSHOT_HEADER = b"marline-model %d\n" % SNAPSHOT_VERSION
 
 DEFAULT_TARGET_ID = "T"
 
@@ -325,31 +326,28 @@ class MarlineModel:
         return state
 
     def save(self, path: str) -> None:
-        """Write a versioned snapshot of the full model state."""
-        payload = {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "model": self,
-        }
+        """Write a snapshot of the full model state: the header line, then
+        the pickled model."""
         with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
+            fh.write(SNAPSHOT_HEADER)
+            pickle.dump(self, fh)
 
     @classmethod
     def load(cls, path: str) -> "MarlineModel":
         """Read a snapshot that :meth:`save` wrote at this version; raises
-        :class:`DataError` for another version or a truncated file."""
+        :class:`DataError`, before unpickling anything, for a file without
+        this version's header line, and for a truncated file."""
         with open(path, "rb") as fh:
+            header = fh.read(len(SNAPSHOT_HEADER))
+            if header != SNAPSHOT_HEADER:
+                raise DataError(
+                    f"{path}: not a model snapshot of version {SNAPSHOT_VERSION}"
+                    f" (starts {header!r})"
+                )
             try:
-                payload = pickle.load(fh)
+                model = pickle.load(fh)
             except (pickle.UnpicklingError, EOFError) as exc:
                 raise DataError(f"{path}: not a model snapshot ({exc})") from exc
-        if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
-            raise DataError(f"{path}: not a model snapshot")
-        if payload.get("version") != SNAPSHOT_VERSION:
-            raise DataError(
-                f"{path}: unsupported snapshot version {payload.get('version')!r}"
-            )
-        model = payload["model"]
         if not isinstance(model, cls):
             raise DataError(f"{path}: snapshot does not contain a model")
         return model

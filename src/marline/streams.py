@@ -524,24 +524,33 @@ def interleave(
     return StreamSchedule(tuple(entries), tuple(marks), target.stream_id)
 
 
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as CSV; a path that cannot
+    be written raises ConfigurationError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
 def export_schedule_csv(schedule: StreamSchedule, path: str) -> None:
     """Write a schedule as CSV: t, stream_id, f1..fd, label, is_drift_mark."""
     if not schedule.entries:
         raise ConfigurationError("cannot export an empty schedule")
     d = schedule.entries[0][1].n_features
     mark_set = {i for _, i in schedule.drift_marks}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "stream_id", *[f"f{j + 1}" for j in range(d)], "label", "is_drift_mark"]
-        )
-        for i, (stream_id, example) in enumerate(schedule.entries):
-            writer.writerow(
-                [
-                    i + 1,
-                    stream_id,
-                    *[f"{v:.10g}" for v in example.features],
-                    example.label,
-                    1 if i in mark_set else 0,
-                ]
-            )
+    header = ["t", "stream_id", *[f"f{j + 1}" for j in range(d)], "label", "is_drift_mark"]
+    rows = (
+        [
+            i + 1,
+            stream_id,
+            *[f"{v:.10g}" for v in example.features],
+            example.label,
+            1 if i in mark_set else 0,
+        ]
+        for i, (stream_id, example) in enumerate(schedule.entries)
+    )
+    write_csv(path, header, rows)

@@ -6,12 +6,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marline.cli import (
@@ -23,7 +24,7 @@ from marline.cli import (
     build_experiment_spec,
     main,
 )
-from marline.core import ConfigurationError
+from marline.core import ConfigurationError, DataError
 from marline.evaluation import ExperimentSpec
 from marline.learners import HoeffdingTreeParams
 from marline.model import MarlineConfig
@@ -369,6 +370,39 @@ def test_a_csv_row_not_utf8_or_beyond_the_feature_bound_is_a_data_error(
     assert f"{bad}: {named}" in capsys.readouterr().err
 
 
+def test_a_config_file_not_utf8_is_a_usage_error_naming_it(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(b"[experiment]\nruns = 1\xff\n")
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert f"cannot parse {config}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("generate", "dataset.csv"),
+        ("run", "results.csv"),
+        ("run", "segments.csv"),
+        ("grid", "grid_results.csv"),
+    ],
+)
+def test_an_output_file_that_cannot_be_written_is_a_usage_error_naming_it(
+    tmp_path, capsys, command, name
+):
+    grid = """
+    [grid]
+    ensemble_size = 1
+    forgetting_factor = 0.9
+    performance_index = 0.4
+    """
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG + grid)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert f"cannot write {out / name}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "base, old, new, named",
     [
@@ -667,6 +701,95 @@ def test_an_out_path_that_cannot_be_a_directory_fails_before_any_work(
     for out in (taken, taken / "sub"):
         assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
         assert f"cannot create output directory {out}" in capsys.readouterr().err
+
+
+# Every section and key a config may hold, for the fuzzing below.
+STREAM_KEYS = ("path", "features", "target_column", "filter")
+CONFIG_KEYS = {
+    "experiment": (
+        "config_version", "approach", "runs", "seed", "evaluation",
+        "window_fraction", "interleave", "warmup_fraction",
+    ),
+    "model": (
+        "base_ensemble", "detector", "ensemble_size", "forgetting_factor",
+        "performance_index", "grace_period", "split_confidence", "tie_threshold",
+        "leaf_prediction", "min_observations", "warning_level", "drift_level",
+        "drift_confidence", "warning_confidence",
+    ),
+    "dataset": ("kind", "family", "class_size", "include_sources"),
+    "grid": ("ensemble_size", "forgetting_factor", "performance_index"),
+    "target": STREAM_KEYS,
+    "source:s": STREAM_KEYS,
+}
+SECTION_KEYS = [(section, key) for section, keys in CONFIG_KEYS.items() for key in keys]
+FUZZ_BASE = """
+[experiment]
+runs = 2
+
+[dataset]
+kind = {kind}
+family = abrupt_similar
+class_size = 10
+
+[target]
+path = t.csv
+features = a, b
+target_column = c
+"""
+config_values = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        ["0", "-1", "0.5", "1e309", "nan", "inf", "1e-320", "9" * 30, "true", "no", "csv",
+         "synthetic", "boosting", "ddm", "majority", "a, b", "a,a", "1:1:3", "0:0:0", "1,2",
+         "a > 1", "a == x", "%", "$x"]
+    ),
+)
+config_lines = st.one_of(
+    st.sampled_from([f"[{section}]" for section in [*CONFIG_KEYS, "DEFAULT", "x"]]),
+    st.builds(
+        lambda section_key, value, sep: f"{section_key[1]}{sep}{value}",
+        st.sampled_from(SECTION_KEYS), config_values, st.sampled_from([" = ", "=", ": ", " "]),
+    ),
+    st.text(max_size=20),
+)
+ini_files = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda lines, tail: "\n".join(lines).encode("utf-8", "surrogatepass") + tail,
+        st.lists(config_lines, max_size=25),
+        st.sampled_from([b"", b"\xff", b"\x00", b"\xc3"]),
+    ),
+)
+set_items = st.one_of(
+    st.builds(
+        lambda section_key, value: "{}.{}={}".format(*section_key, value),
+        st.sampled_from(SECTION_KEYS), config_values,
+    ),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ini=ini_files,
+    overrides=st.lists(set_items, max_size=6),
+    base=st.sampled_from([None, "synthetic", "csv"]),
+)
+@example(ini=b"[experiment]\nruns = 1\xff\n", overrides=[], base=None)
+def test_any_config_file_and_set_list_is_read_or_refused_cleanly(ini, overrides, base):
+    # Whole INI bytes, after a readable config or alone, and --set strings
+    # over every key: reading them gives a spec or a usage or data error,
+    # never any other exception. Reading opens no data file.
+    if base is not None:
+        ini = FUZZ_BASE.format(kind=base).encode("utf-8") + ini
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ini")
+        with open(path, "wb") as fh:
+            fh.write(ini)
+        try:
+            _read_config(_load_config(path, overrides))
+        except (ConfigurationError, DataError):
+            pass
 
 
 PINNED_GRID_CONFIG = """

@@ -546,7 +546,7 @@ def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
         tree.train(example, weight)
         plain.train(example, weight)
         assert leaf._nb_terms == leaf._naive_bayes_terms()
-        assert leaf._answer is None
+        assert exact(leaf._answer) == exact(reference_answer(leaf, True))
     # Probing before training, which builds the leaves' caches, leaves the
     # learner exactly as training alone does.
     assert pickle.dumps(tree) == pickle.dumps(plain)
@@ -844,6 +844,8 @@ def test_a_fixed_pair_is_the_pair_at_any_values(case, shape, tally, data):
         tree._root.mc_correct_weight = tally + {"above": 1.0, "equal": 0.0, "below": -1.0}[
             shape.split()[1]
         ]
+        # Set by hand, the tallies take the answer that learn would write.
+        tree._root._answer = reference_answer(tree._root, True)
     fixed = tree.fixed_pair()
     assert (fixed is None) == (shape not in ("majority", "mc above nb"))
     value = st.floats(-20.0, 20.0, allow_nan=False)
@@ -1010,6 +1012,18 @@ def fresh_majority(leaf):
     return (neg / total, pos / total)
 
 
+def reference_answer(leaf, nb_adaptive):
+    """The answer of ``leaf`` by the adaptive leaf rule: its fresh majority
+    pair where it answers by majority, False where it answers by naive
+    Bayes. A leaf that has not learned answers (0.5, 0.5), as its majority
+    and its naive Bayes both do."""
+    if leaf.total_weight <= 0.0:
+        return (0.5, 0.5)
+    if not nb_adaptive or leaf.mc_correct_weight > leaf.nb_correct_weight:
+        return fresh_majority(leaf)
+    return False
+
+
 @st.composite
 def ensemble_streams(draw):
     """An ensemble kind, a leaf predictor, a dimension, a seed and a stream
@@ -1072,8 +1086,8 @@ def test_cached_majority_pairs_equal_a_fresh_computation(case):
         ensemble.learn(values, label, rng, pairs)
         for tree in ensemble.sub_classifiers:
             for leaf in tree_leaves(tree):
-                if leaf._answer:  # a kept majority pair
-                    assert exact(leaf._answer) == exact(fresh_majority(leaf))
+                expected = reference_answer(leaf, leaf_prediction == "nb_adaptive")
+                assert exact(leaf._answer) == exact(expected)
                 assert exact(leaf.majority_distribution()) == exact(fresh_majority(leaf))
 
 
@@ -1093,9 +1107,11 @@ def test_a_handed_naive_bayes_pair_spares_the_leaf_an_evaluation(monkeypatch):
     monkeypatch.setattr(_LeafNode, "naive_bayes_distribution", counted)
     x = [1.0, 2.0]
     leaf.mc_correct_weight, leaf.nb_correct_weight = 1.0, 2.0  # predicts naive Bayes
+    leaf._answer = reference_answer(leaf, True)
     tree.learn(x, POS, 1.0, tree.predict_pair(x))
     assert len(evaluations) == 1  # the prediction's
     leaf.mc_correct_weight, leaf.nb_correct_weight = 2.0, 1.0  # predicts its majority
+    leaf._answer = reference_answer(leaf, True)
     tree.learn(x, POS, 1.0, tree.predict_pair(x))
     assert len(evaluations) == 2  # the nb-adaptive check's
     tree.learn(x, POS, 1.0)
@@ -1196,11 +1212,11 @@ def test_the_member_pass_equals_the_per_tree_form_bit_for_bit(case):
     for values, label, probes, tally in rounds:
         ensemble.learn(values, label, rng)
         if tally is not None:
-            # Set by hand, the tallies drop the kept answers as learn would.
+            # Set by hand, the tallies take the answers that learn would write.
             for tree in trees:
                 for leaf in tree_leaves(tree):
                     leaf.mc_correct_weight = leaf.nb_correct_weight + TALLIES[tally]
-                    leaf._answer = None
+                    leaf._answer = reference_answer(leaf, leaf_prediction == "nb_adaptive")
         # Probes on every split's threshold as well, so that routing at a
         # threshold counts.
         for probe in list(probes):

@@ -30,6 +30,7 @@ from marline.learners import HoeffdingTree, HoeffdingTreeParams, _EnsembleBase, 
 from marline.mapping import ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
+    SNAPSHOT_HEADER,
     SNAPSHOT_VERSION,
     MarlineConfig,
     MarlineModel,
@@ -947,8 +948,8 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
 
 def test_snapshot_bytes_do_not_change_with_what_a_round_builds():
     # A round of predict and update_weights builds frames, kept and fixed
-    # passes, leaf answers, naive-Bayes terms and voting weights; none of
-    # them reaches the snapshot bytes.
+    # passes, naive-Bayes terms and voting weights; none of them reaches
+    # the snapshot bytes, and it writes no leaf answer.
     rng = np.random.default_rng(16)
     tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5)
     model = MarlineModel(small_config(ensemble_size=3, tree=tree))
@@ -990,9 +991,9 @@ def test_snapshot_bytes_do_not_change_with_what_a_round_builds():
     n=st.integers(1, 150),
 )
 def test_snapshots_load_and_continue_identically(base_ensemble, leaf_prediction, seed, n):
-    # A snapshot holds no caches: no leaf terms or answers and no kept
-    # member pass, so the restored model rebuilds them and hands the same
-    # pairs to learn. It predicts and learns as the model it was saved from.
+    # A snapshot holds the leaf answers but no caches: no leaf terms and no
+    # kept member pass, so the restored model rebuilds them and hands the
+    # same pairs to learn. It predicts and learns as the model it was saved from.
     tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5, leaf_prediction=leaf_prediction)
     model = MarlineModel(small_config(ensemble_size=3, base_ensemble=base_ensemble, tree=tree))
     rng = np.random.default_rng(seed)
@@ -1020,7 +1021,7 @@ def test_snapshots_load_and_continue_identically(base_ensemble, leaf_prediction,
 # models of `layout_models`. A snapshot loads only at the version it was
 # saved at, so a change to any of these names bumps the version.
 PINNED_LAYOUTS = {
-    4: {
+    5: {
         "marline.drift.DDM": (
             "drift_level",
             "error_sum",
@@ -1064,6 +1065,7 @@ PINNED_LAYOUTS = {
             "trained_count",
         ),
         "marline.learners._LeafNode": (
+            "_answer",
             "class_weights",
             "estimators",
             "mc_correct_weight",
@@ -1158,20 +1160,43 @@ def test_snapshot_layout_is_the_one_pinned_for_its_version():
     )
 
 
-def test_snapshot_rejects_versions_before_4(tmp_path):
-    for version in (1, 2, 3):
-        path = str(tmp_path / f"v{version}.bin")
-        with open(path, "wb") as fh:
-            pickle.dump(
-                {
-                    "format": "marline-model",
-                    "version": version,
-                    "model": MarlineModel(small_config()),
-                },
-                fh,
-            )
-        with pytest.raises(DataError, match=f"unsupported snapshot version {version}"):
-            MarlineModel.load(path)
+def test_snapshot_rejects_other_versions_before_unpickling(tmp_path, monkeypatch):
+    model = MarlineModel(small_config(ensemble_size=3))
+    rng = np.random.default_rng(5)
+    for ex in alternating_stream(rng, 40, (0.0, 0.0), (2.0, 2.0)):
+        model.observe("T", ex, rng)
+    files = {
+        f"v{version}": pickle.dumps(
+            {"format": "marline-model", "version": version, "model": model}
+        )
+        for version in (1, 2, 3)
+    }
+    # Version 4 stored no leaf answers: its leaves, restored here, would fail
+    # inside pickle.load.
+    with monkeypatch.context() as patched:
+        patched.setattr(_LeafNode, "_CACHES", ("_nb_terms", "_answer"))
+        files["v4"] = pickle.dumps({"format": "marline-model", "version": 4, "model": model})
+    assert b"_answer" not in files["v4"] and b"_answer" in pickle.dumps(model)
+    for version in (4, 6):
+        files[f"header-{version}"] = b"marline-model %d\n" % version + pickle.dumps(model)
+    restores = []
+    restore = _LeafNode.__setstate__
+
+    def spy(leaf, state):
+        restores.append(leaf)
+        restore(leaf, state)
+
+    monkeypatch.setattr(_LeafNode, "__setstate__", spy)
+    for name, data in files.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"not a model snapshot of version {SNAPSHOT_VERSION}"):
+            MarlineModel.load(str(path))
+        assert restores == [], name
+    # The spy sees the leaves of a snapshot at this version.
+    model.save(str(tmp_path / "current.bin"))
+    MarlineModel.load(str(tmp_path / "current.bin"))
+    assert len(restores) == len(leaves(model))
 
 
 def test_snapshot_rejects_garbage(tmp_path):
@@ -1179,6 +1204,11 @@ def test_snapshot_rejects_garbage(tmp_path):
     with open(path, "wb") as fh:
         pickle.dump({"format": "something-else"}, fh)
     with pytest.raises(DataError, match="not a model snapshot"):
+        MarlineModel.load(path)
+    with open(path, "wb") as fh:
+        fh.write(SNAPSHOT_HEADER)
+        pickle.dump({"format": "something-else"}, fh)
+    with pytest.raises(DataError, match="snapshot does not contain a model"):
         MarlineModel.load(path)
 
 
@@ -1191,9 +1221,15 @@ def test_a_truncated_snapshot_raises_data_error_at_every_cut(tmp_path):
     path = tmp_path / "model.bin"
     model.save(str(path))
     data = path.read_bytes()
+    assert data.startswith(SNAPSHOT_HEADER)
+    # Cuts inside the header line fail its check; later ones fail the unpickling.
     for cut in range(len(data)):
         path.write_bytes(data[:cut])
-        with pytest.raises(DataError, match="not a model snapshot"):
+        if cut < len(SNAPSHOT_HEADER):
+            match = f"not a model snapshot of version {SNAPSHOT_VERSION}"
+        else:
+            match = "not a model snapshot \\("
+        with pytest.raises(DataError, match=match):
             MarlineModel.load(str(path))
 
 
