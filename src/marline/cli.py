@@ -64,7 +64,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override base seed")
         cmd.add_argument(
-            "--parallelism", type=int, default=1, help="worker count for runs"
+            "--parallelism",
+            type=int,
+            default=1,
+            help="worker processes for runs; at most the number of runs and of CPUs",
         )
         cmd.add_argument(
             "--set",

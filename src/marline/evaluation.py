@@ -6,6 +6,7 @@ seeded multi-run averaging over the compared approaches, and grid search.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -259,11 +260,17 @@ class ExperimentResult:
 
     @property
     def objective(self) -> float:
-        """Grid-search objective: equal-weight mean of per-segment accuracy
-        under the prequential protocol, mean windowed accuracy otherwise."""
-        if self.spec.evaluation == "prequential_reset":
-            return float(np.mean([np.mean(t.final_per_segment_accuracy) for t in self.traces]))
-        return float(np.mean([np.mean(t.windowed) for t in self.traces]))
+        """Grid-search objective: the mean over runs of :func:`_run_score`."""
+        return float(np.mean([_run_score(self.spec, t) for t in self.traces]))
+
+
+def _run_score(spec: ExperimentSpec, trace: RunTrace) -> float:
+    """One run's share of the objective: the equal-weight mean of its
+    per-segment accuracy under the prequential protocol, its mean windowed
+    accuracy otherwise."""
+    if spec.evaluation == "prequential_reset":
+        return float(np.mean(trace.final_per_segment_accuracy))
+    return float(np.mean(trace.windowed))
 
 
 def build_schedule(spec: ExperimentSpec, run_index: int) -> StreamSchedule:
@@ -294,11 +301,35 @@ def _model_seed(spec: ExperimentSpec, run_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([spec.seed_base + run_index, 1])
 
 
-def _execute_run(spec: ExperimentSpec, run_index: int) -> RunTrace:
-    schedule = build_schedule(spec, run_index)
+def _run_on(spec: ExperimentSpec, schedule: StreamSchedule, run_index: int) -> RunTrace:
+    """Run ``run_index`` of ``spec`` over its schedule, which it leaves as is."""
     approach = build_approach(spec, schedule.target_id, _model_seed(spec, run_index))
     reset = spec.evaluation == "prequential_reset"
     return run_schedule(approach, schedule, reset, spec.window_fraction)
+
+
+def _execute_run(spec: ExperimentSpec, run_index: int) -> RunTrace:
+    return _run_on(spec, build_schedule(spec, run_index), run_index)
+
+
+def _score_run(specs: list[ExperimentSpec], run_index: int) -> list[float]:
+    """:func:`_run_score` of run ``run_index`` of each of ``specs``, which
+    differ only in their model config and so share one schedule, built here."""
+    schedule = build_schedule(specs[0], run_index)
+    return [_run_score(spec, _run_on(spec, schedule, run_index)) for spec in specs]
+
+
+def _map_tasks(fn, tasks: list[tuple], parallelism: int) -> list:
+    """``[fn(*task) for task in tasks]``, in order, over at most
+    ``parallelism`` worker processes, and never more than there are tasks
+    or CPUs; one worker runs them in this process."""
+    if parallelism < 1:
+        raise ConfigurationError("parallelism must be >= 1")
+    workers = min(parallelism, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentResult:
@@ -307,15 +338,7 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentResu
     Run r uses seed ``seed_base + r``; runs are independent tasks, so the
     aggregate is identical however they are scheduled across workers.
     """
-    if parallelism < 1:
-        raise ConfigurationError("parallelism must be >= 1")
-    indices = list(range(spec.runs))
-    if parallelism == 1 or spec.runs == 1:
-        traces = [_execute_run(spec, r) for r in indices]
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            traces = list(pool.map(_execute_run, [spec] * spec.runs, indices))
-
+    traces = _map_tasks(_execute_run, [(spec, r) for r in range(spec.runs)], parallelism)
     running = np.array([t.running for t in traces])
     windowed = np.array([t.windowed for t in traces])
     ratios = np.array([t.weight_ratio for t in traces])
@@ -360,9 +383,14 @@ def grid_search(
     grids: dict[str, Sequence] | None = None,
     parallelism: int = 1,
 ) -> GridSearchResult:
-    """Evaluate every grid point with :func:`run_experiment` and pick the
-    configuration with the highest objective; ties go to the smaller
-    ensemble size, then smaller forgetting factor, then smaller index."""
+    """Evaluate every grid point as :func:`run_experiment` would and pick
+    the configuration with the highest objective; ties go to the smaller
+    ensemble size, then smaller forgetting factor, then smaller index.
+
+    The task list is (point x run) in run-major order. No grid axis changes
+    a schedule, so each run's schedule is built once, and that run's points
+    all score on it in one task. The tasks run serially or in one pool.
+    """
     grids = dict(grids or DEFAULT_GRIDS)
     unknown = set(grids) - set(DEFAULT_GRIDS)
     if unknown:
@@ -373,18 +401,22 @@ def grid_search(
     # Each axis takes the type of its default values.
     kinds = [type(values[0]) for values in DEFAULT_GRIDS.values()]
 
+    points = [
+        {name: kind(value) for name, kind, value in zip(DEFAULT_GRIDS, kinds, values)}
+        for values in product(*axes)
+    ]
+    specs = [replace(template, config=replace(template.config, **point)) for point in points]
+    # scores[r][i]: run r of point i.
+    scores = _map_tasks(_score_run, [(specs, r) for r in range(template.runs)], parallelism)
+
     best_spec: ExperimentSpec | None = None
     best_objective = -math.inf
     rows: list[dict] = []
-    for values in product(*axes):
-        point = {
-            name: kind(value) for name, kind, value in zip(DEFAULT_GRIDS, kinds, values)
-        }
-        spec = replace(template, config=replace(template.config, **point))
-        result = run_experiment(spec, parallelism=parallelism)
-        rows.append({**point, "objective": result.objective})
-        if result.objective > best_objective:
-            best_objective = result.objective
+    for i, (point, spec) in enumerate(zip(points, specs)):
+        objective = float(np.mean([run[i] for run in scores]))
+        rows.append({**point, "objective": objective})
+        if objective > best_objective:
+            best_objective = objective
             best_spec = spec
     assert best_spec is not None
     return GridSearchResult(best_spec, best_objective, rows)

@@ -350,9 +350,10 @@ class HoeffdingTree:
 
     def learn(
         self, values: list[float], label: int, weight: float, pair: Pair | None = None
-    ) -> None:
+    ) -> _LeafNode | None:
         """Absorb a list of ``n_features`` floats with a positive weight, given
-        :meth:`predict_pair` at it if known; may grow the tree. Unchecked."""
+        :meth:`predict_pair` at it if known; may grow the tree. Returns the
+        leaf that learned, or None where that leaf split. Unchecked."""
         parent: _SplitNode | None = None
         went_left = False
         node = self._root
@@ -365,17 +366,20 @@ class HoeffdingTree:
         total = node.class_weights[NEG] + node.class_weights[POS]
         if total - node.weight_at_last_attempt >= params.grace_period:
             node.weight_at_last_attempt = total
-            self._attempt_split(node, parent, went_left)
+            if self._attempt_split(node, parent, went_left):
+                return None
+        return node
 
     def _attempt_split(
         self, leaf: _LeafNode, parent: _SplitNode | None, went_left: bool
-    ) -> None:
+    ) -> bool:
+        """Split ``leaf`` where the Hoeffding test allows; True if it split."""
         candidates = leaf.best_split_per_attribute()
         order = sorted(range(len(candidates)), key=lambda j: candidates[j][0], reverse=True)
         best_gain, best_threshold = candidates[order[0]]
         second_gain = candidates[order[1]][0] if len(order) > 1 else 0.0
         if best_gain <= _MIN_SPLIT_GAIN or math.isnan(best_threshold):
-            return
+            return False
         bound = hoeffding_bound(1.0, self.params.split_confidence, leaf.total_weight)
         if best_gain - second_gain > bound or bound < self.params.tie_threshold:
             split = _SplitNode(order[0], best_threshold, self.n_features)
@@ -386,6 +390,8 @@ class HoeffdingTree:
             else:
                 parent.right = split
             self.n_splits += 1
+            return True
+        return False
 
     def predict_pair(self, values: list[float]) -> Pair:
         """``(p_neg, p_pos)`` at the leaf a list of ``n_features`` floats routes to."""
@@ -431,14 +437,15 @@ class _EnsembleBase:
     until the ensemble learns, so that a target's drift check reuses the
     pass of the prediction before it and hands those pairs to ``learn``.
     :meth:`fixed_pairs` is the pass at any input where no member reads its
-    input, also kept until the ensemble learns. Members train only through
-    ``learn``, which drops both. Snapshots store neither.
+    input, kept as the (k, 2) array that a vote multiplies until the
+    ensemble learns. Members train only through ``learn``, which drops both.
+    Snapshots store neither.
     """
 
     _memo: tuple[list[float], list[Pair]] | None = None
-    # The members' fixed pairs, False where some member reads its input, or
-    # None until asked.
-    _fixed: list[Pair] | bool | None = None
+    # The members' fixed pairs as a (k, 2) float64 array, False where some
+    # member reads its input, or None until asked.
+    _fixed: np.ndarray | bool | None = None
 
     def __init__(
         self,
@@ -494,20 +501,22 @@ class _EnsembleBase:
         self._memo = (values, pairs)
         return pairs
 
-    def fixed_pairs(self) -> list[Pair] | None:
-        """:meth:`member_pairs` at any input, where every member has a
-        ``fixed_pair``; None where some member reads its input."""
+    def fixed_pairs(self) -> np.ndarray | None:
+        """``np.array(member_pairs(values))`` at any ``values``, where every
+        member has a ``fixed_pair``; None where some member reads its input."""
         fixed = self._fixed
         if fixed is None:
-            fixed = []
+            pairs = []
             for tree in self.sub_classifiers:
                 pair = tree.fixed_pair()
                 if pair is None:
                     fixed = False
                     break
-                fixed.append(pair)
+                pairs.append(pair)
+            else:
+                fixed = np.array(pairs)
             self._fixed = fixed
-        return fixed or None
+        return None if fixed is False else fixed
 
     def vote(self, values: list[float]) -> Pair:
         """Unweighted mean ``(p_neg, p_pos)`` of the members' class
@@ -588,9 +597,12 @@ class OnlineBoosting(_EnsembleBase):
             k = float(rng.poisson(lam))
             pair = pairs[m] if pairs else None
             if k > 0.0:
-                tree.learn(values, label, k, pair)
-            # A member that did not learn still predicts its handed pair.
-            p_neg, p_pos = tree.predict_pair(values) if k > 0.0 or pair is None else pair
+                # The leaf that learned answers as predict_pair would; None
+                # where it split.
+                leaf = tree.learn(values, label, k, pair)
+                pair = leaf and (leaf._answer or leaf.naive_bayes_distribution(values))
+            # A member with no pair, handed or read from its leaf, is routed.
+            p_neg, p_pos = pair or tree.predict_pair(values)
             correct = (POS if p_pos > p_neg else NEG) == label
             if correct:
                 correct_sums[m] += lam

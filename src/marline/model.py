@@ -250,7 +250,11 @@ class MarlineModel:
 
         p_correct = []
         for concept in self.concepts:
-            p_correct += [pair[label] for pair in _concept_pairs(concept, values, current, target)]
+            pairs = _concept_pairs(concept, values, current, target)
+            if isinstance(pairs, np.ndarray):
+                p_correct += pairs[:, label].tolist()
+            else:
+                p_correct += [pair[label] for pair in pairs]
         self.lambda_correct, self.lambda_wrong, self.performance, _, _ = update_performance_stats(
             self.lambda_correct,
             self.lambda_wrong,
@@ -292,7 +296,8 @@ class MarlineModel:
             if not weighted:
                 continue
             pairs = _concept_pairs(concept, values, current, target)
-            p_neg, p_pos = (weights[i * k : (i + 1) * k] @ np.array(pairs)).tolist()
+            # A fixed pass is already the C-contiguous (k, 2) array.
+            p_neg, p_pos = (weights[i * k : (i + 1) * k] @ np.asarray(pairs)).tolist()
             neg += p_neg
             pos += p_pos
         if neg == pos:
@@ -384,14 +389,14 @@ class MarlineModel:
 
 def _concept_pairs(
     concept: ConceptState, values: list[float], current: ConceptState, target: ConceptFrame
-) -> list[Pair]:
+) -> list[Pair] | np.ndarray:
     """The member pass of ``concept`` at its projection of ``values``. The
     current target concept ``current``, whose frame is ``target``, sees
     ``values`` as is and keeps its pass, which the drift check and the
     weight update after a prediction at equal values reuse. Any other
-    concept takes its fixed pass, with no projection, where no member reads
-    its input; one that has not seen both classes has no frame and sees
-    ``values`` as is."""
+    concept takes its fixed pass, the kept (k, 2) array, with no projection,
+    where no member reads its input; one that has not seen both classes has
+    no frame and sees ``values`` as is."""
     ensemble = concept.ensemble
     if concept is current:
         return ensemble.memo_pairs(values)

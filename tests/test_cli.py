@@ -866,6 +866,38 @@ PINNED_OUTPUTS = {
 }
 
 
+SYNTHETIC_GRID_CONFIG = RUN_CONFIG + """
+    [grid]
+    ensemble_size = 2
+    forgetting_factor = 0.9, 1
+    performance_index = 0.4
+"""
+
+
+@pytest.mark.parametrize("data", ["csv", "synthetic"])
+def test_a_grid_writes_the_same_table_serially_and_in_parallel(tmp_path, data):
+    # Two points and two runs; with --parallelism 2 each run, with both
+    # its points on its one schedule, is a task of a two-worker pool.
+    body = write_pinned_csv_pair(tmp_path) if data == "csv" else SYNTHETIC_GRID_CONFIG
+    config = write_config(tmp_path / "grid.ini", body)
+    tables = []
+    for parallelism in ("1", "2"):
+        out = tmp_path / f"out{parallelism}"
+        argv = ["grid", "--config", config, "--out", str(out), "--set", "experiment.runs=2"]
+        assert main(argv + ["--parallelism", parallelism]) == EXIT_OK
+        tables.append((out / "grid_results.csv").read_bytes())
+    assert len(tables[0].splitlines()) == 1 + 2
+    assert tables[0] == tables[1]
+
+
+def test_a_huge_parallelism_starts_no_more_workers_than_runs(tmp_path, recording_pool):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)  # runs = 2
+    out = tmp_path / "out"
+    argv = ["run", "--config", config, "--out", str(out), "--parallelism", "100000"]
+    assert main(argv) == EXIT_OK
+    assert recording_pool == [2]
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
 def test_cli_outputs_are_pinned_byte_for_byte(tmp_path, case):
     # The sha256 of every file each subcommand writes, recorded from a known

@@ -2,21 +2,34 @@
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from marline import evaluation
 from marline.core import NEG, ConfigurationError, Example
 from marline.evaluation import (
     DEFAULT_ENSEMBLE_SIZE_GRID,
     DEFAULT_FORGETTING_FACTOR_GRID,
     DEFAULT_PERFORMANCE_INDEX_GRID,
     ExperimentSpec,
+    build_approach,
+    build_schedule,
     grid_search,
     run_experiment,
     run_schedule,
 )
 from marline.model import MarlineConfig
-from marline.streams import StreamData, StreamSchedule, benchmark_dataset, interleave
+from marline.streams import (
+    CsvDataset,
+    CsvStreamSpec,
+    StreamData,
+    StreamSchedule,
+    benchmark_dataset,
+    interleave,
+)
 
 
 def ex(label, uid=0.0):
@@ -267,6 +280,94 @@ def test_parallel_and_serial_execution_agree_exactly():
     for a, b in zip(serial.traces, parallel.traces):
         assert a.running == b.running
         assert a.weight_ratio == b.weight_ratio
+
+
+@pytest.mark.parametrize(
+    "parallelism, runs, cpus, workers",
+    [
+        (100_000, 2, 64, [2]),
+        (4, 5, 3, [3]),
+        (3, 5, 64, [3]),
+        (100_000, 1, 64, []),
+        (2, 4, None, []),
+        (1, 4, 64, []),
+    ],
+)
+def test_the_pool_has_no_more_workers_than_tasks_or_cpus(
+    monkeypatch, recording_pool, parallelism, runs, cpus, workers
+):
+    # A run or a grid's run is one task. One worker runs in this process.
+    spec = tiny_spec(runs=runs)
+    grids = {"ensemble_size": [1, 2]}
+    serial, serial_grid = run_experiment(spec), grid_search(spec, grids)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    result = run_experiment(spec, parallelism=parallelism)
+    assert recording_pool == workers
+    assert [t.running for t in result.traces] == [t.running for t in serial.traces]
+    recording_pool.clear()
+    assert grid_search(spec, grids, parallelism=parallelism).rows == serial_grid.rows
+    assert recording_pool == workers
+
+
+def test_parallelism_below_one_is_refused():
+    for run in (
+        lambda: run_experiment(tiny_spec(), parallelism=0),
+        lambda: grid_search(tiny_spec(), {"ensemble_size": [1]}, parallelism=0),
+    ):
+        with pytest.raises(ConfigurationError, match="parallelism must be >= 1"):
+            run()
+
+
+def csv_spec(tmp_path, **overrides):
+    """A two-feature CSV target and source, in the shape of ``tiny_spec``."""
+    paths = []
+    for name, n in (("target", 60), ("source", 80)):
+        path = tmp_path / f"{name}.csv"
+        rows = ["a,b,cnt"] + [
+            f"{(i * 7) % 23},{(i * 13) % 17},{(3 * ((i * 7) % 23) + (i * 37) % 11) % 40}"
+            for i in range(n)
+        ]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        paths.append(CsvStreamSpec(str(path), ("a", "b"), "cnt"))
+    dataset = CsvDataset(paths[0], (paths[1],))
+    return tiny_spec(dataset=dataset, **overrides)
+
+
+@pytest.mark.parametrize("data", ["synthetic", "csv"])
+@pytest.mark.parametrize("approach", ["marline_with_source", "base_detector_reset"])
+def test_a_run_leaves_its_schedule_as_it_was(tmp_path, data, approach):
+    # Grid points share a run's schedule, so a run must not change one
+    # example of it: every feature and label equals a copy taken before,
+    # and a second run on it equals a run on a schedule built afresh.
+    spec = tiny_spec(approach=approach) if data == "synthetic" else csv_spec(
+        tmp_path, approach=approach
+    )
+    schedule = build_schedule(spec, 1)
+    before = [(sid, ex.features.copy(), ex.label) for sid, ex in schedule.entries]
+
+    def run(on):
+        approach = build_approach(spec, on.target_id, evaluation._model_seed(spec, 1))
+        return run_schedule(approach, on, True, spec.window_fraction)
+
+    first = run(schedule)
+    assert len(schedule.entries) == len(before)
+    for (sid, ex), (sid_before, features, label) in zip(schedule.entries, before):
+        assert sid == sid_before and ex.label == label
+        assert ex.features.tobytes() == features.tobytes()
+    assert run(schedule) == first == run(build_schedule(spec, 1))
+
+
+@pytest.mark.parametrize("data", ["synthetic", "csv"])
+@pytest.mark.parametrize("protocol", ["prequential_reset", "sliding_window"])
+def test_grid_rows_equal_the_objectives_of_independent_experiments(tmp_path, data, protocol):
+    overrides = dict(approach="marline_with_source", evaluation=protocol)
+    spec = tiny_spec(**overrides) if data == "synthetic" else csv_spec(tmp_path, **overrides)
+    result = grid_search(spec, {"forgetting_factor": [0.9, 1.0]})
+    assert [row["forgetting_factor"] for row in result.rows] == [0.9, 1.0]
+    for row in result.rows:
+        config = replace(spec.config, forgetting_factor=row["forgetting_factor"])
+        alone = run_experiment(replace(spec, config=config))
+        assert row["objective"].hex() == alone.objective.hex()
 
 
 def test_runs_with_different_seeds_differ():

@@ -858,23 +858,62 @@ def test_a_fixed_pair_is_the_pair_at_any_values(case, shape, tally, data):
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
 def test_learning_drops_the_kept_fixed_pass(kind):
     # Single majority leaves ignore their input: the ensemble keeps their
-    # pairs as its fixed pass until it learns, and then builds it afresh.
+    # pairs as its fixed pass, the (k, 2) array of the pass, until it
+    # learns, and then builds it afresh.
     rng = np.random.default_rng(33)
     params = HoeffdingTreeParams(grace_period=10_000, leaf_prediction="majority")
     ens = make_ensemble(kind, 2, 3, params)
     kept = ens.fixed_pairs()
-    assert kept == ens.member_pairs([4.0, -4.0]) == [(0.5, 0.5)] * 3
+    assert ens.member_pairs([4.0, -4.0]) == [(0.5, 0.5)] * 3
+    assert kept.tolist() == [[0.5, 0.5]] * 3
     assert ens.fixed_pairs() is kept
     for _ in range(3):
         ens.learn([1.0, 2.0], POS, rng)
     fresh = ens.member_pairs([4.0, -4.0])
-    assert fresh != kept
-    assert ens.fixed_pairs() == fresh
+    assert fresh != [(0.5, 0.5)] * 3
+    assert ens.fixed_pairs() is not kept
+    assert ens.fixed_pairs().tolist() == [list(pair) for pair in fresh]
     # A member that splits reads its input from then on.
     ens.sub_classifiers[1]._root = _SplitNode(0, 0.0, 2)
-    assert ens.fixed_pairs() == fresh
+    assert ens.fixed_pairs().tolist() == [list(pair) for pair in fresh]
     ens.learn([1.0, 2.0], NEG, rng)
     assert ens.fixed_pairs() is None
+
+
+@st.composite
+def fixed_pass_cases(draw):
+    """A stream of :func:`ensemble_streams`, a grace period that lets trees
+    split or keeps them single leaves, and probe values."""
+    kind, leaf_prediction, d, seed, examples = draw(ensemble_streams())
+    grace_period = draw(st.sampled_from([5, 10**6]))
+    value = st.floats(-1e3, 1e3, allow_nan=False)
+    probes = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
+    return kind, leaf_prediction, d, seed, examples, grace_period, probes
+
+
+@settings(max_examples=100, deadline=None)
+@given(fixed_pass_cases())
+def test_the_kept_fixed_array_is_the_member_pass_at_any_values(case):
+    # After every learn, the fixed pass is rebuilt from the members: a
+    # C-contiguous (k, 2) float64 array equal, bit for bit, to the array of
+    # the member pass at any values, or None where some member reads its input.
+    kind, leaf_prediction, d, seed, examples, grace_period, probes = case
+    params = HoeffdingTreeParams(
+        grace_period=grace_period, tie_threshold=0.9, leaf_prediction=leaf_prediction
+    )
+    ens = make_ensemble(kind, d, 3, params)
+    rng = np.random.default_rng(seed)
+    for values, label, _ in examples:
+        ens.learn(values, label, rng)
+        assert ens._fixed is None
+        fixed = ens.fixed_pairs()
+        if any(tree.fixed_pair() is None for tree in ens.sub_classifiers):
+            assert fixed is None
+            continue
+        assert fixed.dtype == np.float64 and fixed.shape == (3, 2)
+        assert fixed.flags.c_contiguous
+        for probe in probes + [values]:
+            assert fixed.tobytes() == np.array(ens.member_pairs(probe)).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -1051,6 +1090,80 @@ def ensemble_streams(draw):
 def learner_pair(kind, leaf_prediction, d):
     params = HoeffdingTreeParams(grace_period=5, tie_threshold=0.9, leaf_prediction=leaf_prediction)
     return make_ensemble(kind, d, 3, params), make_ensemble(kind, d, 3, params)
+
+
+class LeafSpy:
+    """Stands in for the leaf that a tree's ``learn`` returns, and records
+    the pair read from it with ``predict_pair`` at the same values."""
+
+    def __init__(self, leaf, expected, seen):
+        self._leaf, self._expected, self._seen = leaf, expected, seen
+
+    @property
+    def _answer(self):
+        answer = self._leaf._answer
+        if answer:
+            self._seen.append((answer, self._expected))
+        return answer
+
+    def naive_bayes_distribution(self, values):
+        pair = self._leaf.naive_bayes_distribution(values)
+        self._seen.append((pair, self._expected))
+        return pair
+
+
+def boosting_reads(ens, examples, rng):
+    """Teach ``ens`` ``examples`` of (values, label); return the pairs it
+    read from the leaves its members trained, each with ``predict_pair``
+    at the same values right after that learn, and the count of learns that
+    split their leaf. A learn returns None exactly where its leaf split."""
+    seen, splits = [], []
+    learn = HoeffdingTree.learn
+
+    def spied(tree, values, label, weight, pair=None):
+        before = tree.n_splits
+        leaf = learn(tree, values, label, weight, pair)
+        assert (leaf is None) == (tree.n_splits > before)
+        if leaf is None:
+            splits.append(values)
+            return None
+        return LeafSpy(leaf, tree.predict_pair(values), seen)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HoeffdingTree, "learn", spied)
+        for values, label in examples:
+            ens.learn(values, label, rng)
+    return seen, len(splits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ensemble_streams())
+def test_boosting_takes_each_trained_members_pair_from_its_leaf(case):
+    _, leaf_prediction, d, seed, examples = case
+    params = HoeffdingTreeParams(grace_period=5, tie_threshold=0.9, leaf_prediction=leaf_prediction)
+    ens = OnlineBoosting(d, 3, params)
+    stream = [(values, label) for values, label, _ in examples]
+    seen, _ = boosting_reads(ens, stream, np.random.default_rng(seed))
+    for used, expected in seen:
+        assert exact(used) == exact(expected)
+
+
+@pytest.mark.parametrize("leaf_prediction", ["majority", "nb_adaptive"])
+def test_boosting_routes_a_member_afresh_after_its_leaf_splits(leaf_prediction):
+    # The stream splits leaves; the members that split are routed again by
+    # predict_pair, and the lambdas equal the loop that routes every member.
+    params = HoeffdingTreeParams(grace_period=5, tie_threshold=0.9, leaf_prediction=leaf_prediction)
+    ens, reference = OnlineBoosting(2, 3, params), OnlineBoosting(2, 3, params)
+    stream = gaussian_stream(np.random.default_rng(47), 200, np.zeros(2), np.full(2, 2.0))
+    examples = [(ex.features.tolist(), ex.label) for ex in stream]
+    seen, splits = boosting_reads(ens, examples, np.random.default_rng(48))
+    assert splits > 0 and len(seen) > 0
+    assert all(exact(used) == exact(expected) for used, expected in seen)
+    reference_rng = np.random.default_rng(48)
+    for values, label in examples:
+        reference_boosting_learn(reference, values, label, reference_rng)
+    assert ens.lambda_correct.tobytes() == reference.lambda_correct.tobytes()
+    assert ens.lambda_wrong.tobytes() == reference.lambda_wrong.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
