@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, Example, argmax_label, check_dims
+from .core import ConfigurationError, Example, argmax_label, check_features
 from .drift import DriftStatus, make_detector
 from .learners import make_ensemble, mean_pair
 from .model import MarlineConfig, MarlineModel
@@ -142,15 +142,17 @@ class BaselineApproach:
         )
 
     def predict(self, features: np.ndarray) -> int:
-        features = np.asarray(features, dtype=float)
-        check_dims(features, self.config.n_features, "BaselineApproach.predict")
-        return argmax_label(mean_pair(self.ensemble.memo_pairs(features.tolist())))
+        values = check_features(
+            np.asarray(features, dtype=float), self.config.n_features, "BaselineApproach.predict"
+        )
+        return argmax_label(mean_pair(self.ensemble.memo_pairs(values)))
 
     def observe(self, stream_id: str, example: Example) -> None:
         if stream_id != self.target_id:
             return
-        check_dims(example.features, self.config.n_features, "BaselineApproach.observe")
-        values = example.features.tolist()
+        values = check_features(
+            example.features, self.config.n_features, "BaselineApproach.observe"
+        )
         pairs = None
         if self.detector is not None:
             pairs = self.ensemble.memo_pairs(values)
@@ -190,6 +192,8 @@ def run_schedule(
     schedule: StreamSchedule,
     reset_at_drifts: bool,
     window_fraction: float,
+    *,
+    weight_ratio: bool = True,
 ) -> RunTrace:
     """Single pass over a schedule: score each target example before the
     approach sees it, then hand every example over for training.
@@ -197,13 +201,16 @@ def run_schedule(
     Running accuracy restarts at each ground-truth target drift mark when
     ``reset_at_drifts`` is set; windowed accuracy is the mean correctness over
     the trailing ``max(1, ceil(window_fraction * n_target))`` target steps.
+    After each target step the approach's ``source_weight_ratio`` is read
+    into the trace (NaN for an approach without one); with ``weight_ratio``
+    False it is never called and the trace's ``weight_ratio`` stays empty.
     """
     n_target = sum(1 for sid, _ in schedule.entries if sid == schedule.target_id)
     if n_target == 0:
         raise ConfigurationError("schedule contains no target examples")
     window = max(1, math.ceil(window_fraction * n_target))
     reset_indices = set(schedule.target_drift_indices()) if reset_at_drifts else set()
-    ratio_fn = getattr(approach, "source_weight_ratio", lambda: None)
+    ratio_fn = getattr(approach, "source_weight_ratio", lambda: None) if weight_ratio else None
 
     trace = RunTrace([], [], [], [], [], [], [])
     seg_correct = 0
@@ -232,8 +239,9 @@ def run_schedule(
             trace.windowed.append(in_window / len(recent))
             trace.segment_ids.append(segment)
             approach.observe(stream_id, example)
-            ratio = ratio_fn()
-            trace.weight_ratio.append(math.nan if ratio is None else float(ratio))
+            if ratio_fn is not None:
+                ratio = ratio_fn()
+                trace.weight_ratio.append(math.nan if ratio is None else float(ratio))
         else:
             approach.observe(stream_id, example)
     if seg_total > 0:
@@ -301,11 +309,14 @@ def _model_seed(spec: ExperimentSpec, run_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([spec.seed_base + run_index, 1])
 
 
-def _run_on(spec: ExperimentSpec, schedule: StreamSchedule, run_index: int) -> RunTrace:
-    """Run ``run_index`` of ``spec`` over its schedule, which it leaves as is."""
+def _run_on(
+    spec: ExperimentSpec, schedule: StreamSchedule, run_index: int, *, weight_ratio: bool = True
+) -> RunTrace:
+    """Run ``run_index`` of ``spec`` over its schedule, which it leaves as
+    is; ``weight_ratio`` as in :func:`run_schedule`."""
     approach = build_approach(spec, schedule.target_id, _model_seed(spec, run_index))
     reset = spec.evaluation == "prequential_reset"
-    return run_schedule(approach, schedule, reset, spec.window_fraction)
+    return run_schedule(approach, schedule, reset, spec.window_fraction, weight_ratio=weight_ratio)
 
 
 def _execute_run(spec: ExperimentSpec, run_index: int) -> RunTrace:
@@ -314,9 +325,11 @@ def _execute_run(spec: ExperimentSpec, run_index: int) -> RunTrace:
 
 def _score_run(specs: list[ExperimentSpec], run_index: int) -> list[float]:
     """:func:`_run_score` of run ``run_index`` of each of ``specs``, which
-    differ only in their model config and so share one schedule, built here."""
+    differ only in their model config and so share one schedule, built here.
+    No score reads the source-weight share, so these runs compute none."""
     schedule = build_schedule(specs[0], run_index)
-    return [_run_score(spec, _run_on(spec, schedule, run_index)) for spec in specs]
+    return [_run_score(spec, _run_on(spec, schedule, run_index, weight_ratio=False))
+            for spec in specs]
 
 
 def _map_tasks(fn, tasks: list[tuple], parallelism: int) -> list:

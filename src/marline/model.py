@@ -140,10 +140,11 @@ def update_performance_stats(
     doubtful /= sw
     new_wrong += doubtful
     totals = new_correct + new_wrong
-    positive = totals > 0.0
-    if positive.all():
+    # One reduction decides the fast path; an empty array takes it too.
+    if np.minimum.reduce(totals, initial=np.inf) > 0.0:
         new_performance = np.divide(new_correct, totals, out=totals)
     else:
+        positive = totals > 0.0
         new_performance = np.where(positive, new_correct / np.where(positive, totals, 1.0), 1.0)
     return new_correct, new_wrong, new_performance, sc, sw
 
@@ -155,10 +156,12 @@ def sub_classifier_weights(
     proportionally, everything else gets zero. All-below yields all zeros."""
     performances = np.asarray(performances, dtype=float)
     mask = performances > performance_index
-    if not mask.any():
+    above = performances[mask]
+    if not above.size:
         return np.zeros_like(performances)
-    weights = performances / float(np.add.reduce(performances[mask]))
-    weights[~mask] = 0.0
+    weights = performances / float(np.add.reduce(above))
+    # Performances are non-negative, so every weight below the index is +0.0.
+    weights *= mask
     return weights
 
 
@@ -296,8 +299,9 @@ class MarlineModel:
             if not weighted:
                 continue
             pairs = _concept_pairs(concept, values, current, target)
-            # A fixed pass is already the C-contiguous (k, 2) array.
-            p_neg, p_pos = (weights[i * k : (i + 1) * k] @ np.asarray(pairs)).tolist()
+            # A fixed pass is already the C-contiguous (k, 2) array. np.dot
+            # gives the bits of ``@`` with less call overhead.
+            p_neg, p_pos = np.dot(weights[i * k : (i + 1) * k], np.asarray(pairs)).tolist()
             neg += p_neg
             pos += p_pos
         if neg == pos:
@@ -315,9 +319,10 @@ class MarlineModel:
         if not weights.any():
             return 0.0
         per_concept = weights.reshape(-1, self.config.ensemble_size).sum(axis=1).tolist()
+        current = target_pool.current
         ratio = 0.0
         for concept, weight in zip(self.concepts, per_concept):
-            if concept is not target_pool.current:
+            if concept is not current:
                 ratio += weight
         return min(max(ratio, 0.0), 1.0)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from marline.evaluation import (
     run_experiment,
     run_schedule,
 )
-from marline.model import MarlineConfig
+from marline.model import MarlineConfig, MarlineModel
 from marline.streams import (
     CsvDataset,
     CsvStreamSpec,
@@ -368,6 +369,40 @@ def test_grid_rows_equal_the_objectives_of_independent_experiments(tmp_path, dat
         config = replace(spec.config, forgetting_factor=row["forgetting_factor"])
         alone = run_experiment(replace(spec, config=config))
         assert row["objective"].hex() == alone.objective.hex()
+
+
+def test_grid_scoring_computes_no_source_weight_share(monkeypatch):
+    # No grid objective reads the share, so the grid's runs never ask for
+    # it; run_experiment asks each run's model once per target step.
+    calls = []
+    ratio = MarlineModel.source_weight_ratio
+
+    def spied(model):
+        calls.append(model)
+        return ratio(model)
+
+    monkeypatch.setattr(MarlineModel, "source_weight_ratio", spied)
+    spec = tiny_spec(approach="marline_with_source")
+    assert len(grid_search(spec, {"forgetting_factor": [0.9, 1.0]}).rows) == 2
+    assert calls == []
+    result = run_experiment(spec)
+    steps = [
+        sum(1 for sid, _ in build_schedule(spec, r).entries if sid == "T")
+        for r in range(spec.runs)
+    ]
+    # The models stay alive in ``calls``, so no two runs share an id.
+    assert [len(list(group)) for _, group in groupby(calls, key=id)] == steps
+    assert [len(t.weight_ratio) for t in result.traces] == steps
+
+
+@pytest.mark.parametrize("approach", ["marline_with_source", "base_plain"])
+def test_a_run_without_the_share_differs_only_in_its_empty_ratio_series(approach):
+    spec = tiny_spec(approach=approach)
+    schedule = build_schedule(spec, 0)
+    full = evaluation._run_on(spec, schedule, 0)
+    bare = evaluation._run_on(spec, schedule, 0, weight_ratio=False)
+    assert bare.weight_ratio == [] and len(full.weight_ratio) == len(full.running)
+    assert replace(bare, weight_ratio=full.weight_ratio) == full
 
 
 def test_runs_with_different_seeds_differ():

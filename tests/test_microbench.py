@@ -251,11 +251,13 @@ def test_weighting_step_eight_concepts(benchmark):
     assert len(model.concepts) == 8
 
 
-def test_weighting_step_frozen_single_leaf_concepts(benchmark):
+@pytest.mark.parametrize("n_frozen", [7, 8])
+def test_weighting_step_frozen_single_leaf_concepts(benchmark, n_frozen):
     # One predict + update_weights step on a d = 4 boosting model over
     # majority leaves: a target and a source warmed on 300 examples, and
-    # seven frozen source concepts of single leaves cut after 10 examples
-    # each, as DDM cuts short-lived concepts.
+    # ``n_frozen`` frozen source concepts of single leaves cut after 10
+    # examples each, as DDM cuts short-lived concepts. Eight give the eleven
+    # concepts of the grid_csv_boosting workload.
     rng = np.random.default_rng(9)
     config = MarlineConfig(
         n_features=4,
@@ -268,12 +270,12 @@ def test_weighting_step_frozen_single_leaf_concepts(benchmark):
         example = gaussian_example(rng, t, 4)
         model.observe("S0", example, rng)
         model.observe("T", example, rng)
-        if t < 70:
+        if t < 10 * n_frozen:
             model.observe("S1", example, rng)
             if t % 10 == 9:
                 model._new_concept("S1")
     frozen = model.pools["S1"].concepts[:-1]
-    assert len(frozen) == 7
+    assert len(frozen) == n_frozen
     assert all(c.ensemble.fixed_pairs() is not None for c in frozen)
     next_example = itertools.cycle([gaussian_example(rng, t, 4) for t in range(1000)]).__next__
 
@@ -283,7 +285,7 @@ def test_weighting_step_frozen_single_leaf_concepts(benchmark):
         model.update_weights(example)
 
     benchmark(step)
-    assert len(model.concepts) == 10
+    assert len(model.concepts) == n_frozen + 3
 
 
 def test_acceptance_7_cost_model(capsys):

@@ -26,7 +26,13 @@ from marline.core import (
 )
 from marline.drift import DriftStatus
 from marline.evaluation import APPROACHES, BaselineApproach
-from marline.learners import HoeffdingTree, HoeffdingTreeParams, _EnsembleBase, _LeafNode
+from marline.learners import (
+    HoeffdingTree,
+    HoeffdingTreeParams,
+    _EnsembleBase,
+    _LeafNode,
+    mean_pair,
+)
 from marline.mapping import ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
@@ -281,10 +287,10 @@ def test_performance_stats_equal_the_reference_formula_bit_for_bit(n):
 
 @st.composite
 def performance_updates(draw):
-    """Inputs of one update of 1 to 110 members: p outside [0, 1] and
+    """Inputs of one update of 0 to 110 members: p outside [0, 1] and
     exactly 0 and 1, and either drawn stats or the stats just after a
     target drift's reset (zero lambdas, unit performance)."""
-    n = draw(st.integers(1, 110))
+    n = draw(st.integers(0, 110))
 
     def array(elements):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
@@ -301,6 +307,7 @@ def performance_updates(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(performance_updates())
+@example((np.zeros(0), np.zeros(0), np.ones(0), np.zeros(0), 0.9))
 def test_performance_stats_equal_the_reference_formula_on_any_inputs(case):
     got = update_performance_stats(*case, EPS_CLAMP)
     expected = reference_performance_stats(*case, EPS_CLAMP)
@@ -362,10 +369,14 @@ def performances_and_index(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(performances_and_index())
+@example((np.zeros(0), 0.4))
+@example((np.zeros(0), 0.0))
 def test_weights_sum_to_one_or_are_all_zero_and_equal_the_where_form(case):
     performances, index = case
     w = sub_classifier_weights(performances, index)
-    assert w.tobytes() == where_weights(performances, index).tobytes()
+    expected = where_weights(performances, index)
+    assert w.shape == expected.shape and w.dtype == expected.dtype
+    assert w.tobytes() == expected.tobytes()
     if (performances > index).any():
         assert abs(float(w.sum()) - 1.0) <= 1e-12
     else:
@@ -509,6 +520,63 @@ def test_scores_equal_explicit_double_sum_over_concepts():
     assert prediction.scores == pytest.approx(expected, abs=1e-12)
 
 
+@st.composite
+def weighted_concept_passes(draw):
+    """k in 1 to 40 members, the passes of a target and one to three source
+    concepts, each source's pass kept as an array or not, and voting
+    weights with zeros: none, some, or a whole concept's."""
+    k = draw(st.integers(1, 40))
+    n_concepts = draw(st.integers(2, 4))
+    kept = [False] + [draw(st.booleans()) for _ in range(n_concepts - 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    passes = []
+    for _ in range(n_concepts):
+        pairs = rng.random((k, 2))
+        # Majority leaves answer exact fractions such as (1, 0) and (0.5, 0.5).
+        exact = rng.random(k) < draw(st.sampled_from([0.0, 0.5]))
+        pairs[exact] = rng.choice([0.0, 0.5, 1.0], (int(exact.sum()), 2))
+        passes.append([tuple(pair) for pair in pairs.tolist()])
+    weights = rng.random(n_concepts * k)
+    for i in range(n_concepts):
+        share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        block = weights[i * k : (i + 1) * k]
+        block[rng.random(k) < share] = 0.0
+    return k, passes, kept, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_concept_passes())
+def test_the_per_concept_product_is_the_matmul_bit_for_bit(case):
+    # The vote multiplies each weighted concept's weights into its pass,
+    # whether a kept (k, 2) array or a member pass of tuples, and sums the
+    # products in concept order. ``@`` on the same operands is the oracle.
+    k, passes, kept, weights = case
+    model = MarlineModel(small_config(ensemble_size=k))
+    concepts = [
+        install_stub_concept(model, stream_id, pairs)
+        for stream_id, pairs in zip(("T", "S1", "S2", "S3"), passes)
+    ]
+    for concept, keep in zip(concepts, kept):
+        if keep:
+            for tree in concept.ensemble.sub_classifiers:
+                tree._root._answer = tuple(tree.distribution.tolist())
+        assert (concept.ensemble.fixed_pairs() is not None) == keep
+    model._weights = weights
+    neg = pos = 0.0
+    for i, pairs in enumerate(passes):
+        w = weights[i * k : (i + 1) * k]
+        if not w.any():
+            continue
+        product = w @ np.asarray(pairs)
+        assert np.dot(w, np.array(pairs)).tobytes() == product.tobytes()
+        p_neg, p_pos = product.tolist()
+        neg += p_neg
+        pos += p_pos
+    scores = model.predict(np.array([0.3, 0.4])).scores
+    expected = np.array([neg, pos]) if neg != pos else np.array(mean_pair(passes[0]))
+    assert scores.tobytes() == expected.tobytes()
+
+
 def test_warmup_falls_back_to_target_ensemble():
     model = MarlineModel(small_config())
     pool = model._new_concept("T")
@@ -603,6 +671,35 @@ def test_update_weights_rejects_non_finite_features_before_any_state_changes():
             model.update_weights(Example(np.array(bad), POS))
     assert pickle.dumps(model) == snapshot
     assert np.all(np.isfinite(model.lambda_correct))
+
+
+@pytest.mark.parametrize("approach", ["base_plain", "base_detector_reset"])
+def test_a_baseline_refuses_bad_features_before_any_state_changes(approach):
+    # As the model does: a NaN, an infinity or a feature beyond the bound
+    # raises DataError and leaves the ensemble, the detector and the
+    # generator as they were.
+    cls, reset_on_drift = APPROACHES[approach]
+    rng = np.random.default_rng(44)
+    baseline = cls(small_config(ensemble_size=3), "T", reset_on_drift, rng)
+    for ex in alternating_stream(np.random.default_rng(45), 100, (0.0, 0.0), (3.0, 3.0)):
+        baseline.predict(ex.features)
+        baseline.observe("T", ex)
+
+    def state():
+        return (
+            pickle.dumps(baseline.ensemble),
+            pickle.dumps(baseline.detector),
+            rng.bit_generator.state,
+        )
+
+    before, probe = state(), baseline.predict(np.array([1.4, 1.6]))
+    for bad in ([np.nan, 1.0], [1e300, -1e300], [np.inf, 0.0], [1.0, 1e101]):
+        with pytest.raises(DataError, match="BaselineApproach.observe"):
+            baseline.observe("T", Example(np.array(bad), POS))
+        with pytest.raises(DataError, match="BaselineApproach.predict"):
+            baseline.predict(np.array(bad))
+    assert state() == before
+    assert baseline.predict(np.array([1.4, 1.6])) == probe
 
 
 @pytest.mark.parametrize("bad", [1e101, -1e160, 1e300])
