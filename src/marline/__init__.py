@@ -30,7 +30,7 @@ from .learners import (
     hoeffding_bound,
     make_ensemble,
 )
-from .mapping import AlignMap, CentroidTracker, build_align_map, project_example
+from .mapping import AlignMap, CentroidTracker, build_align_map
 from .model import (
     MarlineConfig,
     MarlineModel,
@@ -93,7 +93,6 @@ __all__ = [
     "interleave",
     "make_detector",
     "make_ensemble",
-    "project_example",
     "run_experiment",
     "run_schedule",
     "sub_classifier_weights",

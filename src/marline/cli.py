@@ -312,6 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     handlers = {"generate": _cmd_generate, "run": _cmd_run, "grid": _cmd_grid}
     try:
+        if args.parallelism < 1:
+            raise ConfigurationError("--parallelism must be >= 1")
         spec, grids = _read_config(_load_config(args.config, args.overrides), args.seed)
         _make_out_dir(args.out)
         return handlers[args.command](args, spec, grids)

@@ -91,6 +91,10 @@ class HddmA:
             raise ConfigurationError("drift_confidence must be in (0, 1)")
         if not 0.0 < warning_confidence < 1.0:
             raise ConfigurationError("warning_confidence must be in (0, 1)")
+        # A smaller warning confidence has the larger bound, which a drift
+        # would always cross first, so WARNING could never fire.
+        if warning_confidence < drift_confidence:
+            raise ConfigurationError("need drift_confidence <= warning_confidence")
         self.drift_confidence = drift_confidence
         self.warning_confidence = warning_confidence
         self.reset()

@@ -3,7 +3,16 @@ ensemble algorithms (bagging and boosting) built on top of them.
 
 Trees handle numeric attributes with per-leaf, per-class Gaussian estimators
 and support real-valued example weights as multipliers on the sufficient
-statistics.
+statistics. Trees and ensembles take lists of ``n_features`` floats that the
+caller has checked; the model converts each example to one list.
+
+A leaf keeps its answer as state that only ``_LeafNode.learn`` writes, so a
+member pass evaluates naive Bayes only at leaves that answer by it; a
+naive-Bayes leaf keeps its terms current as it learns. An ensemble keeps its
+last pass and its fixed pass until it learns, and the drift check's pass is
+handed to ``learn``. Each of these keeps every float operation and its
+order, so results are bit-identical to rebuilding everything on every call,
+as ``tests/reference.py`` does.
 """
 
 from __future__ import annotations
@@ -14,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    NEG,
-    POS,
-    ConfigurationError,
-    Example,
-    check_dims,
-)
+from .core import NEG, POS, ConfigurationError
 
 _MIN_VARIANCE = 1e-12
 _MIN_SPLIT_GAIN = 1e-10
@@ -327,10 +330,8 @@ class HoeffdingTree:
     threshold, re-evaluated every ``grace_period`` units of example weight.
 
     Trees take lists of ``n_features`` floats both ways, through
-    :meth:`predict_pair` and :meth:`learn`; :meth:`predict` and :meth:`train`
-    are their checked wrappers for arrays and examples. An ensemble's member
-    pass routes its trees itself, and :meth:`predict_pair` is that pass over
-    one tree.
+    :meth:`predict_pair` and :meth:`learn`. An ensemble's member pass routes
+    its trees itself, and :meth:`predict_pair` is that pass over one tree.
     """
 
     def __init__(self, n_features: int, params: HoeffdingTreeParams | None = None) -> None:
@@ -340,13 +341,6 @@ class HoeffdingTree:
         self.params = params or HoeffdingTreeParams()
         self._root: _LeafNode | _SplitNode = _LeafNode(n_features)
         self.n_splits = 0
-
-    def train(self, example: Example, weight: float = 1.0) -> None:
-        """Absorb one weighted example; may grow the tree."""
-        check_dims(example.features, self.n_features, "HoeffdingTree.train")
-        if weight <= 0.0:
-            return
-        self.learn(example.features.tolist(), example.label, weight)
 
     def learn(
         self, values: list[float], label: int, weight: float, pair: Pair | None = None
@@ -403,12 +397,6 @@ class HoeffdingTree:
         root = self._root
         return None if root.__class__ is _SplitNode else root._answer or None
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Class distribution at the leaf ``features`` routes to."""
-        features = np.asarray(features, dtype=float)
-        check_dims(features, self.n_features, "HoeffdingTree.predict")
-        return np.array(self.predict_pair(features.tolist()))
-
 
 def _member_pairs(trees: Iterable[HoeffdingTree], values: list[float]) -> list[Pair]:
     """``(p_neg, p_pos)`` of each tree at the leaf a list of ``n_features``
@@ -429,11 +417,11 @@ class _EnsembleBase:
     """Shared plumbing for the fixed-size online ensembles.
 
     An ensemble takes a list of floats both ways and hands it to every
-    member: :meth:`vote` and each ensemble's ``learn(values, label, rng,
-    pairs)``. :meth:`predict` and :meth:`train` are their checked wrappers
-    for arrays and examples. Its members are :class:`HoeffdingTree` objects
-    of its ``n_features``. A member pass is :meth:`member_pairs`, a list of
-    the members' float pairs. :meth:`memo_pairs` keeps its last pass
+    member: :meth:`member_pairs` and each ensemble's ``learn(values, label,
+    rng, pairs)``. Its members are :class:`HoeffdingTree` objects of its
+    ``n_features``. A member pass is :meth:`member_pairs`, a list of the
+    members' float pairs, and :func:`mean_pair` of it is the ensemble's
+    unweighted vote. :meth:`memo_pairs` keeps its last pass
     until the ensemble learns, so that a target's drift check reuses the
     pass of the prediction before it and hands those pairs to ``learn``.
     :meth:`fixed_pairs` is the pass at any input where no member reads its
@@ -518,22 +506,6 @@ class _EnsembleBase:
             self._fixed = fixed
         return None if fixed is False else fixed
 
-    def vote(self, values: list[float]) -> Pair:
-        """Unweighted mean ``(p_neg, p_pos)`` of the members' class
-        distributions at a list of ``n_features`` floats. Unchecked."""
-        return mean_pair(self.member_pairs(values))
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Unweighted mean of the members' class distributions."""
-        features = np.asarray(features, dtype=float)
-        check_dims(features, self.n_features, f"{type(self).__name__}.predict")
-        return np.array(self.vote(features.tolist()))
-
-    def train(self, example: Example, rng: np.random.Generator) -> None:
-        """Train the members on one example, drawing their weights from ``rng``."""
-        check_dims(example.features, self.n_features, f"{type(self).__name__}.train")
-        self.learn(example.features.tolist(), example.label, rng)
-
 
 def mean_pair(pairs: list[Pair]) -> Pair:
     """Unweighted mean of a member pass."""
@@ -551,8 +523,9 @@ class OnlineBagging(_EnsembleBase):
     def learn(
         self, values: list[float], label: int, rng: np.random.Generator, pairs: list | None = None
     ) -> None:
-        """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
-        if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
+        """Train the members on a list of ``n_features`` floats, drawing
+        their weights from ``rng``, with ``pairs``, if given,
+        :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
         self._memo = self._fixed = None
         members = self.sub_classifiers
@@ -584,8 +557,9 @@ class OnlineBoosting(_EnsembleBase):
     def learn(
         self, values: list[float], label: int, rng: np.random.Generator, pairs: list | None = None
     ) -> None:
-        """:meth:`train` on a list of ``n_features`` floats, with ``pairs``,
-        if given, :meth:`member_pairs` at it since the last learn. Unchecked."""
+        """Train the members on a list of ``n_features`` floats, drawing
+        their weights from ``rng``, with ``pairs``, if given,
+        :meth:`member_pairs` at it since the last learn. Unchecked."""
         self.trained_count += 1
         self._memo = self._fixed = None
         # The sums are worked on as floats and written back as arrays.

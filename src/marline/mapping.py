@@ -1,6 +1,12 @@
 """Concept geometry: decayed per-class centroids, the scaled-rotation map
 aligning one concept's class-separation vector with another's, and the
 projection of examples through that map.
+
+A tracker builds its concept's :class:`ConceptFrame` once per centroid
+change. :class:`Reflections` projects a target point, a list of floats, into
+a source concept's space without forming a matrix; the model builds one
+afresh for each projection. :func:`build_align_map` forms the same map as a
+matrix. Frames are not stored in snapshots.
 """
 
 from __future__ import annotations
@@ -65,13 +71,6 @@ class CentroidTracker:
     def both_classes_seen(self) -> bool:
         return self.seen[NEG] and self.seen[POS]
 
-    def concept_vector(self) -> np.ndarray | None:
-        """Vector from the NEG centroid to the POS centroid, or None until
-        both classes have been observed."""
-        if not self.both_classes_seen:
-            return None
-        return self.centroid(POS) - self.centroid(NEG)
-
     def frame(self) -> ConceptFrame | None:
         """The alignment terms of the current centroids, or None until both
         classes have been observed. Built on first use and dropped by
@@ -113,14 +112,14 @@ def _dot(a: list[float], b: list[float]) -> float:
 
 
 class ConceptFrame:
-    """Alignment terms of one concept, from its concept vector and POS
-    centroid given as lists of floats: the vector's norm, its unit vector and
-    the centroid. The terms never change once built."""
+    """Alignment terms of one concept, from its concept vector (POS centroid
+    minus NEG centroid) and POS centroid given as lists of floats: the
+    vector's norm, its unit vector and the centroid. The terms never change
+    once built."""
 
-    __slots__ = ("vector", "norm", "unit", "c_pos")
+    __slots__ = ("norm", "unit", "c_pos")
 
     def __init__(self, vector: list[float], c_pos: list[float]) -> None:
-        self.vector = vector
         # The arithmetic of np.linalg.norm on a 1-D float vector, without
         # its dispatch: a sum of squares in Python rounds otherwise.
         array = np.array(vector)
@@ -137,8 +136,9 @@ class Reflections:
     Each reflection is a vector w with its factor 2/(w·w): H_w y =
     y - factor (w·y) w. The rotation H_u H_{u+v}, for the unit vectors u of
     ``src`` and v of ``tgt``, applies H_{u+v} first; an antiparallel pair
-    has the single H_v and a degenerate pair none, in which case
-    :meth:`apply` returns its input, as :func:`project_example` does.
+    has the single H_v. A degenerate pair (a concept vector shorter than the
+    tolerance, or of no finite norm) has none, and :meth:`apply` returns its
+    input.
     """
 
     __slots__ = ("c_tgt", "c_src", "scale", "steps")
@@ -194,21 +194,3 @@ def build_align_map(v_src: np.ndarray, v_tgt: np.ndarray) -> AlignMap:
         return AlignMap(matrix=basis, scale=1.0, degenerate=True)
     columns = [reflections.apply(e) for e in basis.tolist()]
     return AlignMap(matrix=np.array(columns).T, scale=reflections.scale, degenerate=False)
-
-
-def project_example(
-    features: np.ndarray,
-    align_map: AlignMap,
-    c_tgt_pos: np.ndarray,
-    c_src_pos: np.ndarray,
-) -> np.ndarray:
-    """Image of a target-space point in the source concept's space.
-
-    The displacement from the target POS centroid is rotated/scaled by the
-    map and re-anchored at the source POS centroid. Degenerate maps return
-    the input unchanged.
-    """
-    features = np.asarray(features, dtype=float)
-    if align_map.degenerate:
-        return features
-    return c_src_pos + align_map.matrix @ (features - c_tgt_pos)

@@ -1,6 +1,12 @@
 """The MARLINE model: concept pools per stream, drift-triggered ensemble
 creation, incremental sub-classifier performance tracking on the current
 target concept, and weighted-majority prediction across all concepts.
+
+Each example is checked and converted to one list of floats. The current
+target concept's pass from a prediction is kept and reused by the drift
+check, which hands it to training. Any other concept sees its projection of
+the example, unless all its trees are single leaves answering by majority:
+then its kept fixed pass is the (k, 2) array the vote multiplies.
 """
 
 from __future__ import annotations

@@ -703,6 +703,31 @@ def test_an_out_path_that_cannot_be_a_directory_fails_before_any_work(
         assert f"cannot create output directory {out}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "run", "grid"])
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_a_parallelism_below_one_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, parallelism
+):
+    for name in ("build_schedule", "run_experiment", "grid_search"):
+        monkeypatch.setattr(f"marline.cli.{name}", None)
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    argv = [command, "--config", config, "--out", str(out), "--parallelism", parallelism]
+    assert main(argv) == EXIT_USAGE
+    assert "--parallelism must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_hddm_a_warning_that_could_never_fire_is_a_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    settings = ["model.detector=hddm_a", "model.drift_confidence=0.01", "model.warning_confidence=0.001"]
+    argv = ["run", "--config", config, "--out", str(out)]
+    assert main(argv + [arg for s in settings for arg in ("--set", s)]) == EXIT_USAGE
+    assert "need drift_confidence <= warning_confidence" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Every section and key a config may hold, for the fuzzing below.
 STREAM_KEYS = ("path", "features", "target_column", "filter")
 CONFIG_KEYS = {

@@ -14,8 +14,6 @@ from marline.core import (
     NEG,
     POS,
     ConfigurationError,
-    DimensionMismatchError,
-    Example,
     argmax_label,
 )
 from marline.learners import (
@@ -28,7 +26,9 @@ from marline.learners import (
     _SplitNode,
     hoeffding_bound,
     make_ensemble,
+    mean_pair,
 )
+from reference import fresh_majority, per_tree_pair
 
 
 class StubLeaf:
@@ -70,11 +70,12 @@ class StubRng:
 
 
 def gaussian_stream(rng, n, mean_neg, mean_pos, std=1.0):
+    """``n`` labelled lists of floats, alternating between two Gaussian classes."""
     examples = []
     for t in range(n):
         label = t % 2
         mean = mean_pos if label == POS else mean_neg
-        examples.append(Example(mean + rng.standard_normal(len(mean)) * std, label))
+        examples.append(((mean + rng.standard_normal(len(mean)) * std).tolist(), label))
     return examples
 
 
@@ -112,48 +113,44 @@ def test_hoeffding_bound_rejects_bad_inputs():
 
 def test_untrained_tree_predicts_uniform():
     tree = HoeffdingTree(n_features=3)
-    dist = tree.predict(np.zeros(3))
-    assert dist == pytest.approx([0.5, 0.5])
+    assert tree.predict_pair([0.0, 0.0, 0.0]) == (0.5, 0.5)
 
 
 def test_tree_trained_on_single_class_prefers_it():
     tree = HoeffdingTree(n_features=2)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        tree.train(Example(rng.standard_normal(2), POS))
-    assert tree.predict(np.zeros(2))[POS] > 0.5
+        tree.learn(rng.standard_normal(2).tolist(), POS, 1.0)
+    assert tree.predict_pair([0.0, 0.0])[POS] > 0.5
 
 
 def test_pure_class_stream_yields_confident_distribution():
     tree = HoeffdingTree(n_features=2)
     rng = np.random.default_rng(2)
     for _ in range(1000):
-        tree.train(Example(rng.standard_normal(2), NEG))
-    dist = tree.predict(np.zeros(2))
-    assert dist[NEG] >= 0.99
+        tree.learn(rng.standard_normal(2).tolist(), NEG, 1.0)
+    assert tree.predict_pair([0.0, 0.0])[NEG] >= 0.99
 
 
 def test_separated_gaussians_reach_high_holdout_accuracy():
     rng = np.random.default_rng(3)
     tree = HoeffdingTree(n_features=1)
-    for ex in gaussian_stream(rng, 5000, np.array([0.0]), np.array([4.0])):
-        tree.train(ex)
+    for values, label in gaussian_stream(rng, 5000, np.array([0.0]), np.array([4.0])):
+        tree.learn(values, label, 1.0)
     holdout = gaussian_stream(rng, 1000, np.array([0.0]), np.array([4.0]))
-    accuracy = np.mean([argmax_label(tree.predict(ex.features)) == ex.label for ex in holdout])
+    accuracy = np.mean([argmax_label(tree.predict_pair(v)) == label for v, label in holdout])
     assert accuracy >= 0.95
 
 
 def test_zero_weight_training_changes_nothing():
+    # A member that draws weight 0 does not learn the example.
     rng = np.random.default_rng(4)
-    trained = HoeffdingTree(n_features=2)
-    for ex in gaussian_stream(rng, 300, np.array([0.0, 0.0]), np.array([3.0, 3.0])):
-        trained.train(ex)
-    probes = [np.array([x, y]) for x in (-1.0, 1.5, 4.0) for y in (-1.0, 1.5, 4.0)]
-    before = [trained.predict(p).copy() for p in probes]
-    trained.train(Example(np.array([100.0, 100.0]), POS), weight=0.0)
-    after = [trained.predict(p) for p in probes]
-    for b, a in zip(before, after):
-        assert np.array_equal(b, a)
+    bag = OnlineBagging(n_features=2, ensemble_size=3)
+    for values, label in gaussian_stream(rng, 300, np.array([0.0, 0.0]), np.array([3.0, 3.0])):
+        bag.learn(values, label, rng)
+    before = pickle.dumps(bag.sub_classifiers)
+    bag.learn([100.0, 100.0], POS, StubRng(value=0))
+    assert pickle.dumps(bag.sub_classifiers) == before
 
 
 def test_tree_is_deterministic_given_sequence():
@@ -162,49 +159,36 @@ def test_tree_is_deterministic_given_sequence():
     )
     trees = [HoeffdingTree(n_features=2), HoeffdingTree(n_features=2)]
     for tree in trees:
-        for ex in stream:
-            tree.train(ex)
+        for values, label in stream:
+            tree.learn(values, label, 1.0)
     probes = np.random.default_rng(6).standard_normal((50, 2)) * 3
-    for p in probes:
-        assert np.array_equal(trees[0].predict(p), trees[1].predict(p))
+    for p in probes.tolist():
+        assert trees[0].predict_pair(p) == trees[1].predict_pair(p)
 
 
 def test_learning_a_list_grows_the_tree_training_an_example_grows():
-    # learn is the seam the ensembles train through; train converts and
-    # checks the example, then learns it.
+    # Weighted learning splits the tree, and every example reaches a leaf
+    # with its weight.
     rng = np.random.default_rng(25)
     stream = gaussian_stream(rng, 1500, np.array([0.0, 0.0]), np.array([2.5, 2.5]))
     weights = rng.integers(1, 4, len(stream)).astype(float).tolist()
-    params = HoeffdingTreeParams(grace_period=50)
-    learnt, trained = HoeffdingTree(2, params), HoeffdingTree(2, params)
+    learnt = HoeffdingTree(2, HoeffdingTreeParams(grace_period=50))
     unsplit = HoeffdingTree(2, HoeffdingTreeParams(grace_period=10_000))
-    for ex, weight in zip(stream, weights):
-        learnt.learn(ex.features.tolist(), ex.label, weight)
-        trained.train(ex, weight)
-        unsplit.train(ex, weight)
-    assert trained.n_splits > 0
-    assert pickle.dumps(learnt) == pickle.dumps(trained)
-    # Every example reached a leaf with its weight.
     expected = [0.0, 0.0]
-    for ex, weight in zip(stream, weights):
-        expected[ex.label] += weight
+    for (values, label), weight in zip(stream, weights):
+        learnt.learn(values, label, weight)
+        unsplit.learn(values, label, weight)
+        expected[label] += weight
+    assert learnt.n_splits > 0
     assert unsplit._root.class_weights == expected
-
-
-def test_tree_rejects_dimension_mismatch():
-    tree = HoeffdingTree(n_features=2)
-    with pytest.raises(DimensionMismatchError):
-        tree.train(Example(np.zeros(3), NEG))
-    with pytest.raises(DimensionMismatchError):
-        tree.predict(np.zeros(5))
 
 
 def test_tree_actually_splits_on_informative_data():
     tree = HoeffdingTree(n_features=2)
-    for ex in gaussian_stream(
+    for values, label in gaussian_stream(
         np.random.default_rng(7), 5000, np.array([0.0, 0.0]), np.array([6.0, 6.0]), std=0.5
     ):
-        tree.train(ex)
+        tree.learn(values, label, 1.0)
     assert tree.n_splits >= 1
 
 
@@ -215,9 +199,9 @@ def test_distributions_are_valid_probabilities(leaf_prediction):
     tree = HoeffdingTree(n_features=3, params=params)
     for t in range(2000):
         features = rng.standard_normal(3) * 5
-        tree.train(Example(features, int(features[0] > 0)))
+        tree.learn(features.tolist(), int(features[0] > 0), 1.0)
         if t % 50 == 0:
-            dist = tree.predict(rng.standard_normal(3) * 5)
+            dist = np.array(tree.predict_pair((rng.standard_normal(3) * 5).tolist()))
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(dist >= 0.0) and np.all(dist <= 1.0)
             assert np.all(np.isfinite(dist))
@@ -235,9 +219,8 @@ def test_bagging_poisson_zero_frequency_matches_pmf():
     bag = OnlineBagging(n_features=1, ensemble_size=1, sub_classifiers=[stub])
     rng = np.random.default_rng(9)
     n = 100_000
-    ex = Example(np.zeros(1), NEG)
     for _ in range(n):
-        bag.train(ex, rng)
+        bag.learn([0.0], NEG, rng)
     zero_fraction = 1.0 - len(stub.train_calls) / n
     assert zero_fraction == pytest.approx(math.exp(-1.0), abs=0.01)
 
@@ -249,12 +232,12 @@ def test_single_member_bagging_with_unit_weights_matches_plain_tree():
     bag = OnlineBagging(n_features=2, ensemble_size=1)
     plain = HoeffdingTree(n_features=2)
     rng = StubRng(value=1)
-    for ex in stream:
-        bag.train(ex, rng)
-        plain.train(ex, 1.0)
+    for values, label in stream:
+        bag.learn(values, label, rng)
+        plain.learn(values, label, 1.0)
     probes = np.random.default_rng(11).standard_normal((100, 2)) * 3
-    for p in probes:
-        assert np.array_equal(bag.sub_classifiers[0].predict(p), plain.predict(p))
+    for p in probes.tolist():
+        assert bag.sub_classifiers[0].predict_pair(p) == plain.predict_pair(p)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -269,12 +252,12 @@ def test_bagging_draws_the_weights_of_scalar_draws_in_member_order(seed):
     stream = gaussian_stream(
         np.random.default_rng(26), 600, np.array([0.0, 0.0]), np.array([3.0, 0.0])
     )
-    for ex in stream:
-        bag.train(ex, rng)
+    for values, label in stream:
+        bag.learn(values, label, rng)
         for tree in trees:
             k = float(scalar_rng.poisson(1.0))
             if k > 0.0:
-                tree.train(ex, k)
+                tree.learn(values, label, k)
     assert rng.random() == scalar_rng.random()
     assert all(tree.n_splits for tree in trees)
     assert [pickle.dumps(tree) for tree in bag.sub_classifiers] == [
@@ -289,10 +272,10 @@ def test_bagging_members_diverge_across_30_seeds():
     for seed in range(30):
         rng = np.random.default_rng(100 + seed)
         bag = OnlineBagging(n_features=2, ensemble_size=5)
-        for ex in gaussian_stream(rng, 1000, np.array([0.0, 0.0]), np.array([1.5, 1.5])):
-            bag.train(ex, rng)
+        for values, label in gaussian_stream(rng, 1000, np.array([0.0, 0.0]), np.array([1.5, 1.5])):
+            bag.learn(values, label, rng)
         labels = np.array(
-            [[t.predict(p).argmax() for p in probes] for t in bag.sub_classifiers]
+            [[argmax_label(t.predict_pair(p)) for p in probes.tolist()] for t in bag.sub_classifiers]
         )
         assert (labels != labels[0]).any(), f"seed {seed}: members identical"
 
@@ -318,8 +301,8 @@ def test_ensembles_refuse_members_that_are_not_trees(cls):
 def test_ensemble_size_is_fixed_after_construction():
     bag = OnlineBagging(n_features=2, ensemble_size=4)
     rng = np.random.default_rng(13)
-    for ex in gaussian_stream(rng, 500, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
-        bag.train(ex, rng)
+    for values, label in gaussian_stream(rng, 500, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        bag.learn(values, label, rng)
     assert bag.ensemble_size == 4
     assert bag.trained_count == 500
 
@@ -331,18 +314,18 @@ def test_ensemble_size_is_fixed_after_construction():
 
 def test_untrained_ensemble_predicts_uniform():
     ens = OnlineBagging(n_features=2, ensemble_size=3)
-    assert ens.predict(np.zeros(2)) == pytest.approx([0.5, 0.5])
+    assert mean_pair(ens.member_pairs([0.0, 0.0])) == (0.5, 0.5)
 
 
 def test_identical_members_match_single_tree_prediction():
     tree = HoeffdingTree(n_features=2)
-    for ex in gaussian_stream(
+    for values, label in gaussian_stream(
         np.random.default_rng(14), 500, np.array([0.0, 0.0]), np.array([3.0, 3.0])
     ):
-        tree.train(ex)
+        tree.learn(values, label, 1.0)
     ens = OnlineBagging(n_features=2, ensemble_size=3, sub_classifiers=[tree, tree, tree])
-    probe = np.array([1.0, 2.0])
-    assert ens.predict(probe) == pytest.approx(tree.predict(probe), abs=1e-12)
+    probe = [1.0, 2.0]
+    assert mean_pair(ens.member_pairs(probe)) == pytest.approx(tree.predict_pair(probe), abs=1e-12)
 
 
 def test_ensemble_prediction_is_arithmetic_mean():
@@ -351,16 +334,15 @@ def test_ensemble_prediction_is_arithmetic_mean():
         ensemble_size=2,
         sub_classifiers=[StubTree([0.8, 0.2], 2), StubTree([0.4, 0.6], 2)],
     )
-    assert ens.predict(np.zeros(2)) == pytest.approx([0.6, 0.4])
+    assert mean_pair(ens.member_pairs([0.0, 0.0])) == pytest.approx([0.6, 0.4])
 
 
 def test_ensemble_distributions_sum_to_one():
     rng = np.random.default_rng(15)
     ens = OnlineBoosting(n_features=2, ensemble_size=4)
-    for ex in gaussian_stream(rng, 800, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
-        ens.train(ex, rng)
-        dist = ens.predict(ex.features)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+    for values, label in gaussian_stream(rng, 800, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.learn(values, label, rng)
+        assert sum(mean_pair(ens.member_pairs(values))) == pytest.approx(1.0, abs=1e-9)
 
 
 def leaf_of(tree, x):
@@ -486,26 +468,26 @@ def test_member_distributions_equal_per_tree_predictions(kind, leaf_prediction):
     ens = make_ensemble(kind, 2, 4, params)
     rng = np.random.default_rng(20)
     stream = gaussian_stream(rng, 1200, np.array([0.0, 0.0]), np.array([3.0, 3.0]))
-    probes = np.random.default_rng(21).standard_normal((40, 2)) * 2 + 1.0
+    probes = (np.random.default_rng(21).standard_normal((40, 2)) * 2 + 1.0).tolist()
 
     def check(ensemble):
         trees = ensemble.sub_classifiers
         for p in probes:
-            expected = np.array([t.predict(p) for t in trees])
-            assert np.array_equal(np.array(ensemble.member_pairs(p.tolist())), expected)
+            expected = np.array([t.predict_pair(p) for t in trees])
+            assert np.array_equal(np.array(ensemble.member_pairs(p)), expected)
             for tree, row in zip(trees, expected):
                 assert np.array_equal(row, reference_leaf_distribution(tree, p))
             total = np.zeros(2)
             for row in expected:
                 total += row
-            assert np.array_equal(ensemble.predict(p), total / len(trees))
+            assert np.array_equal(mean_pair(ensemble.member_pairs(p)), total / len(trees))
 
-    for ex in stream[:400]:
-        ens.train(ex, rng)
+    for values, label in stream[:400]:
+        ens.learn(values, label, rng)
     check(ens)
     # More training must keep the terms of every leaf it reaches current.
-    for ex in stream[400:]:
-        ens.train(ex, rng)
+    for values, label in stream[400:]:
+        ens.learn(values, label, rng)
     check(ens)
     assert any(t.n_splits for t in ens.sub_classifiers)
     # A snapshot pickles the ensemble without its caches, which the restored
@@ -530,35 +512,6 @@ def learning_sequences(draw):
         values = draw(st.lists(value, min_size=d, max_size=d))
         examples.append((values, label, draw(weight), draw(st.booleans())))
     return d, examples
-
-
-@settings(max_examples=200, deadline=None)
-@given(learning_sequences())
-def test_leaf_terms_kept_in_place_equal_a_rebuild(case):
-    d, examples = case
-    params = HoeffdingTreeParams(grace_period=3, tie_threshold=0.9)
-    tree, plain = HoeffdingTree(d, params), HoeffdingTree(d, params)
-    for values, label, weight, probe in examples:
-        if probe:
-            tree.predict_pair(values)
-        leaf = leaf_of(tree, values)
-        example = Example(np.array(values), label)
-        tree.train(example, weight)
-        plain.train(example, weight)
-        assert leaf._nb_terms == leaf._naive_bayes_terms()
-        assert exact(leaf._answer) == exact(reference_answer(leaf, True))
-    # Probing before training, which builds the leaves' caches, leaves the
-    # learner exactly as training alone does.
-    assert pickle.dumps(tree) == pickle.dumps(plain)
-    for values, _, _, _ in examples:
-        a, b = leaf_of(tree, values), leaf_of(plain, values)
-        assert a.class_weights == b.class_weights
-        assert a.weight_at_last_attempt == b.weight_at_last_attempt
-        assert (a.mc_correct_weight, a.nb_correct_weight) == (
-            b.mc_correct_weight,
-            b.nb_correct_weight,
-        )
-        assert tree.predict_pair(values) == plain.predict_pair(values)
 
 
 def leaf_statistics(leaf):
@@ -726,52 +679,37 @@ def test_split_candidates_of_learnt_leaves_equal_the_cdf_form(case):
 def test_ensemble_prediction_after_training_is_recomputed(kind):
     rng = np.random.default_rng(22)
     ens = make_ensemble(kind, 2, 4)
-    for ex in gaussian_stream(rng, 40, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
-        ens.train(ex, rng)
-    x = np.array([1.1, 0.9])
-    before = ens.predict(x)
+    for values, label in gaussian_stream(rng, 40, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.learn(values, label, rng)
+    x = [1.1, 0.9]
+    before = mean_pair(ens.member_pairs(x))
     for _ in range(5):
-        ens.train(Example(x, POS), rng)
+        ens.learn(x, POS, rng)
     fresh = np.zeros(2)
     for tree in ens.sub_classifiers:
-        fresh += tree.predict_pair(x.tolist())
-    after = ens.predict(x)
-    assert not np.array_equal(after, before)
+        fresh += tree.predict_pair(x)
+    after = mean_pair(ens.member_pairs(x))
+    assert after != before
     assert np.array_equal(after, fresh / len(ens.sub_classifiers))
 
 
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
 def test_vote_is_the_mean_predict_returns(kind):
+    # The vote, the mean of a member pass, is the mean of the members'
+    # predict_pair at any values, in any order of queries.
     rng = np.random.default_rng(28)
     ens = make_ensemble(kind, 2, 4)
-    for ex in gaussian_stream(rng, 300, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
-        ens.train(ex, rng)
-    a, b = [0.3, 1.9], [1.1, 0.4]
-    vote_a = ens.vote(a)
-    assert vote_a == tuple(ens.predict(np.array(a)))
-    predicted_b = tuple(ens.predict(np.array(b)))
-    assert ens.vote(b) == predicted_b
-    assert ens.vote(a) == vote_a
-
-
-@pytest.mark.parametrize("kind", ["bagging", "boosting"])
-def test_learning_a_list_trains_the_ensemble_as_its_example_does(kind):
-    params = HoeffdingTreeParams(grace_period=50)
-    learnt, trained = make_ensemble(kind, 2, 5, params), make_ensemble(kind, 2, 5, params)
-    rng, train_rng = np.random.default_rng(29), np.random.default_rng(29)
-    stream = gaussian_stream(
-        np.random.default_rng(30), 600, np.array([0.0, 0.0]), np.array([3.0, 0.0])
-    )
-    for ex in stream:
-        learnt.learn(ex.features.tolist(), ex.label, rng)
-        trained.train(ex, train_rng)
-    assert rng.random() == train_rng.random()
-    assert any(tree.n_splits for tree in learnt.sub_classifiers)
-    assert pickle.dumps(learnt) == pickle.dumps(trained)
+    for values, label in gaussian_stream(rng, 300, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.learn(values, label, rng)
+    for values in ([0.3, 1.9], [1.1, 0.4], [0.3, 1.9]):
+        total = np.zeros(2)
+        for tree in ens.sub_classifiers:
+            total += tree.predict_pair(values)
+        assert np.array_equal(mean_pair(ens.member_pairs(values)), total / 4)
 
 
 def train_member_directly(ens, x):
-    ens.sub_classifiers[0].train(Example(x, POS), 50.0)
+    ens.sub_classifiers[0].learn(x, POS, 50.0)
 
 
 def replace_members(ens, x):
@@ -785,20 +723,20 @@ def replace_one_member(ens, x):
 @pytest.mark.parametrize("kind", ["bagging", "boosting"])
 @pytest.mark.parametrize("change", [train_member_directly, replace_members, replace_one_member])
 def test_ensemble_prediction_follows_members_changed_outside_train(kind, change):
-    # A member trained or replaced other than through the ensemble's train
-    # must not leave the ensemble predicting the mean of the old pass.
+    # A member trained or replaced other than through the ensemble's learn
+    # must not leave the member pass stale.
     rng = np.random.default_rng(27)
     ens = make_ensemble(kind, 2, 3)
-    for ex in gaussian_stream(rng, 60, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
-        ens.train(ex, rng)
-    x = np.array([0.2, 0.1])
-    before = ens.predict(x)
+    for values, label in gaussian_stream(rng, 60, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.learn(values, label, rng)
+    x = [0.2, 0.1]
+    before = mean_pair(ens.member_pairs(x))
     change(ens, x)
     fresh = np.zeros(2)
     for tree in ens.sub_classifiers:
-        fresh += tree.predict_pair(x.tolist())
-    after = ens.predict(x)
-    assert not np.array_equal(after, before)
+        fresh += tree.predict_pair(x)
+    after = mean_pair(ens.member_pairs(x))
+    assert after != before
     assert np.array_equal(after, fresh / len(ens.sub_classifiers))
 
 
@@ -808,8 +746,8 @@ def test_learning_drops_the_kept_pass(kind):
     # learning x, the pass at x is a fresh one.
     rng = np.random.default_rng(32)
     ens = make_ensemble(kind, 2, 3)
-    for ex in gaussian_stream(rng, 60, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
-        ens.train(ex, rng)
+    for values, label in gaussian_stream(rng, 60, np.array([0.0, 0.0]), np.array([2.0, 2.0])):
+        ens.learn(values, label, rng)
     x = [0.2, 0.1]
     kept = ens.memo_pairs(x)
     assert ens.memo_pairs([0.2, 0.1]) is kept
@@ -880,42 +818,6 @@ def test_learning_drops_the_kept_fixed_pass(kind):
     assert ens.fixed_pairs() is None
 
 
-@st.composite
-def fixed_pass_cases(draw):
-    """A stream of :func:`ensemble_streams`, a grace period that lets trees
-    split or keeps them single leaves, and probe values."""
-    kind, leaf_prediction, d, seed, examples = draw(ensemble_streams())
-    grace_period = draw(st.sampled_from([5, 10**6]))
-    value = st.floats(-1e3, 1e3, allow_nan=False)
-    probes = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
-    return kind, leaf_prediction, d, seed, examples, grace_period, probes
-
-
-@settings(max_examples=100, deadline=None)
-@given(fixed_pass_cases())
-def test_the_kept_fixed_array_is_the_member_pass_at_any_values(case):
-    # After every learn, the fixed pass is rebuilt from the members: a
-    # C-contiguous (k, 2) float64 array equal, bit for bit, to the array of
-    # the member pass at any values, or None where some member reads its input.
-    kind, leaf_prediction, d, seed, examples, grace_period, probes = case
-    params = HoeffdingTreeParams(
-        grace_period=grace_period, tie_threshold=0.9, leaf_prediction=leaf_prediction
-    )
-    ens = make_ensemble(kind, d, 3, params)
-    rng = np.random.default_rng(seed)
-    for values, label, _ in examples:
-        ens.learn(values, label, rng)
-        assert ens._fixed is None
-        fixed = ens.fixed_pairs()
-        if any(tree.fixed_pair() is None for tree in ens.sub_classifiers):
-            assert fixed is None
-            continue
-        assert fixed.dtype == np.float64 and fixed.shape == (3, 2)
-        assert fixed.flags.c_contiguous
-        for probe in probes + [values]:
-            assert fixed.tobytes() == np.array(ens.member_pairs(probe)).tobytes()
-
-
 # ----------------------------------------------------------------------
 # Online boosting
 # ----------------------------------------------------------------------
@@ -929,7 +831,7 @@ def test_boosting_weight_grows_after_a_misclassifying_member():
     boost.lambda_correct[:] = [10.0, 3.0, 0.0]
     boost.lambda_wrong[:] = [0.0, 1.0, 0.0]
     rng = StubRng(value=1)
-    boost.train(Example(np.zeros(1), POS), rng)
+    boost.learn([0.0], POS, rng)
     assert rng.means[0] == 1.0
     assert rng.means[1] < rng.means[0]  # member 0 was correct
     assert rng.means[2] > rng.means[1]  # member 1 was wrong with error < 1/2
@@ -942,12 +844,14 @@ def test_boosting_accumulators_stay_nonnegative_and_learn():
     rng = np.random.default_rng(16)
     boost = OnlineBoosting(n_features=2, ensemble_size=5)
     stream = gaussian_stream(rng, 3000, np.array([0.0, 0.0]), np.array([3.0, 3.0]))
-    for ex in stream:
-        boost.train(ex, rng)
+    for values, label in stream:
+        boost.learn(values, label, rng)
     assert np.all(boost.lambda_correct >= 0.0)
     assert np.all(boost.lambda_wrong >= 0.0)
     holdout = gaussian_stream(rng, 500, np.array([0.0, 0.0]), np.array([3.0, 3.0]))
-    accuracy = np.mean([argmax_label(boost.predict(ex.features)) == ex.label for ex in holdout])
+    accuracy = np.mean(
+        [argmax_label(mean_pair(boost.member_pairs(v))) == label for v, label in holdout]
+    )
     assert accuracy >= 0.9
 
 
@@ -985,10 +889,9 @@ def test_boosting_in_floats_equals_the_numpy_scalar_loop(seed, size, leaf_predic
     stream = gaussian_stream(
         np.random.default_rng(seed + 1), 120, np.zeros(2), np.full(2, separation)
     )
-    for ex in stream:
-        values = ex.features.tolist()
-        ens.learn(values, ex.label, rng)
-        reference_boosting_learn(reference, values, ex.label, reference_rng)
+    for values, label in stream:
+        ens.learn(values, label, rng)
+        reference_boosting_learn(reference, values, label, reference_rng)
         for got, want in ((ens.lambda_correct, reference.lambda_correct),
                           (ens.lambda_wrong, reference.lambda_wrong)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -1014,16 +917,16 @@ def test_seeded_ensembles_are_bit_reproducible():
     def build():
         rng = np.random.default_rng(17)
         ens = OnlineBagging(n_features=2, ensemble_size=3)
-        for ex in gaussian_stream(
+        for values, label in gaussian_stream(
             np.random.default_rng(18), 600, np.array([0.0, 0.0]), np.array([2.0, 2.0])
         ):
-            ens.train(ex, rng)
+            ens.learn(values, label, rng)
         return ens
 
     a, b = build(), build()
     probes = np.random.default_rng(19).standard_normal((50, 2)) * 2
-    for p in probes:
-        assert np.array_equal(a.predict(p), b.predict(p))
+    for p in probes.tolist():
+        assert a.member_pairs(p) == b.member_pairs(p)
 
 
 # ----------------------------------------------------------------------
@@ -1040,15 +943,6 @@ def tree_leaves(tree):
         else:
             nodes += [node.left, node.right]
     return found
-
-
-def fresh_majority(leaf):
-    """The majority pair of ``leaf``, computed from its class weights."""
-    neg, pos = leaf.class_weights
-    total = neg + pos
-    if total <= 0.0:
-        return (0.5, 0.5)
-    return (neg / total, pos / total)
 
 
 def reference_answer(leaf, nb_adaptive):
@@ -1154,8 +1048,7 @@ def test_boosting_routes_a_member_afresh_after_its_leaf_splits(leaf_prediction):
     # predict_pair, and the lambdas equal the loop that routes every member.
     params = HoeffdingTreeParams(grace_period=5, tie_threshold=0.9, leaf_prediction=leaf_prediction)
     ens, reference = OnlineBoosting(2, 3, params), OnlineBoosting(2, 3, params)
-    stream = gaussian_stream(np.random.default_rng(47), 200, np.zeros(2), np.full(2, 2.0))
-    examples = [(ex.features.tolist(), ex.label) for ex in stream]
+    examples = gaussian_stream(np.random.default_rng(47), 200, np.zeros(2), np.full(2, 2.0))
     seen, splits = boosting_reads(ens, examples, np.random.default_rng(48))
     assert splits > 0 and len(seen) > 0
     assert all(exact(used) == exact(expected) for used, expected in seen)
@@ -1207,8 +1100,8 @@ def test_cached_majority_pairs_equal_a_fresh_computation(case):
 def test_a_handed_naive_bayes_pair_spares_the_leaf_an_evaluation(monkeypatch):
     rng = np.random.default_rng(31)
     tree = HoeffdingTree(2, HoeffdingTreeParams(grace_period=10_000))
-    for ex in gaussian_stream(rng, 40, np.array([0.0, 0.0]), np.array([3.0, 3.0])):
-        tree.train(ex, 1.0)
+    for values, label in gaussian_stream(rng, 40, np.array([0.0, 0.0]), np.array([3.0, 3.0])):
+        tree.learn(values, label, 1.0)
     leaf = tree._root
     evaluations = []
     evaluate = _LeafNode.naive_bayes_distribution
@@ -1234,34 +1127,6 @@ def test_a_handed_naive_bayes_pair_spares_the_leaf_an_evaluation(monkeypatch):
 # ----------------------------------------------------------------------
 # The member pass as one loop, against the per-tree form
 # ----------------------------------------------------------------------
-
-
-def per_tree_pair(tree, values):
-    """A tree's pair as it was evaluated one tree at a time: the route to a
-    leaf, the leaf-choice rule with a majority pair fresh from the class
-    weights, and naive Bayes on freshly built terms, one loop per class,
-    normalised by the larger logit."""
-    node = tree._root
-    while node.__class__ is _SplitNode:
-        node = node.left if values[node.attribute] <= node.threshold else node.right
-    if tree.params.leaf_prediction == "majority" or node.mc_correct_weight > node.nb_correct_weight:
-        return fresh_majority(node)
-    (neg, neg_attributes), (pos, pos_attributes) = node._naive_bayes_terms()
-    for value, (mean, log_norm, two_var) in zip(values, neg_attributes):
-        diff = value - mean
-        neg += log_norm - diff * diff / two_var
-    for value, (mean, log_norm, two_var) in zip(values, pos_attributes):
-        diff = value - mean
-        pos += log_norm - diff * diff / two_var
-    if pos > neg:
-        r = math.exp(neg - pos)
-        return (r / (r + 1.0), 1.0 / (r + 1.0))
-    if neg > pos:
-        r = math.exp(pos - neg)
-        return (1.0 / (1.0 + r), r / (1.0 + r))
-    if neg == pos or neg == -math.inf:
-        return (0.5, 0.5)
-    return (math.nan, math.nan)
 
 
 def split_nodes(tree):

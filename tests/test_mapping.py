@@ -17,7 +17,6 @@ from marline.mapping import (
     ConceptFrame,
     Reflections,
     build_align_map,
-    project_example,
 )
 
 
@@ -172,11 +171,11 @@ def test_tracker_in_floats_equals_the_array_form(case):
             assert not all(reference.seen)
             continue
         vector, norm, unit, c_pos = reference.frame_terms()
-        assert hexed(frame.vector) == hexed(vector)
         assert norm.hex() == frame.norm.hex()
         assert hexed(frame.unit) == hexed(unit)
         assert hexed(frame.c_pos) == hexed(c_pos)
-        assert tracker.concept_vector().tobytes() == np.array(vector).tobytes()
+        difference = tracker.centroid(POS) - tracker.centroid(NEG)
+        assert difference.tobytes() == np.array(vector).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -188,20 +187,23 @@ def test_concept_vector_between_benchmark_centres():
     tracker = CentroidTracker(n_features=2, forgetting_factor=1.0)
     tracker.update(Example(np.array([2.0, 3.0]), NEG))
     tracker.update(Example(np.array([7.0, 8.0]), POS))
-    assert tracker.concept_vector() == pytest.approx([5.0, 5.0])
+    frame = tracker.frame()
+    assert [x * frame.norm for x in frame.unit] == pytest.approx([5.0, 5.0])
+    assert frame.c_pos == [7.0, 8.0]
 
 
 def test_concept_vector_zero_when_centroids_coincide():
     tracker = CentroidTracker(n_features=2, forgetting_factor=1.0)
     tracker.update(Example(np.array([4.0, 4.0]), NEG))
     tracker.update(Example(np.array([4.0, 4.0]), POS))
-    assert tracker.concept_vector() == pytest.approx([0.0, 0.0])
+    frame = tracker.frame()
+    assert frame.norm == 0.0 and frame.unit is None
 
 
 def test_concept_vector_unavailable_with_one_class():
     tracker = CentroidTracker(n_features=2, forgetting_factor=1.0)
     tracker.update(Example(np.array([1.0, 1.0]), POS))
-    assert tracker.concept_vector() is None
+    assert tracker.frame() is None
 
 
 # ----------------------------------------------------------------------
@@ -340,10 +342,15 @@ def assert_same_map(got, expected):
     assert np.array_equal(got.matrix, expected.matrix)
 
 
+def vectors(src, tgt):
+    """The concept vectors, POS centroid minus NEG centroid, of two trackers."""
+    return [t.centroid(POS) - t.centroid(NEG) for t in (src, tgt)]
+
+
 def matrix_projection(x, src, tgt):
     """``c_s + R (x - c_t)`` through the matrix of the trackers' vectors."""
-    amap = build_align_map(src.concept_vector(), tgt.concept_vector())
-    return project_example(x, amap, tgt.centroid(POS), src.centroid(POS))
+    amap = build_align_map(*vectors(src, tgt))
+    return src.centroid(POS) + amap.matrix @ (x - tgt.centroid(POS))
 
 
 def test_frame_is_built_once_per_centroid_change():
@@ -355,25 +362,27 @@ def test_frame_is_built_once_per_centroid_change():
     frame = tracker.frame()
     assert frame is not None
     assert tracker.frame() is frame
-    assert np.array_equal(frame.vector, tracker.concept_vector())
+    vector = tracker.centroid(POS) - tracker.centroid(NEG)
     assert frame.c_pos == tracker.centroid(POS).tolist()
-    assert frame.norm == float(np.linalg.norm(tracker.concept_vector()))
+    assert frame.norm == float(np.linalg.norm(vector))
+    assert frame.unit == (vector / frame.norm).tolist()
     tracker.update(Example(np.array([3.0, 1.0]), POS))
     moved = tracker.frame()
     assert moved is not frame
     assert tracker.frame() is moved
-    assert np.array_equal(moved.vector, tracker.concept_vector())
     assert moved.c_pos == tracker.centroid(POS).tolist()
+    assert moved.norm != frame.norm
 
 
 def frame_map(src, tgt):
     """The map of ``Reflections(src, tgt)``, with zero centroids, applied to
     the unit basis, as a matrix."""
     reflections = Reflections(src, tgt)
+    d = len(src.c_pos)
     if reflections.steps is None:
-        return AlignMap(matrix=np.eye(len(src.vector)), scale=1.0, degenerate=True)
-    reflections.c_tgt = reflections.c_src = [0.0] * len(src.vector)
-    columns = [reflections.apply(e) for e in np.eye(len(src.vector)).tolist()]
+        return AlignMap(matrix=np.eye(d), scale=1.0, degenerate=True)
+    reflections.c_tgt = reflections.c_src = [0.0] * d
+    columns = [reflections.apply(e) for e in np.eye(d).tolist()]
     return AlignMap(matrix=np.array(columns).T, scale=reflections.scale)
 
 
@@ -383,11 +392,9 @@ def test_frame_maps_equal_build_align_map_bit_for_bit():
         for _ in range(50):
             src = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
             tgt = tracker_with(rng.standard_normal(d), rng.standard_normal(d) * 3)
-            amap = build_align_map(src.concept_vector(), tgt.concept_vector())
+            amap = build_align_map(*vectors(src, tgt))
             assert_same_map(frame_map(src.frame(), tgt.frame()), amap)
-            assert_close_map(
-                amap, householder_map(src.concept_vector(), tgt.concept_vector())
-            )
+            assert_close_map(amap, householder_map(*vectors(src, tgt)))
             x = rng.standard_normal(d) * 3
             assert Reflections(src.frame(), tgt.frame()).apply(x.tolist()) == pytest.approx(
                 matrix_projection(x, src, tgt), rel=1e-12, abs=1e-12
@@ -400,9 +407,9 @@ def test_coincident_centroids_give_the_degenerate_map():
     assert coincident.frame().unit is None
     x = [1.5, -2.0]
     for src, tgt in ((coincident, regular), (regular, coincident)):
-        amap = build_align_map(src.concept_vector(), tgt.concept_vector())
+        amap = build_align_map(*vectors(src, tgt))
         assert amap.degenerate
-        assert_same_map(amap, householder_map(src.concept_vector(), tgt.concept_vector()))
+        assert_same_map(amap, householder_map(*vectors(src, tgt)))
         reflections = Reflections(src.frame(), tgt.frame())
         assert reflections.steps is None
         assert reflections.scale == 1.0
@@ -425,13 +432,14 @@ def test_antiparallel_frames_use_the_target_reflection():
     tgt = tracker_with([0.0, 0.0], [3.0, 0.0])
     reflections = Reflections(src.frame(), tgt.frame())
     assert reflections.steps == [(tgt.frame().unit, 2.0)]
-    amap = build_align_map(src.concept_vector(), tgt.concept_vector())
+    v_src, v_tgt = vectors(src, tgt)
+    amap = build_align_map(v_src, v_tgt)
     assert_same_map(frame_map(src.frame(), tgt.frame()), amap)
-    assert_close_map(amap, householder_map(src.concept_vector(), tgt.concept_vector()))
-    assert amap.matrix @ tgt.concept_vector() == pytest.approx(src.concept_vector())
+    assert_close_map(amap, householder_map(v_src, v_tgt))
+    assert amap.matrix @ v_tgt == pytest.approx(v_src)
     c_tgt, c_src = tgt.centroid(POS), src.centroid(POS)
-    image = reflections.apply((c_tgt + tgt.concept_vector()).tolist())
-    assert image == pytest.approx(c_src + src.concept_vector())
+    image = reflections.apply((c_tgt + v_tgt).tolist())
+    assert image == pytest.approx(c_src + v_src)
     x = np.array([1.0, 2.0])
     assert reflections.apply(x.tolist()) == pytest.approx(
         matrix_projection(x, src, tgt), abs=1e-12
@@ -493,22 +501,19 @@ def test_reflections_match_the_matrix_form(case):
 
 
 def test_identical_concepts_project_to_identity():
-    c_neg = np.array([2.0, 3.0])
-    c_pos = np.array([7.0, 8.0])
-    amap = build_align_map(c_pos - c_neg, c_pos - c_neg)
+    frame = ConceptFrame([5.0, 5.0], [7.0, 8.0])
+    reflections = Reflections(frame, frame)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x = rng.standard_normal(2) * 5
-        assert project_example(x, amap, c_pos, c_pos) == pytest.approx(x, abs=1e-12)
+        x = (rng.standard_normal(2) * 5).tolist()
+        assert reflections.apply(x) == pytest.approx(x, abs=1e-12)
 
 
 def test_target_pos_centroid_projects_to_source_pos_centroid():
-    c_tgt_pos = np.array([7.0, 8.0])
-    c_src_pos = np.array([5.0, 4.0])
-    amap = build_align_map(np.array([3.0, -5.0]), np.array([5.0, 5.0]))
-    assert project_example(c_tgt_pos, amap, c_tgt_pos, c_src_pos) == pytest.approx(
-        c_src_pos
+    reflections = Reflections(
+        ConceptFrame([3.0, -5.0], [5.0, 4.0]), ConceptFrame([5.0, 5.0], [7.0, 8.0])
     )
+    assert reflections.apply([7.0, 8.0]) == pytest.approx([5.0, 4.0])
 
 
 def test_projection_maps_both_centroids_of_benchmark_concepts():
@@ -519,17 +524,22 @@ def test_projection_maps_both_centroids_of_benchmark_concepts():
     c_src_neg, c_src_pos = np.array([2.0, 9.0]), np.array([5.0, 4.0])
     v_tgt = c_tgt_pos - c_tgt_neg
     v_src = c_src_pos - c_src_neg
-    amap = build_align_map(v_src, v_tgt)
-    assert not amap.degenerate
+    reflections = Reflections(
+        ConceptFrame(v_src.tolist(), c_src_pos.tolist()),
+        ConceptFrame(v_tgt.tolist(), c_tgt_pos.tolist()),
+    )
+    assert reflections.steps is not None
     # x = c_tgt_pos + v_tgt lands at c_src_pos + v_src
-    image = project_example(c_tgt_pos + v_tgt, amap, c_tgt_pos, c_src_pos)
+    image = reflections.apply((c_tgt_pos + v_tgt).tolist())
     assert image == pytest.approx(c_src_pos + v_src, abs=1e-9)
     # the NEG centroid lands on the source NEG centroid
-    image_neg = project_example(c_tgt_neg, amap, c_tgt_pos, c_src_pos)
+    image_neg = reflections.apply(c_tgt_neg.tolist())
     assert image_neg == pytest.approx(c_src_neg, abs=1e-9)
 
 
 def test_degenerate_projection_returns_input():
-    amap = AlignMap(matrix=np.eye(2), scale=1.0, degenerate=True)
-    x = np.array([4.0, -2.0])
-    assert project_example(x, amap, np.zeros(2), np.full(2, 100.0)) == pytest.approx(x)
+    reflections = Reflections(
+        ConceptFrame([0.0, 0.0], [100.0, 100.0]), ConceptFrame([1.0, 0.0], [0.0, 0.0])
+    )
+    x = [4.0, -2.0]
+    assert reflections.apply(x) is x

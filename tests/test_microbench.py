@@ -1,12 +1,13 @@
 """Microbenchmarks of the per-step projection, centroid update and frame,
 member prediction, tree learning, bagging and boosting training, split
-candidates, test-then-train pair (on examples and on lists), performance
-update, voting weights, drift detector update, source observe, weighting
-step (also over frozen concepts of single majority leaves), and the cost
-model of acceptance 7.
+candidates, test-then-train pair, performance update, voting weights, drift
+detector update, source observe, weighting step (also over frozen concepts
+of single majority leaves), and the cost model of acceptance 7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
-them with ``python -m pytest -m bench tests/test_microbench.py``.
+them with ``python -m pytest -m bench tests/test_microbench.py``;
+``tests/test_bench_smoke.py`` runs them all but the cost model once each,
+untimed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 
 from marline.core import Example
 from marline.drift import DriftStatus, HddmA
-from marline.learners import HoeffdingTree, HoeffdingTreeParams, make_ensemble
+from marline.learners import HoeffdingTree, HoeffdingTreeParams, make_ensemble, mean_pair
 from marline.mapping import CentroidTracker, ConceptFrame, Reflections
 from marline.model import (
     EPS_CLAMP,
@@ -80,7 +81,8 @@ def warmed_ensemble(kind, rng, leaf_prediction="nb_adaptive"):
     params = HoeffdingTreeParams(leaf_prediction=leaf_prediction)
     ensemble = make_ensemble(kind, 2, 10, params)
     for t in range(300):
-        ensemble.train(gaussian_example(rng, t), rng)
+        example = gaussian_example(rng, t)
+        ensemble.learn(example.features.tolist(), example.label, rng)
     return ensemble
 
 
@@ -96,8 +98,9 @@ def test_member_pairs(benchmark, kind, leaf_prediction):
 def test_bagging_train(benchmark):
     rng = np.random.default_rng(7)
     ensemble = warmed_ensemble("bagging", rng)
-    next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
-    benchmark(lambda: ensemble.train(next_example(), rng))
+    examples = [gaussian_example(rng, t) for t in range(1000)]
+    next_pair = itertools.cycle([(ex.features.tolist(), ex.label) for ex in examples]).__next__
+    benchmark(lambda: ensemble.learn(*next_pair(), rng))
     assert ensemble.trained_count > 300
 
 
@@ -144,24 +147,9 @@ def test_best_split_per_attribute(benchmark):
     assert len(candidates) == 2 and candidates[0][0] > 0.0
 
 
-def test_test_then_train_pair(benchmark):
-    # One online step of a stream's newest concept: the drift check's
-    # prediction, then training on the same example.
-    rng = np.random.default_rng(7)
-    ensemble = warmed_ensemble("bagging", rng)
-    next_example = itertools.cycle([gaussian_example(rng, t) for t in range(1000)]).__next__
-
-    def step():
-        example = next_example()
-        ensemble.predict(example.features)
-        ensemble.train(example, rng)
-
-    benchmark(step)
-    assert ensemble.trained_count > 300
-
-
 def test_vote_learn_pair(benchmark):
-    # The test-then-train pair on lists, as a stream's observe runs it.
+    # One online step of a stream's newest concept on lists: the drift
+    # check's vote, then training on the same example.
     rng = np.random.default_rng(7)
     ensemble = warmed_ensemble("bagging", rng)
     examples = [gaussian_example(rng, t) for t in range(1000)]
@@ -169,7 +157,7 @@ def test_vote_learn_pair(benchmark):
 
     def step():
         values, label = next_pair()
-        ensemble.vote(values)
+        mean_pair(ensemble.member_pairs(values))
         ensemble.learn(values, label, rng)
 
     benchmark(step)

@@ -43,6 +43,7 @@ from marline.model import (
     sub_classifier_weights,
     update_performance_stats,
 )
+from reference import ReferenceModel
 
 
 class StubLeaf:
@@ -771,194 +772,107 @@ def test_ratio_is_the_sum_over_non_current_concepts():
     assert 0.0 <= model.source_weight_ratio() <= 1.0
 
 
-def uncached_ratio(model):
-    """The source weight ratio from freshly computed weights, summed per
-    concept slice."""
-    weights = sub_classifier_weights(model.performance, model.config.performance_index)
-    if not weights.any():
-        return 0.0
-    k = model.config.ensemble_size
-    current = model.pools[model.target_id].current
-    ratio = 0.0
-    for i, concept in enumerate(model.concepts):
-        if concept is not current:
-            ratio += float(weights[i * k : (i + 1) * k].sum())
-    return min(max(ratio, 0.0), 1.0)
-
-
-@pytest.mark.parametrize("k", [1, 3, 7])
-def test_cached_voting_weights_give_the_uncached_ratio_and_vote(k):
-    # The weights are kept from one query to the next. Every change of
-    # performance must drop them: the update, a new concept's block and a
-    # target drift's reset (drifts are forced on every stream).
-    rng = np.random.default_rng(30 + k)
-    model = MarlineModel(small_config(ensemble_size=k, performance_index=0.3))
-    means = {
-        "T": ((0.5, 0.0), (3.0, 2.5)),
-        "S1": ((0.0, 0.0), (3.0, 3.0)),
-        "S2": ((1.0, 1.0), (4.0, 4.0)),
-    }
-    streams = {sid: alternating_stream(rng, 120, *m) for sid, m in means.items()}
-    forced = {30: "S1", 50: "T", 70: "S2", 90: "T"}
-    probe = np.array([1.7, 1.4])
-    for t in range(120):
-        for sid in ("T", "S1", "S2"):
-            if sid in model.pools:
-                model.pools[sid].detector = StubDetector({1} if forced.get(t) == sid else ())
-            model.observe(sid, streams[sid][t], rng)
-            # A shallow copy leaves the weights out, as a snapshot does.
-            fresh = copy.copy(model)
-            if t % 2:
-                ratio, scores = model.source_weight_ratio(), model.predict(probe).scores
-            else:
-                scores, ratio = model.predict(probe).scores, model.source_weight_ratio()
-            assert ratio == uncached_ratio(model)
-            assert np.array_equal(scores, fresh.predict(probe).scores)
-    assert [model.pools[sid].concept_count for sid in ("T", "S1", "S2")] == [3, 2, 2]
-
-
 # ----------------------------------------------------------------------
-# flat stats against a per-concept reference
+# the whole model against the cache-free reference
 # ----------------------------------------------------------------------
 
 
-def reference_projection(features, concept, is_current_target, target_tracker):
-    """Projection through uncached reflections, rebuilt from the trackers'
-    centroids on every call."""
-    values = features.tolist()
-    if is_current_target:
-        return values
-    v_src = concept.tracker.concept_vector()
-    if v_src is None:
-        return values
-    source = ConceptFrame(v_src.tolist(), concept.tracker.centroid(POS).tolist())
-    target = ConceptFrame(
-        target_tracker.concept_vector().tolist(), target_tracker.centroid(POS).tolist()
+class ForcedDetector:
+    """Wraps a pool's detector: every update goes through to it, and a drift
+    is reported instead where the test forces one."""
+
+    def __init__(self, detector):
+        self.detector = detector
+        self.force = False
+
+    def update(self, prediction_correct):
+        status = self.detector.update(prediction_correct)
+        return DriftStatus.DRIFT if self.force else status
+
+    def reset(self):
+        self.detector.reset()
+
+
+@st.composite
+def model_streams(draw):
+    """A config over both ensembles, both leaf rules and both detectors, and
+    a short stream of (stream id, features, label, forced drift, probe)
+    entries over a target and one to three sources; a probe of None is the
+    entry's own features. Values are few, so that trees split and leaves
+    answer by either rule."""
+    d = draw(st.integers(1, 3))
+    detector = draw(st.sampled_from(["ddm", "hddm_a"]))
+    if detector == "ddm":
+        detector_params = {"min_observations": draw(st.integers(2, 30))}
+    else:
+        confidence = draw(st.sampled_from([0.001, 0.05]))
+        detector_params = {"drift_confidence": confidence, "warning_confidence": 2 * confidence}
+    config = small_config(
+        n_features=d,
+        ensemble_size=draw(st.integers(1, 3)),
+        base_ensemble=draw(st.sampled_from(["bagging", "boosting"])),
+        detector=detector,
+        detector_params=detector_params,
+        forgetting_factor=draw(st.floats(0.05, 1.0)),
+        performance_index=draw(st.sampled_from([0.0, 0.3, 0.5, 0.7])),
+        tree=HoeffdingTreeParams(
+            grace_period=draw(st.sampled_from([3, 10])),
+            tie_threshold=0.9,
+            leaf_prediction=draw(st.sampled_from(["majority", "nb_adaptive"])),
+        ),
     )
-    return Reflections(source, target).apply(values)
-
-
-class PerConceptReference:
-    """The weighting and vote with stats kept per concept: gather them into
-    flat arrays in pool order, update, and scatter them back."""
-
-    def __init__(self, model):
-        self.model = model
-        self.stats = {}  # id(concept) -> [lambda_correct, lambda_wrong, performance]
-
-    def concepts(self):
-        """Every concept in pool order, flagged if it is the current target."""
-        model = self.model
-        out = []
-        for stream_id, pool in model.pools.items():
-            for j, concept in enumerate(pool.concepts):
-                is_current = stream_id == model.target_id and j == len(pool.concepts) - 1
-                out.append((concept, is_current))
-                if id(concept) not in self.stats:
-                    k = model.config.ensemble_size
-                    self.stats[id(concept)] = [np.zeros(k), np.zeros(k), np.ones(k)]
-        return out
-
-    def observed(self, stream_id, example, drift):
-        """Mirror ``model.observe`` after it returned ``drift``."""
-        model = self.model
-        concepts = self.concepts()
-        if stream_id != model.target_id:
-            return
-        if drift:
-            for stats in self.stats.values():
-                stats[0][:] = 0.0
-                stats[1][:] = 0.0
-                stats[2][:] = 1.0
-        target = model.pools[model.target_id].current
-        if not target.tracker.both_classes_seen:
-            return
-        probs = [
-            np.array(
-                concept.ensemble.member_pairs(
-                    reference_projection(example.features, concept, current, target.tracker)
-                )
-            )[:, example.label]
-            for concept, current in concepts
-        ]
-        flat = [np.concatenate([self.stats[id(c)][i] for c, _ in concepts]) for i in range(3)]
-        new = update_performance_stats(
-            *flat, np.concatenate(probs), model.config.forgetting_factor, EPS_CLAMP
+    streams = ["T"] + [f"S{i}" for i in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        value = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+    else:  # one or two values, so that centroids coincide and projections degenerate
+        value = st.sampled_from(draw(st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=2)))
+    features = st.lists(value, min_size=d, max_size=d)
+    entries = [
+        (
+            draw(st.sampled_from(streams)),
+            draw(features),
+            draw(st.sampled_from([NEG, POS])),
+            draw(st.integers(0, 9)) == 0,
+            draw(st.one_of(st.none(), features)),
         )
-        k = model.config.ensemble_size
-        for n, (concept, _) in enumerate(concepts):
-            for i in range(3):
-                self.stats[id(concept)][i][:] = new[i][n * k : (n + 1) * k]
-
-    def flat(self, i):
-        return np.concatenate([self.stats[id(c)][i] for c, _ in self.concepts()])
-
-    def weights(self):
-        return sub_classifier_weights(self.flat(2), self.model.config.performance_index)
-
-    def scores(self, features):
-        model = self.model
-        if model.target_id not in model.pools:
-            return np.array([0.5, 0.5])
-        target = model.pools[model.target_id].current
-        weights = self.weights()
-        if not target.tracker.both_classes_seen or not weights.any():
-            return target.ensemble.predict(features)
-        k = model.config.ensemble_size
-        scores = np.zeros(2)
-        for n, (concept, current) in enumerate(self.concepts()):
-            w = weights[n * k : (n + 1) * k]
-            if w.any():
-                projected = reference_projection(features, concept, current, target.tracker)
-                scores += w @ np.array(concept.ensemble.member_pairs(projected))
-        if scores[NEG] == scores[POS]:
-            return target.ensemble.predict(features)
-        return scores
-
-    def ratio(self):
-        if self.model.target_id not in self.model.pools:
-            return 0.0
-        weights = self.weights()
-        if not weights.any():
-            return 0.0
-        k = self.model.config.ensemble_size
-        ratio = 0.0
-        for n, (_, current) in enumerate(self.concepts()):
-            if not current:
-                ratio += float(weights[n * k : (n + 1) * k].sum())
-        return min(max(ratio, 0.0), 1.0)
+        for _ in range(draw(st.integers(1, 80)))
+    ]
+    return config, entries
 
 
-def test_flat_stats_match_the_per_concept_reference_bit_for_bit():
-    # Pools are first seen in the order S1, T, S2, so a drift on S1 puts its
-    # new block between older blocks. Block order fixes the order of every
-    # sum, so any other order shows up in the last bits.
-    rng = np.random.default_rng(21)
-    model = MarlineModel(small_config(ensemble_size=5, performance_index=0.3))
-    reference = PerConceptReference(model)
-    means = {
-        "S1": ((0.0, 0.0), (3.0, 3.0)),
-        "T": ((0.5, 0.0), (3.0, 2.5)),
-        "S2": ((1.0, 1.0), (4.0, 4.0)),
-    }
-    streams = {sid: alternating_stream(rng, 240, *m) for sid, m in means.items()}
-    forced = {60: "S1", 100: "S2", 140: "T", 180: "S1"}
-    probe = np.array([1.7, 1.4])
-    for t in range(240):
-        for sid in ("S1", "T", "S2"):
-            if sid in model.pools:  # only forced drifts
-                fire_at = {1} if forced.get(t) == sid else ()
-                model.pools[sid].detector = StubDetector(fire_at)
-            example = streams[sid][t]
-            drift = model.observe(sid, example, rng)
-            assert drift == (t in forced and forced[t] == sid)
-            reference.observed(sid, example, drift)
-            assert np.array_equal(model.lambda_correct, reference.flat(0))
-            assert np.array_equal(model.lambda_wrong, reference.flat(1))
-            assert np.array_equal(model.performance, reference.flat(2))
-            assert np.array_equal(model.predict(probe).scores, reference.scores(probe))
-            assert model.source_weight_ratio() == reference.ratio()
-    assert [model.pools[sid].concept_count for sid in ("S1", "T", "S2")] == [3, 2, 2]
+@settings(max_examples=150, deadline=None)
+@given(model_streams())
+def test_the_model_equals_the_cache_free_reference_at_every_step(case):
+    # Every kept value of the model (leaf answers and terms, kept and fixed
+    # passes, frames, voting weights) must give the bits of rebuilding it.
+    config, entries = case
+    model = MarlineModel(config)
+    reference = ReferenceModel(model)
+    rng = np.random.default_rng(0)
+
+    def check(features, ratio_first):
+        ratio = model.source_weight_ratio() if ratio_first else None
+        prediction = model.predict(features)
+        if not ratio_first:
+            ratio = model.source_weight_ratio()
+        label, scores = reference.predict(features)
+        assert prediction.label == label
+        assert prediction.scores.tobytes() == scores.tobytes()
+        assert ratio.hex() == reference.ratio().hex()
+
+    for t, (stream_id, values, label, force, probe) in enumerate(entries):
+        example = Example(np.array(values), label)
+        check(np.array(values if probe is None else probe), t % 2 == 0)
+        pool = model.pools.get(stream_id)
+        if pool is not None:
+            if not isinstance(pool.detector, ForcedDetector):
+                pool.detector = ForcedDetector(pool.detector)
+            pool.detector.force = force
+        drift = model.observe(stream_id, example, rng)
+        reference.observed(stream_id, example, drift)
+        for i, name in enumerate(("lambda_correct", "lambda_wrong", "performance")):
+            assert getattr(model, name).tobytes() == reference.flat(i).tobytes()
+        check(example.features, t % 2 == 1)
 
 
 # ----------------------------------------------------------------------
@@ -1514,41 +1428,6 @@ def test_a_frozen_concept_of_single_majority_leaves_is_never_projected(
         model.observe("T", ex, rng)
     assert model.pools["S1"].current.tracker.frame() in projected_from
     assert not any(c.tracker.frame() in projected_from for c in frozen)
-
-
-@pytest.mark.parametrize("leaf_prediction", ["majority", "nb_adaptive"])
-@pytest.mark.parametrize("base_ensemble", ["bagging", "boosting"])
-def test_fixed_passes_leave_every_output_as_without_them(
-    monkeypatch, base_ensemble, leaf_prediction
-):
-    # The fixed pass is the member pass at any input, so a run that never
-    # takes it predicts the same bytes and ends in the same state.
-    def run():
-        rng = np.random.default_rng(40)
-        model = short_concept_model(base_ensemble, leaf_prediction)
-        scores = []
-        for ex in alternating_stream(np.random.default_rng(41), 200, (0.0, 0.0), (2.0, 2.0)):
-            model.observe("S1", ex, rng)
-            model.observe("S2", ex, rng)
-            scores.append(model.predict(ex.features).scores.tobytes())
-            scores.append(model.source_weight_ratio())
-            model.observe("T", ex, rng)
-        return scores, pickle.dumps(model)
-
-    fixed_pairs = _EnsembleBase.fixed_pairs
-    taken = []
-
-    def counted(ensemble):
-        pairs = fixed_pairs(ensemble)
-        taken.append(pairs is not None)
-        return pairs
-
-    monkeypatch.setattr(_EnsembleBase, "fixed_pairs", counted)
-    kept = run()
-    if leaf_prediction == "majority":
-        assert sum(taken) > len(taken) // 4
-    monkeypatch.setattr(_EnsembleBase, "fixed_pairs", lambda ensemble: None)
-    assert run() == kept
 
 
 def test_snapshots_store_no_fixed_pass(tmp_path):

@@ -1,0 +1,15 @@
+"""Every Python block of the README runs."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_python_block_of_the_readme_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
