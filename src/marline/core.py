@@ -71,11 +71,14 @@ def check_features(features: np.ndarray, expected: int, context: str) -> list[fl
     of floats."""
     check_dims(features, expected, context)
     values = features.tolist()
-    # NaN fails both comparisons.
-    if not all(-MAX_ABS_FEATURE <= v <= MAX_ABS_FEATURE for v in values):
-        raise DataError(
-            f"{context}: features must be finite and within +-{MAX_ABS_FEATURE:g}, got {values}"
-        )
+    # NaN fails both comparisons. A plain loop, not all() over a generator,
+    # which costs a frame per call.
+    for v in values:
+        if not -MAX_ABS_FEATURE <= v <= MAX_ABS_FEATURE:
+            raise DataError(
+                f"{context}: features must be finite and within +-{MAX_ABS_FEATURE:g},"
+                f" got {values}"
+            )
     return values
 
 

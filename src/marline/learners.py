@@ -10,7 +10,8 @@ A leaf keeps its answer as state that only ``_LeafNode.learn`` writes, so a
 member pass evaluates naive Bayes only at leaves that answer by it; a
 naive-Bayes leaf keeps its terms current as it learns. An ensemble keeps its
 last pass and its fixed pass until it learns, and the drift check's pass is
-handed to ``learn``. Each of these keeps every float operation and its
+handed to ``learn``; boosting's ``learn`` keeps the pass it computes after
+training. Each of these keeps every float operation and its
 order, so results are bit-identical to rebuilding everything on every call,
 as ``tests/reference.py`` does.
 """
@@ -426,8 +427,10 @@ class _EnsembleBase:
     pass of the prediction before it and hands those pairs to ``learn``.
     :meth:`fixed_pairs` is the pass at any input where no member reads its
     input, kept as the (k, 2) array that a vote multiplies until the
-    ensemble learns. Members train only through ``learn``, which drops both.
-    Snapshots store neither.
+    ensemble learns. Members train only through ``learn``, which drops both;
+    boosting's ``learn`` then keeps the pass it computed after training, so
+    that the weight update at the same values routes no tree. Snapshots
+    store neither.
     """
 
     _memo: tuple[list[float], list[Pair]] | None = None
@@ -559,24 +562,29 @@ class OnlineBoosting(_EnsembleBase):
     ) -> None:
         """Train the members on a list of ``n_features`` floats, drawing
         their weights from ``rng``, with ``pairs``, if given,
-        :meth:`member_pairs` at it since the last learn. Unchecked."""
+        :meth:`member_pairs` at it since the last learn, and keep the
+        members' pairs after training as the pass at it. Unchecked."""
         self.trained_count += 1
-        self._memo = self._fixed = None
+        self._fixed = None
         # The sums are worked on as floats and written back as arrays.
         correct_sums = self.lambda_correct.tolist()
         wrong_sums = self.lambda_wrong.tolist()
         low, high = self._EPS, 1.0 - self._EPS
+        poisson = rng.poisson
         lam = 1.0
+        after = []
         for m, tree in enumerate(self.sub_classifiers):
-            k = float(rng.poisson(lam))
+            k = poisson(lam)
             pair = pairs[m] if pairs else None
-            if k > 0.0:
+            if k > 0:
                 # The leaf that learned answers as predict_pair would; None
                 # where it split.
-                leaf = tree.learn(values, label, k, pair)
+                leaf = tree.learn(values, label, float(k), pair)
                 pair = leaf and (leaf._answer or leaf.naive_bayes_distribution(values))
             # A member with no pair, handed or read from its leaf, is routed.
-            p_neg, p_pos = pair or tree.predict_pair(values)
+            pair = pair or tree.predict_pair(values)
+            after.append(pair)
+            p_neg, p_pos = pair
             correct = (POS if p_pos > p_neg else NEG) == label
             if correct:
                 correct_sums[m] += lam
@@ -584,10 +592,16 @@ class OnlineBoosting(_EnsembleBase):
                 wrong_sums[m] += lam
             total = correct_sums[m] + wrong_sums[m]
             error = wrong_sums[m] / total if total > 0.0 else 0.0
-            error = min(max(error, low), high)
+            if error < low:
+                error = low
+            elif error > high:
+                error = high
             lam = lam / (2.0 * (1.0 - error)) if correct else lam / (2.0 * error)
         self.lambda_correct = np.array(correct_sums)
         self.lambda_wrong = np.array(wrong_sums)
+        # Every member's pair at values after training: the pass member_pairs
+        # would route, kept for the weight update.
+        self._memo = (values, after)
 
 
 ENSEMBLES = {"bagging": OnlineBagging, "boosting": OnlineBoosting}

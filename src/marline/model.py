@@ -4,9 +4,12 @@ target concept, and weighted-majority prediction across all concepts.
 
 Each example is checked and converted to one list of floats. The current
 target concept's pass from a prediction is kept and reused by the drift
-check, which hands it to training. Any other concept sees its projection of
-the example, unless all its trees are single leaves answering by majority:
-then its kept fixed pass is the (k, 2) array the vote multiplies.
+check, which hands it to training; a boosting ensemble keeps the pass its
+training computed, which the weight update then reuses. Any other concept
+sees its projection of the example, unless all its trees are single leaves
+answering by majority: then its kept fixed pass is the (k, 2) array the
+vote multiplies. The target concept's frame is built only when a concept
+projects.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .core import (
 )
 from .drift import DriftStatus, make_detector
 from .learners import ENSEMBLES, HoeffdingTreeParams, Pair, make_ensemble, mean_pair
-from .mapping import CentroidTracker, ConceptFrame, Reflections
+from .mapping import CentroidTracker, Reflections
 
 # A snapshot loads only at the version it was saved at; a layout change bumps it.
 SNAPSHOT_VERSION = 5
@@ -253,13 +256,12 @@ class MarlineModel:
         if target_pool is None:
             return
         current = target_pool.current
-        target = current.tracker.frame()
-        if target is None:
+        if not current.tracker.both_classes_seen:
             return
 
         p_correct = []
         for concept in self.concepts:
-            pairs = _concept_pairs(concept, values, current, target)
+            pairs = _concept_pairs(concept, values, current)
             if isinstance(pairs, np.ndarray):
                 p_correct += pairs[:, label].tolist()
             else:
@@ -296,15 +298,14 @@ class MarlineModel:
         weights = self._voting_weights()
         weighted_concepts = weights.reshape(-1, k).any(axis=1).tolist()
         current = target_pool.current
-        target = current.tracker.frame()
-        if target is None or not any(weighted_concepts):
+        if not current.tracker.both_classes_seen or not any(weighted_concepts):
             return self._fallback(current, values)
 
         neg = pos = 0.0
         for i, (concept, weighted) in enumerate(zip(self.concepts, weighted_concepts)):
             if not weighted:
                 continue
-            pairs = _concept_pairs(concept, values, current, target)
+            pairs = _concept_pairs(concept, values, current)
             # A fixed pass is already the C-contiguous (k, 2) array. np.dot
             # gives the bits of ``@`` with less call overhead.
             p_neg, p_pos = np.dot(weights[i * k : (i + 1) * k], np.asarray(pairs)).tolist()
@@ -399,15 +400,16 @@ class MarlineModel:
 
 
 def _concept_pairs(
-    concept: ConceptState, values: list[float], current: ConceptState, target: ConceptFrame
+    concept: ConceptState, values: list[float], current: ConceptState
 ) -> list[Pair] | np.ndarray:
     """The member pass of ``concept`` at its projection of ``values``. The
-    current target concept ``current``, whose frame is ``target``, sees
+    current target concept ``current``, which has seen both classes, sees
     ``values`` as is and keeps its pass, which the drift check and the
     weight update after a prediction at equal values reuse. Any other
     concept takes its fixed pass, the kept (k, 2) array, with no projection,
     where no member reads its input; one that has not seen both classes has
-    no frame and sees ``values`` as is."""
+    no frame and sees ``values`` as is. Only a concept that projects reads
+    the frame of ``current``."""
     ensemble = concept.ensemble
     if concept is current:
         return ensemble.memo_pairs(values)
@@ -416,5 +418,5 @@ def _concept_pairs(
         return fixed
     source = concept.tracker.frame()
     return ensemble.member_pairs(
-        values if source is None else Reflections(source, target).apply(values)
+        values if source is None else Reflections(source, current.tracker.frame()).apply(values)
     )

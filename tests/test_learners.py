@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marline import learners
 from marline.core import (
     NEG,
     POS,
@@ -1057,6 +1058,46 @@ def test_boosting_routes_a_member_afresh_after_its_leaf_splits(leaf_prediction):
         reference_boosting_learn(reference, values, label, reference_rng)
     assert ens.lambda_correct.tobytes() == reference.lambda_correct.tobytes()
     assert ens.lambda_wrong.tobytes() == reference.lambda_wrong.tobytes()
+
+
+@pytest.mark.parametrize("leaf_prediction", ["majority", "nb_adaptive"])
+@pytest.mark.parametrize("handed", [False, True])
+def test_boosting_keeps_its_post_learn_pass(monkeypatch, leaf_prediction, handed):
+    # After a learn at values, the kept pass at them is the one a fresh
+    # member pass gives, bit for bit, and reading it routes no tree. The
+    # stream has members that drew 0, members that trained and members
+    # whose leaf split in that learn.
+    params = HoeffdingTreeParams(grace_period=1, tie_threshold=0.9, leaf_prediction=leaf_prediction)
+    ens = OnlineBoosting(2, 4, params)
+    rng = np.random.default_rng(49)
+    routed, trained, split = [], [], []
+    member_pairs, learn = learners._member_pairs, HoeffdingTree.learn
+
+    def counted(trees, values):
+        routed.extend(trees)
+        return member_pairs(trees, values)
+
+    def spied(tree, values, label, weight, pair=None):
+        leaf = learn(tree, values, label, weight, pair)
+        (trained if leaf is not None else split).append(tree)
+        return leaf
+
+    monkeypatch.setattr(HoeffdingTree, "learn", spied)
+    seen = {"drew 0": 0, "trained": 0, "split": 0}
+    for values, label in gaussian_stream(rng, 120, np.zeros(2), np.full(2, 2.0)):
+        pairs = ens.member_pairs(values) if handed else None
+        trained.clear()
+        split.clear()
+        ens.learn(values, label, rng, pairs)
+        seen["drew 0"] += len(ens.sub_classifiers) - len(trained) - len(split)
+        seen["trained"] += len(trained)
+        seen["split"] += len(split)
+        with monkeypatch.context() as patch:
+            patch.setattr(learners, "_member_pairs", counted)
+            kept = ens.memo_pairs(values)
+        assert routed == []
+        assert exact(kept) == exact(ens.member_pairs(values))
+    assert all(seen.values()), seen
 
 
 @settings(max_examples=80, deadline=None)

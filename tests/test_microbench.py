@@ -2,7 +2,8 @@
 member prediction, tree learning, bagging and boosting training, split
 candidates, test-then-train pair, performance update, voting weights, drift
 detector update, source observe, weighting step (also over frozen concepts
-of single majority leaves), and the cost model of acceptance 7.
+of single majority leaves), a target step of the grid_csv_boosting shape,
+and the cost model of acceptance 7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``;
@@ -126,9 +127,11 @@ def test_tree_learn(benchmark, leaf_prediction):
     assert pickle.dumps(tree) != warmed
 
 
-def test_boosting_learn(benchmark):
+@pytest.mark.parametrize("leaf_prediction", ["nb_adaptive", "majority"])
+def test_boosting_learn(benchmark, leaf_prediction):
+    # Majority leaves are the grid_csv_boosting workload's.
     rng = np.random.default_rng(7)
-    ensemble = warmed_ensemble("boosting", rng)
+    ensemble = warmed_ensemble("boosting", rng, leaf_prediction)
     examples = [gaussian_example(rng, t) for t in range(1000)]
     next_pair = itertools.cycle([(ex.features.tolist(), ex.label) for ex in examples]).__next__
     benchmark(lambda: ensemble.learn(*next_pair(), rng))
@@ -274,6 +277,41 @@ def test_weighting_step_frozen_single_leaf_concepts(benchmark, n_frozen):
 
     benchmark(step)
     assert len(model.concepts) == n_frozen + 3
+
+
+def test_grid_shaped_target_step(benchmark):
+    # One predict + target observe on the shape of the grid_csv_boosting
+    # workload: boosting over majority leaves with DDM, d = 4, k = 10, and
+    # eleven concepts, a target and a source warmed on 300 examples and
+    # nine single-leaf source concepts, eight of them frozen.
+    rng = np.random.default_rng(9)
+    config = MarlineConfig(
+        n_features=4,
+        ensemble_size=10,
+        base_ensemble="boosting",
+        detector="ddm",
+        tree=HoeffdingTreeParams(leaf_prediction="majority"),
+    )
+    model = MarlineModel(config)
+    for t in range(300):
+        example = gaussian_example(rng, t, 4)
+        model.observe("S0", example, rng)
+        model.observe("T", example, rng)
+        if t < 80:
+            model.observe("S1", example, rng)
+            if t % 10 == 9:
+                model._new_concept("S1")
+    assert len(model.concepts) == 11
+    assert sum(c.ensemble.fixed_pairs() is not None for c in model.concepts) >= 9
+    next_example = itertools.cycle([gaussian_example(rng, t, 4) for t in range(1000)]).__next__
+
+    def step():
+        example = next_example()
+        model.predict(example.features)
+        model.observe("T", example, rng)
+
+    benchmark(step)
+    assert len(model.concepts) >= 11
 
 
 def test_acceptance_7_cost_model(capsys):

@@ -1360,6 +1360,30 @@ def test_update_weights_after_predict_reuses_its_target_pass(monkeypatch):
     assert target_calls() == []
 
 
+@pytest.mark.parametrize("leaf_prediction", ["majority", "nb_adaptive"])
+def test_boosting_target_step_routes_each_target_member_once(monkeypatch, leaf_prediction):
+    # The vote routes the current target concept's trees; the drift check
+    # and training reuse that pass, and the weight update reuses the pass
+    # that boosting's learn kept, so a step with no split routes each once.
+    rng = np.random.default_rng(19)
+    tree = HoeffdingTreeParams(leaf_prediction=leaf_prediction)
+    model = MarlineModel(small_config(ensemble_size=3, base_ensemble="boosting", tree=tree))
+    for ex in alternating_stream(rng, 120, (0.0, 0.0), (3.0, 3.0)):
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    ensemble = model.pools["T"].current.ensemble
+    members = ensemble.sub_classifiers
+    calls = count_tree_evaluations(monkeypatch)
+    for ex in alternating_stream(rng, 20, (0.0, 0.0), (3.0, 3.0)):
+        splits = sum(tree.n_splits for tree in members)
+        model.predict(ex.features)
+        model.observe("T", ex, rng)
+        assert model.pools["T"].current.ensemble is ensemble
+        assert sum(tree.n_splits for tree in members) == splits
+        assert sorted(id(tree) for tree in calls if tree in members) == sorted(map(id, members))
+        calls.clear()
+
+
 @pytest.mark.parametrize("approach", ["marline_with_source", "base_detector_reset"])
 @pytest.mark.parametrize("base_ensemble", ["bagging", "boosting"])
 def test_duplicate_target_rows_end_as_with_no_kept_pass(monkeypatch, approach, base_ensemble):
@@ -1450,6 +1474,107 @@ def test_snapshots_store_no_fixed_pass(tmp_path):
     restored = MarlineModel.load(str(kept_path))
     assert all("_fixed" not in vars(c.ensemble) for c in restored.concepts)
     assert [restored.predict(p).scores.tobytes() for p in probes] == before
+
+
+# ----------------------------------------------------------------------
+# target frames
+# ----------------------------------------------------------------------
+
+
+def fixed_source_model(n_features=2):
+    """A boosting model over majority leaves: a target, and a source whose
+    detector fires every 8 examples, so that all its concepts stay fixed
+    passes of single leaves. Returns it with its generator and stream."""
+    tree = HoeffdingTreeParams(grace_period=20, leaf_prediction="majority")
+    model = MarlineModel(small_config(ensemble_size=3, base_ensemble="boosting", tree=tree))
+    model._new_concept("S1").detector = StubDetector({8})
+    model._new_concept("T").detector = StubDetector()
+    rng = np.random.default_rng(50)
+    stream = alternating_stream(np.random.default_rng(51), 100, (0.0, 0.0), (3.0, 3.0))
+    for ex in stream[:40]:
+        model.observe("S1", ex, rng)
+        model.observe("T", ex, rng)
+    current = model.pools["T"].current
+    assert len(model.pools["S1"].concepts) == 6
+    assert all(c.ensemble.fixed_pairs() is not None for c in model.concepts if c is not current)
+    return model, rng, stream[40:]
+
+
+def count_frame_builds(monkeypatch):
+    built = []
+    init = ConceptFrame.__init__
+
+    def counted(frame, vector, c_pos):
+        built.append(frame)
+        init(frame, vector, c_pos)
+
+    monkeypatch.setattr(ConceptFrame, "__init__", counted)
+    return built
+
+
+def test_a_step_over_fixed_concepts_builds_no_frame(monkeypatch):
+    model, rng, stream = fixed_source_model()
+    built = count_frame_builds(monkeypatch)
+    for ex in stream:
+        assert model._voting_weights().any()
+        model.predict(ex.features)
+        model.observe("T", ex, rng)
+    assert built == []
+
+
+def test_a_projecting_concept_builds_at_most_one_target_frame_per_step(monkeypatch):
+    model, rng, stream = fixed_source_model()
+    # A second source whose one concept has naive-Bayes leaves, which read
+    # their input, so that it projects on every pass.
+    params = HoeffdingTreeParams(leaf_prediction="nb_adaptive")
+    source = model._new_concept("S2").current
+    source.ensemble = learners.make_ensemble("boosting", 2, 3, params)
+    for ex in stream[:40]:
+        source.ensemble.learn(ex.features.tolist(), ex.label, rng)
+        source.tracker.update(ex)
+    assert source.ensemble.fixed_pairs() is None
+    source_frame = source.tracker.frame()
+    # The target frame as the weight update of a step before would build it.
+    model.pools["T"].current.tracker.frame()
+    projected = []
+    init = Reflections.__init__
+
+    def spied(reflections, src, tgt):
+        projected.append(tgt)
+        init(reflections, src, tgt)
+
+    monkeypatch.setattr(Reflections, "__init__", spied)
+    built = count_frame_builds(monkeypatch)
+    for ex in stream[40:]:
+        model.predict(ex.features)
+        model.observe("T", ex, rng)
+        assert len(built) <= 1
+        assert built == [] or built[0] in projected
+        built.clear()
+    assert source.tracker.frame() is source_frame
+    assert projected
+
+
+def test_before_both_target_classes_predict_falls_back_and_weights_stay(monkeypatch):
+    model, rng, stream = fixed_source_model()
+    target = model._new_concept("T").current
+    neg = [ex for ex in stream if ex.label == NEG]
+    for ex in neg[:5]:
+        target.ensemble.learn(ex.features.tolist(), ex.label, rng)
+        target.tracker.update(ex)
+    assert not target.tracker.both_classes_seen
+    assert model._voting_weights().any()
+    stats = [a.tobytes() for a in (model.lambda_correct, model.lambda_wrong, model.performance)]
+    built = count_frame_builds(monkeypatch)
+    for ex in stream[:10]:
+        values = ex.features.tolist()
+        scores = model.predict(ex.features).scores
+        assert scores.tolist() == list(mean_pair(target.ensemble.member_pairs(values)))
+        model.update_weights(ex)
+        assert [
+            a.tobytes() for a in (model.lambda_correct, model.lambda_wrong, model.performance)
+        ] == stats
+    assert built == []
 
 
 # ----------------------------------------------------------------------
