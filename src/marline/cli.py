@@ -266,12 +266,6 @@ def _read_config(
     return spec, grids
 
 
-def build_experiment_spec(
-    parser: configparser.ConfigParser, seed_override: int | None = None
-) -> ExperimentSpec:
-    return _read_config(parser, seed_override)[0]
-
-
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)

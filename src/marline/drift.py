@@ -38,8 +38,10 @@ class DDM:
     ) -> None:
         if min_observations < 1:
             raise ConfigurationError("min_observations must be >= 1")
-        if not 0.0 < warning_level <= drift_level:
-            raise ConfigurationError("need 0 < warning_level <= drift_level")
+        # A drift is tested first, so a warning level at or above the drift
+        # level could never fire.
+        if not 0.0 < warning_level < drift_level:
+            raise ConfigurationError("need 0 < warning_level < drift_level")
         self.min_observations = min_observations
         self.warning_level = warning_level
         self.drift_level = drift_level
@@ -91,10 +93,11 @@ class HddmA:
             raise ConfigurationError("drift_confidence must be in (0, 1)")
         if not 0.0 < warning_confidence < 1.0:
             raise ConfigurationError("warning_confidence must be in (0, 1)")
-        # A smaller warning confidence has the larger bound, which a drift
-        # would always cross first, so WARNING could never fire.
-        if warning_confidence < drift_confidence:
-            raise ConfigurationError("need drift_confidence <= warning_confidence")
+        # A drift is tested first, and a warning confidence at or below the
+        # drift confidence has a bound at least as large, so WARNING could
+        # never fire.
+        if warning_confidence <= drift_confidence:
+            raise ConfigurationError("need drift_confidence < warning_confidence")
         self.drift_confidence = drift_confidence
         self.warning_confidence = warning_confidence
         self.reset()

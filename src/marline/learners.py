@@ -6,14 +6,18 @@ and support real-valued example weights as multipliers on the sufficient
 statistics. Trees and ensembles take lists of ``n_features`` floats that the
 caller has checked; the model converts each example to one list.
 
-A leaf keeps its answer as state that only ``_LeafNode.learn`` writes, so a
-member pass evaluates naive Bayes only at leaves that answer by it; a
-naive-Bayes leaf keeps its terms current as it learns. An ensemble keeps its
-last pass and its fixed pass until it learns, and the drift check's pass is
-handed to ``learn``; boosting's ``learn`` keeps the pass it computes after
-training. Each of these keeps every float operation and its
-order, so results are bit-identical to rebuilding everything on every call,
-as ``tests/reference.py`` does.
+A leaf's answer, and in an nb-adaptive tree its naive-Bayes terms, are
+state that only ``_LeafNode.learn`` writes: a leaf holds them from birth,
+a member pass evaluates naive Bayes only at leaves that answer by it, and
+snapshots store both. An ensemble's last pass and fixed pass stay lazy
+caches that snapshots drop: each holds only until the ensemble learns, and
+most concepts never ask for one (the current target concept asks for its
+last pass, and a concept whose members are all one-leaf majority trees for
+its fixed pass). The drift check's pass is handed to ``learn``, and
+boosting's ``learn`` keeps the pass it computes after training. Each of
+these keeps every float operation and its order, so results are
+bit-identical to rebuilding everything on every call, as
+``tests/reference.py`` does.
 """
 
 from __future__ import annotations
@@ -100,32 +104,13 @@ def _entropy(neg: float, pos: float) -> float:
     return h
 
 
-def _class_terms(leaf: _LeafNode, label: int, total: float) -> tuple[float, list]:
-    """The naive-Bayes terms of ``label`` at ``leaf``, whose class weights
-    sum to ``total``: the class's log prior, and per attribute (mean,
-    -log(2*pi*var)/2, 2*var) of its estimator, the variance floored at
-    ``_MIN_VARIANCE``. A class without weight has prior -inf and no
-    attribute terms."""
-    prior = leaf.class_weights[label]
-    if prior <= 0.0:
-        return -math.inf, []
-    attributes = []
-    for per_class in leaf.estimators:
-        est = per_class[label]
-        n = est.weight_sum
-        # max(est.variance, _MIN_VARIANCE), inlined.
-        var = max(est._m2 / (n - 1.0) if n > 1.0 else 0.0, _MIN_VARIANCE)
-        attributes.append((est.mean, -0.5 * math.log(_TWO_PI * var), 2.0 * var))
-    return math.log(prior / total), attributes
-
-
 class _LeafNode:
     """Growing leaf holding class counts and per-attribute Gaussian stats.
 
     Its answer is its majority pair where it answers by majority, False
-    where it answers by naive Bayes; ``learn`` writes it, and snapshots store
-    it. Its naive-Bayes terms are built on first use and then kept current
-    by ``learn``; snapshots do not store them.
+    where it answers by naive Bayes. A leaf of an nb-adaptive tree holds its
+    naive-Bayes terms from birth, and a majority-rule leaf holds None. Only
+    ``learn`` writes the answer and the terms, and snapshots store both.
     """
 
     __slots__ = (
@@ -137,9 +122,8 @@ class _LeafNode:
         "_nb_terms",
         "_answer",
     )
-    _CACHES = ("_nb_terms",)
 
-    def __init__(self, n_features: int) -> None:
+    def __init__(self, n_features: int, nb_adaptive: bool) -> None:
         self.class_weights = [0.0, 0.0]
         self.estimators = [
             [GaussianEstimator(), GaussianEstimator()] for _ in range(n_features)
@@ -147,21 +131,16 @@ class _LeafNode:
         self.weight_at_last_attempt = 0.0
         self.mc_correct_weight = 0.0
         self.nb_correct_weight = 0.0
-        self._nb_terms: list | None = None
+        # Per class, its log prior and per attribute (mean,
+        # -log(2*pi*var)/2, 2*var) of its estimator, the variance floored at
+        # _MIN_VARIANCE. A class without weight has prior -inf and no
+        # attribute terms.
+        self._nb_terms: list | None = (
+            [(-math.inf, []), (-math.inf, [])] if nb_adaptive else None
+        )
         # An empty leaf's answer under either rule: the majority of no
         # weight, and naive Bayes with both logits at -inf at any input.
         self._answer: Pair | bool = (0.5, 0.5)
-
-    def __getstate__(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in self._CACHES
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name in self.__slots__:
-            setattr(self, name, None if name in self._CACHES else state[name])
 
     @property
     def total_weight(self) -> float:
@@ -172,16 +151,8 @@ class _LeafNode:
         total = neg + pos
         return (0.5, 0.5) if total <= 0.0 else (neg / total, pos / total)
 
-    def _naive_bayes_terms(self) -> list[tuple[float, list]]:
-        """Per class, its log prior and its attribute terms."""
-        total = self.total_weight
-        return [_class_terms(self, label, total) for label in (NEG, POS)]
-
     def naive_bayes_distribution(self, values: list[float]) -> tuple[float, float]:
-        terms = self._nb_terms
-        if terms is None:
-            terms = self._nb_terms = self._naive_bayes_terms()
-        (neg, neg_attributes), (pos, pos_attributes) = terms
+        (neg, neg_attributes), (pos, pos_attributes) = self._nb_terms
         if neg_attributes and pos_attributes:
             # Both logits in one sweep, each with its own operations in order.
             for value, (neg_mean, neg_norm, neg_two_var), (pos_mean, pos_norm, pos_two_var) in zip(
@@ -231,8 +202,8 @@ class _LeafNode:
             if (POS if p_pos > p_neg else NEG) == label:
                 self.nb_correct_weight += weight
         weights[label] += weight
-        # One pass updates the label's estimators and, when the terms are
-        # kept, rebuilds its attribute terms as _class_terms does.
+        # One pass updates the label's estimators and, at a leaf that holds
+        # terms, rebuilds the label's attribute terms from them.
         terms = self._nb_terms
         attributes = None if terms is None else []
         for value, per_class in zip(values, self.estimators):
@@ -315,11 +286,13 @@ class _LeafNode:
 class _SplitNode:
     __slots__ = ("attribute", "threshold", "left", "right")
 
-    def __init__(self, attribute: int, threshold: float, n_features: int) -> None:
+    def __init__(
+        self, attribute: int, threshold: float, n_features: int, nb_adaptive: bool
+    ) -> None:
         self.attribute = attribute
         self.threshold = threshold
-        self.left: _LeafNode | _SplitNode = _LeafNode(n_features)
-        self.right: _LeafNode | _SplitNode = _LeafNode(n_features)
+        self.left: _LeafNode | _SplitNode = _LeafNode(n_features, nb_adaptive)
+        self.right: _LeafNode | _SplitNode = _LeafNode(n_features, nb_adaptive)
 
 
 class HoeffdingTree:
@@ -340,7 +313,9 @@ class HoeffdingTree:
             raise ConfigurationError("n_features must be >= 1")
         self.n_features = n_features
         self.params = params or HoeffdingTreeParams()
-        self._root: _LeafNode | _SplitNode = _LeafNode(n_features)
+        self._root: _LeafNode | _SplitNode = _LeafNode(
+            n_features, self.params.leaf_prediction == "nb_adaptive"
+        )
         self.n_splits = 0
 
     def learn(
@@ -377,7 +352,8 @@ class HoeffdingTree:
             return False
         bound = hoeffding_bound(1.0, self.params.split_confidence, leaf.total_weight)
         if best_gain - second_gain > bound or bound < self.params.tie_threshold:
-            split = _SplitNode(order[0], best_threshold, self.n_features)
+            nb_adaptive = self.params.leaf_prediction == "nb_adaptive"
+            split = _SplitNode(order[0], best_threshold, self.n_features, nb_adaptive)
             if parent is None:
                 self._root = split
             elif went_left:
@@ -443,28 +419,13 @@ class _EnsembleBase:
         n_features: int,
         ensemble_size: int,
         tree_params: HoeffdingTreeParams | None = None,
-        sub_classifiers: list[HoeffdingTree] | None = None,
     ) -> None:
         if ensemble_size < 1:
             raise ConfigurationError("ensemble_size must be >= 1")
         self.n_features = n_features
-        if sub_classifiers is not None:
-            if len(sub_classifiers) != ensemble_size:
-                raise ConfigurationError(
-                    "sub_classifiers length must equal ensemble_size"
-                )
-            for i, tree in enumerate(sub_classifiers):
-                if not isinstance(tree, HoeffdingTree):
-                    raise ConfigurationError(f"sub_classifiers[{i}] is not a HoeffdingTree")
-                if tree.n_features != n_features:
-                    raise ConfigurationError(
-                        f"sub_classifiers[{i}] has n_features {tree.n_features}, not {n_features}"
-                    )
-            self.sub_classifiers = list(sub_classifiers)
-        else:
-            self.sub_classifiers = [
-                HoeffdingTree(n_features, tree_params) for _ in range(ensemble_size)
-            ]
+        self.sub_classifiers = [
+            HoeffdingTree(n_features, tree_params) for _ in range(ensemble_size)
+        ]
         self.trained_count = 0
 
     @property
@@ -551,9 +512,8 @@ class OnlineBoosting(_EnsembleBase):
         n_features: int,
         ensemble_size: int,
         tree_params: HoeffdingTreeParams | None = None,
-        sub_classifiers: list[HoeffdingTree] | None = None,
     ) -> None:
-        super().__init__(n_features, ensemble_size, tree_params, sub_classifiers)
+        super().__init__(n_features, ensemble_size, tree_params)
         self.lambda_correct = np.zeros(self.ensemble_size)
         self.lambda_wrong = np.zeros(self.ensemble_size)
 

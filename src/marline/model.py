@@ -10,6 +10,12 @@ sees its projection of the example, unless all its trees are single leaves
 answering by majority: then its kept fixed pass is the (k, 2) array the
 vote multiplies. The target concept's frame is built only when a concept
 projects.
+
+The voting weights are state, written wherever the performance stats are,
+and snapshots store them. The kept passes, the fixed passes and the
+concept frames stay lazy caches that snapshots drop, because most steps
+skip them: no frame is built unless a concept projects, and a kept or fixed
+pass holds only until its ensemble learns.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .learners import ENSEMBLES, HoeffdingTreeParams, Pair, make_ensemble, mean_
 from .mapping import CentroidTracker, Reflections
 
 # A snapshot loads only at the version it was saved at; a layout change bumps it.
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 # The first line of a snapshot, checked before anything in it is unpickled.
 SNAPSHOT_HEADER = b"marline-model %d\n" % SNAPSHOT_VERSION
 
@@ -181,13 +187,11 @@ class MarlineModel:
     predictions with :meth:`predict`. One instance is single-writer: training
     mutates shared statistics.
 
-    The voting weights are derived from ``performance`` on first use and kept
-    until the model replaces ``performance``: on each weight update, and on
-    each new concept, which a target drift's reset follows. Snapshots do not
-    store them.
+    The voting weights are state that the model writes wherever it writes
+    ``performance``: on each weight update and on each new concept (a target
+    drift resets the stats first). Snapshots store them. ``performance`` is
+    for reading only, since writing it does not re-derive the weights.
     """
-
-    _weights: np.ndarray | None = None
 
     def __init__(self, config: MarlineConfig, target_id: str = DEFAULT_TARGET_ID) -> None:
         self.config = config
@@ -201,6 +205,7 @@ class MarlineModel:
         self.lambda_correct = np.zeros(0)
         self.lambda_wrong = np.zeros(0)
         self.performance = np.ones(0)
+        self._weights = np.zeros(0)  # sub_classifier_weights of performance
 
     # ------------------------------------------------------------------
     # training
@@ -222,12 +227,14 @@ class MarlineModel:
         status = pool.detector.update(argmax_label(mean_pair(pairs)) == example.label)
         drift = status is DriftStatus.DRIFT
         if drift:
-            self._new_concept(stream_id)
-            pool.detector.reset()
+            # The reset comes before the new concept's block, which then
+            # derives the voting weights from the reset stats.
             if is_target:
                 self.lambda_correct.fill(0.0)
                 self.lambda_wrong.fill(0.0)
                 self.performance.fill(1.0)
+            self._new_concept(stream_id)
+            pool.detector.reset()
             pairs = None
 
         concept = pool.current
@@ -274,7 +281,7 @@ class MarlineModel:
             self.config.forgetting_factor,
             EPS_CLAMP,
         )
-        self._weights = None
+        self._weights = sub_classifier_weights(self.performance, self.config.performance_index)
 
     # ------------------------------------------------------------------
     # prediction
@@ -295,7 +302,7 @@ class MarlineModel:
             return Prediction(NEG, np.array([0.5, 0.5]), cold_start=True)
 
         k = self.config.ensemble_size
-        weights = self._voting_weights()
+        weights = self._weights
         weighted_concepts = weights.reshape(-1, k).any(axis=1).tolist()
         current = target_pool.current
         if not current.tracker.both_classes_seen or not any(weighted_concepts):
@@ -322,7 +329,7 @@ class MarlineModel:
         target_pool = self.pools.get(self.target_id)
         if target_pool is None:
             return 0.0
-        weights = self._voting_weights()
+        weights = self._weights
         if not weights.any():
             return 0.0
         per_concept = weights.reshape(-1, self.config.ensemble_size).sum(axis=1).tolist()
@@ -336,11 +343,6 @@ class MarlineModel:
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_weights", None)
-        return state
 
     def save(self, path: str) -> None:
         """Write a snapshot of the full model state: the header line, then
@@ -386,13 +388,8 @@ class MarlineModel:
         self.lambda_correct = np.insert(self.lambda_correct, at, np.zeros(k))
         self.lambda_wrong = np.insert(self.lambda_wrong, at, np.zeros(k))
         self.performance = np.insert(self.performance, at, np.ones(k))
-        self._weights = None
+        self._weights = sub_classifier_weights(self.performance, self.config.performance_index)
         return pool
-
-    def _voting_weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = sub_classifier_weights(self.performance, self.config.performance_index)
-        return self._weights
 
     def _fallback(self, concept: ConceptState, values: list[float]) -> Prediction:
         scores = np.array(mean_pair(concept.ensemble.memo_pairs(values)))

@@ -31,17 +31,40 @@ def fresh_majority(leaf):
     return (neg / total, pos / total)
 
 
+def reference_terms(leaf):
+    """The naive-Bayes terms of ``leaf``, built from its class weights and
+    estimators: per class, its log prior and, per attribute, (mean,
+    -log(2*pi*var)/2, 2*var) with the variance m2 / (n - 1), 0 for n <= 1,
+    floored at 1e-12. A class without weight has prior -inf and no
+    attribute terms."""
+    weights = leaf.class_weights
+    total = weights[NEG] + weights[POS]
+    terms = []
+    for label in (NEG, POS):
+        if weights[label] <= 0.0:
+            terms.append((-math.inf, []))
+            continue
+        attributes = []
+        for per_class in leaf.estimators:
+            est = per_class[label]
+            n = est.weight_sum
+            var = max(est._m2 / (n - 1.0) if n > 1.0 else 0.0, 1e-12)
+            attributes.append((est.mean, -0.5 * math.log(2.0 * math.pi * var), 2.0 * var))
+        terms.append((math.log(weights[label] / total), attributes))
+    return terms
+
+
 def per_tree_pair(tree, values):
     """A tree's pair as it was evaluated one tree at a time: the route to a
     leaf, the leaf-choice rule with a majority pair fresh from the class
-    weights, and naive Bayes on freshly built terms, one loop per class,
-    normalised by the larger logit."""
+    weights, and naive Bayes on terms built from the estimators, one loop
+    per class, normalised by the larger logit."""
     node = tree._root
     while node.__class__ is _SplitNode:
         node = node.left if values[node.attribute] <= node.threshold else node.right
     if tree.params.leaf_prediction == "majority" or node.mc_correct_weight > node.nb_correct_weight:
         return fresh_majority(node)
-    (neg, neg_attributes), (pos, pos_attributes) = node._naive_bayes_terms()
+    (neg, neg_attributes), (pos, pos_attributes) = reference_terms(node)
     for value, (mean, log_norm, two_var) in zip(values, neg_attributes):
         diff = value - mean
         neg += log_norm - diff * diff / two_var

@@ -21,7 +21,6 @@ from marline.cli import (
     EXIT_USAGE,
     _load_config,
     _read_config,
-    build_experiment_spec,
     main,
 )
 from marline.core import ConfigurationError, DataError
@@ -523,7 +522,7 @@ def test_shipped_configs_build_the_spec_they_describe():
     }
     assert sorted(expected) == sorted(p.name for p in CONFIGS.glob("*.ini"))
     for name, spec in expected.items():
-        assert build_experiment_spec(_load_config(str(CONFIGS / name), [])) == spec, name
+        assert _read_config(_load_config(str(CONFIGS / name), []))[0] == spec, name
     _, grids = _read_config(_load_config(str(CONFIGS / "grid_no_drift.ini"), []))
     assert grids == {
         "ensemble_size": [10, 20, 30],
@@ -585,7 +584,7 @@ def test_a_config_setting_every_documented_key_builds_that_spec(
     config = write_config(
         tmp_path / "all.ini", EVERY_KEY_CONFIG.format(detector_keys=detector_keys)
     )
-    spec = build_experiment_spec(_load_config(config, []))
+    spec = _read_config(_load_config(config, []))[0]
     expected = ExperimentSpec(
         approach="base_detector_reset",
         config=MarlineConfig(
@@ -617,7 +616,7 @@ def test_a_config_setting_every_documented_key_builds_that_spec(
     assert [type(v) for v in spec.config.detector_params.values()] == [
         type(v) for v in params.values()
     ]
-    assert build_experiment_spec(_load_config(config, []), seed_override=9).seed_base == 9
+    assert _read_config(_load_config(config, []), seed_override=9)[0].seed_base == 9
 
 
 def test_misspelt_grid_axis_is_rejected_before_any_grid_runs(tmp_path):
@@ -631,7 +630,7 @@ def test_misspelt_grid_axis_is_rejected_before_any_grid_runs(tmp_path):
 def test_set_strips_section_and_key_once(tmp_path, capsys):
     config = write_config(tmp_path / "run.ini", RUN_CONFIG)
     parser = _load_config(config, ["model .ensemble_size = 5"])
-    assert build_experiment_spec(parser).config.ensemble_size == 5
+    assert _read_config(parser)[0].config.ensemble_size == 5
     out = tmp_path / "out"
     code = main(["run", "--config", config, "--out", str(out), "--set", "modle .ensemble_size=5"])
     assert code == EXIT_USAGE
@@ -724,7 +723,32 @@ def test_an_hddm_a_warning_that_could_never_fire_is_a_usage_error(tmp_path, caps
     settings = ["model.detector=hddm_a", "model.drift_confidence=0.01", "model.warning_confidence=0.001"]
     argv = ["run", "--config", config, "--out", str(out)]
     assert main(argv + [arg for s in settings for arg in ("--set", s)]) == EXIT_USAGE
-    assert "need drift_confidence <= warning_confidence" in capsys.readouterr().err
+    assert "need drift_confidence < warning_confidence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (
+            ["model.detector=hddm_a", "model.drift_confidence=0.005", "model.warning_confidence=0.005"],
+            "need drift_confidence < warning_confidence",
+        ),
+        (
+            ["model.detector=ddm", "model.warning_level=3.0", "model.drift_level=3.0"],
+            "need 0 < warning_level < drift_level",
+        ),
+    ],
+    ids=["hddm_a", "ddm"],
+)
+def test_a_warning_bound_equal_to_the_drift_bound_is_a_usage_error(
+    tmp_path, capsys, settings, message
+):
+    config = write_config(tmp_path / "run.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    argv = ["run", "--config", config, "--out", str(out)]
+    assert main(argv + [arg for s in settings for arg in ("--set", s)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -170,15 +170,24 @@ def test_hddm_warning_uses_looser_confidence():
 def test_a_warning_that_could_never_fire_is_refused():
     # A warning bound beyond the drift bound would be crossed only together
     # with a drift, which takes precedence.
-    with pytest.raises(ConfigurationError, match="need drift_confidence <= warning_confidence"):
+    with pytest.raises(ConfigurationError, match="need drift_confidence < warning_confidence"):
         HddmA(drift_confidence=0.01, warning_confidence=0.001)
-    with pytest.raises(ConfigurationError, match="need 0 < warning_level <= drift_level"):
+    with pytest.raises(ConfigurationError, match="need 0 < warning_level < drift_level"):
         DDM(warning_level=3.5, drift_level=3.0)
+
+
+def test_a_warning_bound_equal_to_the_drift_bound_is_refused():
+    # Equal bounds are crossed together, and the drift is tested first, so
+    # WARNING could never fire.
+    with pytest.raises(ConfigurationError, match="need drift_confidence < warning_confidence"):
+        HddmA(drift_confidence=0.005, warning_confidence=0.005)
+    with pytest.raises(ConfigurationError, match="need 0 < warning_level < drift_level"):
+        DDM(warning_level=3.0, drift_level=3.0)
 
 
 def test_make_detector_dispatch():
     assert isinstance(make_detector("ddm"), DDM)
-    assert isinstance(make_detector("hddm_a", drift_confidence=0.005), HddmA)
+    assert isinstance(make_detector("hddm_a", drift_confidence=0.002), HddmA)
     with pytest.raises(
         ConfigurationError,
         match=r"unknown detector kind 'adwin'; choose from \('ddm', 'hddm_a'\)",

@@ -126,6 +126,13 @@ def install_stub_concept(model, stream_id, dists, c_neg=(0.0, 0.0), c_pos=(1.0, 
     return concept
 
 
+def set_performance(model, performance):
+    """Write ``model.performance`` and the voting weights it gives, as the
+    model's weight update does."""
+    model.performance[:] = performance
+    model._weights = sub_classifier_weights(model.performance, model.config.performance_index)
+
+
 def alternating_stream(rng, n, mean_neg, mean_pos, std=1.0):
     out = []
     for t in range(n):
@@ -499,7 +506,7 @@ def test_uniform_weights_collapse_to_base_ensemble_mean():
 def test_single_dominant_sub_classifier_decides_alone():
     model = MarlineModel(small_config(performance_index=0.5))
     install_stub_concept(model, "T", [[0.9, 0.1], [0.3, 0.7]])
-    model.performance[:] = [0.9, 0.2]  # only the first clears the index
+    set_performance(model, [0.9, 0.2])  # only the first clears the index
     prediction = model.predict(np.array([0.3, 0.3]))
     assert prediction.label == NEG
     assert prediction.scores == pytest.approx([0.9, 0.1])
@@ -510,7 +517,7 @@ def test_scores_equal_explicit_double_sum_over_concepts():
     install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
     install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
     install_stub_concept(model, "S2", [[0.1, 0.9], [0.7, 0.3]])
-    model.performance[:] = [0.8, 0.6, 0.4, 0.2, 0.9, 0.1]  # pools T, S1, S2
+    set_performance(model, [0.8, 0.6, 0.4, 0.2, 0.9, 0.1])  # pools T, S1, S2
     alphas = np.array([0.4, 0.2, 0.9, 0.1, 0.8, 0.6])  # pool insertion order
     dists = np.array(
         [[0.9, 0.1], [0.5, 0.5], [0.1, 0.9], [0.7, 0.3], [0.2, 0.8], [0.6, 0.4]]
@@ -591,7 +598,7 @@ def test_warmup_falls_back_to_target_ensemble():
 def test_all_weights_zero_falls_back_to_target_ensemble():
     model = MarlineModel(small_config(performance_index=0.99))
     install_stub_concept(model, "T", [[0.1, 0.9], [0.3, 0.7]])
-    model.performance[:] = [0.5, 0.5]  # nothing clears the index
+    set_performance(model, [0.5, 0.5])  # nothing clears the index
     prediction = model.predict(np.array([0.3, 0.3]))
     assert prediction.scores == pytest.approx([0.2, 0.8])
     assert prediction.label == POS
@@ -614,12 +621,14 @@ def test_duplicate_clone_concept_leaves_argmax_unchanged():
     cloned = copy.deepcopy(base)
     dup_pool = copy.deepcopy(cloned.pools["T"])
     cloned.pools["S_dup"] = dup_pool
-    # Register the clone's concepts and a copy of the target's stats, as
-    # MarlineModel._new_concept would for a pool seen after "T".
+    # Register the clone's concepts and a copy of the target's stats, and
+    # their voting weights, as MarlineModel._new_concept would for a pool
+    # seen after "T".
     cloned.concepts.extend(dup_pool.concepts)
     cloned.lambda_correct = np.tile(cloned.lambda_correct, 2)
     cloned.lambda_wrong = np.tile(cloned.lambda_wrong, 2)
     cloned.performance = np.tile(cloned.performance, 2)
+    set_performance(cloned, cloned.performance)
     probes = np.random.default_rng(8).standard_normal((100, 2)) * 2 + 1.5
     for p in probes:
         assert base.predict(p).label == cloned.predict(p).label
@@ -756,7 +765,7 @@ def test_ratio_one_when_all_weight_sits_on_a_source():
     model = MarlineModel(small_config(performance_index=0.5))
     install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
     install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
-    model.performance[:] = [0.1, 0.2, 0.9, 0.3]  # pools T, S1
+    set_performance(model, [0.1, 0.2, 0.9, 0.3])  # pools T, S1
     assert model.source_weight_ratio() == pytest.approx(1.0)
 
 
@@ -765,7 +774,7 @@ def test_ratio_is_the_sum_over_non_current_concepts():
     install_stub_concept(model, "T", [[0.2, 0.8], [0.6, 0.4]])
     install_stub_concept(model, "S1", [[0.9, 0.1], [0.5, 0.5]])
     install_stub_concept(model, "S2", [[0.1, 0.9], [0.7, 0.3]])
-    model.performance[:] = [0.5, 0.3, 0.25, 0.15, 0.2, 0.1]  # pools T, S1, S2
+    set_performance(model, [0.5, 0.3, 0.25, 0.15, 0.2, 0.1])  # pools T, S1, S2
     total = 0.5 + 0.3 + 0.25 + 0.15 + 0.2 + 0.1
     expected = (0.25 + 0.15 + 0.2 + 0.1) / total
     assert model.source_weight_ratio() == pytest.approx(expected, abs=1e-12)
@@ -950,7 +959,9 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
     restored = MarlineModel.load(str(path))
     assert all(c.tracker._frame is None for c in restored.concepts)
     assert all("_memo" not in vars(c.ensemble) for c in restored.concepts)
-    assert all(leaf._nb_terms is None for leaf in leaves(restored))
+    # Leaf terms and voting weights are state, which snapshots store.
+    assert [leaf._nb_terms for leaf in leaves(restored)] == terms
+    assert restored._weights.tobytes() == model._weights.tobytes()
     for p, a in zip(probes, before):
         b = restored.predict(p)
         assert a.label == b.label
@@ -958,9 +969,9 @@ def test_snapshot_stores_no_concept_frames(tmp_path):
 
 
 def test_snapshot_bytes_do_not_change_with_what_a_round_builds():
-    # A round of predict and update_weights builds frames, kept and fixed
-    # passes, naive-Bayes terms and voting weights; none of them reaches
-    # the snapshot bytes, and it writes no leaf answer.
+    # A round of predict and update_weights builds frames and kept and fixed
+    # passes; none of them reaches the snapshot bytes. predict writes no
+    # leaf answer, leaf terms or voting weights.
     rng = np.random.default_rng(16)
     tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5)
     model = MarlineModel(small_config(ensemble_size=3, tree=tree))
@@ -978,7 +989,6 @@ def test_snapshot_bytes_do_not_change_with_what_a_round_builds():
     for ex in stream[200:]:
         model.predict(ex.features)
     assert pickle.dumps(model) == before
-    assert model._weights is not None
     assert all(c.tracker._frame is not None for c in model.concepts)
     current = model.pools["T"].current
     assert current.ensemble._memo is not None
@@ -1002,9 +1012,10 @@ def test_snapshot_bytes_do_not_change_with_what_a_round_builds():
     n=st.integers(1, 150),
 )
 def test_snapshots_load_and_continue_identically(base_ensemble, leaf_prediction, seed, n):
-    # A snapshot holds the leaf answers but no caches: no leaf terms and no
-    # kept member pass, so the restored model rebuilds them and hands the
-    # same pairs to learn. It predicts and learns as the model it was saved from.
+    # A snapshot holds the leaf answers and terms and the voting weights but
+    # no kept member pass, so the restored model rebuilds that pass and hands
+    # the same pairs to learn. It predicts and learns as the model it was
+    # saved from.
     tree = HoeffdingTreeParams(grace_period=20, tie_threshold=0.5, leaf_prediction=leaf_prediction)
     model = MarlineModel(small_config(ensemble_size=3, base_ensemble=base_ensemble, tree=tree))
     rng = np.random.default_rng(seed)
@@ -1032,7 +1043,7 @@ def test_snapshots_load_and_continue_identically(base_ensemble, leaf_prediction,
 # models of `layout_models`. A snapshot loads only at the version it was
 # saved at, so a change to any of these names bumps the version.
 PINNED_LAYOUTS = {
-    5: {
+    6: {
         "marline.drift.DDM": (
             "drift_level",
             "error_sum",
@@ -1077,6 +1088,7 @@ PINNED_LAYOUTS = {
         ),
         "marline.learners._LeafNode": (
             "_answer",
+            "_nb_terms",
             "class_weights",
             "estimators",
             "mc_correct_weight",
@@ -1103,6 +1115,7 @@ PINNED_LAYOUTS = {
             "tree",
         ),
         "marline.model.MarlineModel": (
+            "_weights",
             "concepts",
             "config",
             "lambda_correct",
@@ -1176,38 +1189,52 @@ def test_snapshot_rejects_other_versions_before_unpickling(tmp_path, monkeypatch
     rng = np.random.default_rng(5)
     for ex in alternating_stream(rng, 40, (0.0, 0.0), (2.0, 2.0)):
         model.observe("T", ex, rng)
+
+    def older_layout(*leaf_slots):
+        """``model`` pickled without its voting weights and without the
+        named leaf slots."""
+        old = copy.deepcopy(model)
+        del old._weights
+        for leaf in leaves(old):
+            for name in leaf_slots:
+                delattr(leaf, name)
+        return pickle.dumps(old)
+
     files = {
         f"v{version}": pickle.dumps(
             {"format": "marline-model", "version": version, "model": model}
         )
         for version in (1, 2, 3)
     }
-    # Version 4 stored no leaf answers: its leaves, restored here, would fail
-    # inside pickle.load.
-    with monkeypatch.context() as patched:
-        patched.setattr(_LeafNode, "_CACHES", ("_nb_terms", "_answer"))
-        files["v4"] = pickle.dumps({"format": "marline-model", "version": 4, "model": model})
+    # Version 4 stored no leaf answers, and version 5 no leaf terms and no
+    # voting weights; a model restored from either would fail when it
+    # first predicted.
+    files["v4"] = pickle.dumps(
+        {"format": "marline-model", "version": 4, "model": older_layout("_nb_terms", "_answer")}
+    )
+    files["header-5"] = b"marline-model 5\n" + older_layout("_nb_terms")
     assert b"_answer" not in files["v4"] and b"_answer" in pickle.dumps(model)
-    for version in (4, 6):
+    assert b"_nb_terms" not in files["header-5"] and b"_nb_terms" in pickle.dumps(model)
+    for version in (4, 7):
         files[f"header-{version}"] = b"marline-model %d\n" % version + pickle.dumps(model)
-    restores = []
-    restore = _LeafNode.__setstate__
+    loads = []
+    load = pickle.load
 
-    def spy(leaf, state):
-        restores.append(leaf)
-        restore(leaf, state)
+    def spy(fh):
+        loads.append(fh)
+        return load(fh)
 
-    monkeypatch.setattr(_LeafNode, "__setstate__", spy)
+    monkeypatch.setattr(pickle, "load", spy)
     for name, data in files.items():
         path = tmp_path / f"{name}.bin"
         path.write_bytes(data)
         with pytest.raises(DataError, match=f"not a model snapshot of version {SNAPSHOT_VERSION}"):
             MarlineModel.load(str(path))
-        assert restores == [], name
-    # The spy sees the leaves of a snapshot at this version.
+        assert loads == [], name
+    # The spy sees the one unpickling of a snapshot at this version.
     model.save(str(tmp_path / "current.bin"))
     MarlineModel.load(str(tmp_path / "current.bin"))
-    assert len(restores) == len(leaves(model))
+    assert len(loads) == 1
 
 
 def test_snapshot_rejects_garbage(tmp_path):
@@ -1516,7 +1543,7 @@ def test_a_step_over_fixed_concepts_builds_no_frame(monkeypatch):
     model, rng, stream = fixed_source_model()
     built = count_frame_builds(monkeypatch)
     for ex in stream:
-        assert model._voting_weights().any()
+        assert model._weights.any()
         model.predict(ex.features)
         model.observe("T", ex, rng)
     assert built == []
@@ -1563,7 +1590,7 @@ def test_before_both_target_classes_predict_falls_back_and_weights_stay(monkeypa
         target.ensemble.learn(ex.features.tolist(), ex.label, rng)
         target.tracker.update(ex)
     assert not target.tracker.both_classes_seen
-    assert model._voting_weights().any()
+    assert model._weights.any()
     stats = [a.tobytes() for a in (model.lambda_correct, model.lambda_wrong, model.performance)]
     built = count_frame_builds(monkeypatch)
     for ex in stream[:10]:
