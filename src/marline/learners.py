@@ -184,15 +184,16 @@ class _LeafNode:
             return (0.5, 0.5)
         return (math.nan, math.nan)
 
-    def learn(
-        self, values: list[float], label: int, weight: float, nb_adaptive: bool, pair=None
-    ) -> None:
+    def learn(self, values: list[float], label: int, weight: float, pair=None) -> None:
         """Absorb one weighted example. A ``pair`` that the tree predicted at
-        ``values`` in this state stands in for naive Bayes where it was that."""
+        ``values`` in this state stands in for naive Bayes where it was that.
+        The leaf's rule is the one it was born with: nb-adaptive where it
+        holds terms."""
         weights = self.class_weights
+        terms = self._nb_terms
         # Track which leaf predictor is doing better, judged before absorbing
         # the example it is judged on. Only nb_adaptive leaves read the result.
-        if nb_adaptive:
+        if terms is not None:
             if pair is None or self.mc_correct_weight > self.nb_correct_weight:
                 pair = self.naive_bayes_distribution(values)
             p_neg, p_pos = self.majority_distribution()
@@ -204,7 +205,6 @@ class _LeafNode:
         weights[label] += weight
         # One pass updates the label's estimators and, at a leaf that holds
         # terms, rebuilds the label's attribute terms from them.
-        terms = self._nb_terms
         attributes = None if terms is None else []
         for value, per_class in zip(values, self.estimators):
             est = per_class[label]
@@ -232,7 +232,7 @@ class _LeafNode:
         # The adaptive leaf rule of Holmes, Kirkby & Pfahringer (2005), written
         # only here: an nb-adaptive leaf answers by majority while its majority
         # tally is above its naive-Bayes tally.
-        if not nb_adaptive or self.mc_correct_weight > self.nb_correct_weight:
+        if terms is None or self.mc_correct_weight > self.nb_correct_weight:
             self._answer = self.majority_distribution()
         else:
             self._answer = False
@@ -332,7 +332,7 @@ class HoeffdingTree:
             went_left = values[node.attribute] <= node.threshold
             node = node.left if went_left else node.right
         params = self.params
-        node.learn(values, label, weight, params.leaf_prediction == "nb_adaptive", pair)
+        node.learn(values, label, weight, pair)
         total = node.class_weights[NEG] + node.class_weights[POS]
         if total - node.weight_at_last_attempt >= params.grace_period:
             node.weight_at_last_attempt = total
@@ -352,7 +352,7 @@ class HoeffdingTree:
             return False
         bound = hoeffding_bound(1.0, self.params.split_confidence, leaf.total_weight)
         if best_gain - second_gain > bound or bound < self.params.tie_threshold:
-            nb_adaptive = self.params.leaf_prediction == "nb_adaptive"
+            nb_adaptive = leaf._nb_terms is not None
             split = _SplitNode(order[0], best_threshold, self.n_features, nb_adaptive)
             if parent is None:
                 self._root = split

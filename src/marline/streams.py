@@ -6,6 +6,7 @@ ingestion with median binarisation; and multi-stream interleaving.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import statistics
 from collections.abc import Sequence
@@ -84,34 +85,64 @@ class SyntheticStreamSpec:
         return self.concepts[0].n_features
 
 
-class _LazyExamples(Sequence):
-    """Read-only examples over a drawn feature matrix.
+# A checked row's Example is built as its dataclass __init__ would build it,
+# without the per-row checks of __post_init__.
+_new = object.__new__
+_set = object.__setattr__
 
-    Item ``i`` builds its ``Example`` on first access and returns that same
-    object afterwards, so rows nobody reads are never built. Slices return
-    tuples. The features are marked non-writeable: every example is a view
-    into the shared matrix.
+
+class _LazyExamples(Sequence):
+    """Read-only examples over a drawn feature matrix, checked as a batch.
+
+    The constructor makes, once for the whole batch, the checks that
+    ``Example`` makes per row: ``features`` is a float64 matrix with one row
+    per label, and ``labels`` holds integers equal to 0 or 1; else it raises
+    ValueError. Item ``i`` builds its ``Example`` on first access and returns
+    that same object afterwards, so rows nobody reads are never built. A
+    slice builds the rows it reads that are not built yet in one pass, and
+    returns a tuple. A built example is ``Example(row, label)`` made without
+    those checks again: frozen, a read-only float64 view of the shared
+    matrix as ``features``, and an ``int`` label.
     """
 
     __slots__ = ("_features", "_labels", "_built")
 
-    def __init__(self, features: np.ndarray, labels: list[int]) -> None:
+    def __init__(self, features: np.ndarray, labels) -> None:
+        labels = np.asarray(labels)
+        if features.dtype != np.float64 or features.ndim != 2:
+            raise ValueError(
+                f"features must be a float64 matrix, got {features.dtype} of shape "
+                f"{features.shape}"
+            )
+        if labels.shape != features.shape[:1]:
+            raise ValueError(f"{features.shape[0]} rows, but labels of shape {labels.shape}")
+        if not np.issubdtype(labels.dtype, np.integer) or np.any((labels != NEG) & (labels != POS)):
+            raise ValueError(f"labels must be integers equal to {NEG} or {POS}")
         features.flags.writeable = False
         self._features = features
-        self._labels = labels
-        self._built: list[Example | None] = [None] * len(labels)
+        self._labels: list[int] = labels.tolist()
+        self._built: list[Example | None] = [None] * len(self._labels)
 
     def __len__(self) -> int:
         return len(self._labels)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        example = self._built[index]
-        if example is None:
-            example = Example(self._features[index], self._labels[index])
-            self._built[index] = example
-        return example
+        built = self._built
+        if not isinstance(index, slice):
+            example = built[index]
+            # index + 1 is 0 for the last row, whose slice runs to the end.
+            return example if example is not None else self[index : index + 1 or None][0]
+        examples = built[index]
+        if None in examples:
+            rows = range(*index.indices(len(built)))
+            for i, row, label in zip(rows, self._features[index], self._labels[index]):
+                if built[i] is None:
+                    built[i] = example = _new(Example)
+                    _set(example, "features", row)
+                    _set(example, "label", label)
+            examples = built[index]
+        return tuple(examples)
+
 
 
 @dataclass(frozen=True)
@@ -161,17 +192,18 @@ def generate_synthetic(spec: SyntheticStreamSpec) -> GeneratedStream:
         ]
     n = sum(length for _, _, length in segments)
     features = np.random.default_rng(spec.seed).standard_normal((n, spec.n_features))
-    labels: list[int] = []
+    labels: list[np.ndarray] = []
     marks: list[int] = []
+    start = 0
     for means, cov, length in segments:
-        start = len(labels)
         if start > 0:
             marks.append(start)
         segment_labels = np.arange(length) % 2
         rows = features[start : start + length]
         rows[...] = means[segment_labels] + rows * np.sqrt(cov)
-        labels.extend(segment_labels.tolist())
-    return GeneratedStream(_LazyExamples(features, labels), tuple(marks))
+        labels.append(segment_labels)
+        start += length
+    return GeneratedStream(_LazyExamples(features, np.concatenate(labels)), tuple(marks))
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +490,14 @@ class StreamData:
     drift_marks: tuple[int, ...] = ()
 
 
+def _turns(counts: list[int]) -> np.ndarray:
+    """The stream of each item when streams take turns: item c of every
+    stream that has one, in stream order, then item c + 1. Stream j gives
+    ``counts[j]`` items."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return np.nonzero(np.arange(counts.max(initial=0))[:, None] < counts)[1]
+
+
 def interleave(
     target: StreamData,
     sources: tuple[StreamData, ...] = (),
@@ -473,6 +513,11 @@ def interleave(
     then sources are drip-fed one example after each target example but the
     last. Source examples that would follow the last target example can never
     influence a scored prediction, so they are never read.
+
+    The order is planned first, as the index of the stream of each entry.
+    Every stream's examples arrive in their order, so each stream gives a
+    prefix: it is read with one slice, and the entries are taken from those
+    prefixes in the planned order.
     """
     if policy not in INTERLEAVE_POLICIES:
         raise ConfigurationError(f"unknown interleave policy {policy!r}")
@@ -481,47 +526,40 @@ def interleave(
     if not 0.0 <= warmup_fraction <= 1.0:
         raise ConfigurationError("warmup_fraction must be in [0, 1]")
 
-    mark_sets = {s.stream_id: set(s.drift_marks) for s in (*sources, target)}
-    entries: list[tuple[str, Example]] = []
-    marks: list[tuple[str, int]] = []
-
-    def emit(stream_id: str, local_index: int, example: Example) -> None:
-        if local_index in mark_sets[stream_id]:
-            marks.append((stream_id, len(entries)))
-        entries.append((stream_id, example))
-
+    streams = (*sources, target)
+    n_target = len(target.examples)
     if policy == "round_robin":
-        cursors = {s.stream_id: 0 for s in (*sources, target)}
-        order = [*sources, target]
-        while cursors[target.stream_id] < len(target.examples):
-            for stream in order:
-                i = cursors[stream.stream_id]
-                if i < len(stream.examples):
-                    emit(stream.stream_id, i, stream.examples[i])
-                    cursors[stream.stream_id] = i + 1
+        # Turn c brings example c of every stream that has one, the target
+        # last, so the n_target turns use at most n_target examples a source.
+        plan = _turns([min(len(s.examples), n_target) for s in streams])
     else:
-        cursors = {s.stream_id: 0 for s in sources}
-        for stream in sources:
-            n_warm = math.ceil(warmup_fraction * len(stream.examples))
-            for i in range(n_warm):
-                emit(stream.stream_id, i, stream.examples[i])
-            cursors[stream.stream_id] = n_warm
-        rotation = 0
-        last = len(target.examples) - 1
-        for t, example in enumerate(target.examples):
-            emit(target.stream_id, t, example)
-            if t == last:
-                break
-            for offset in range(len(sources)):
-                stream = sources[(rotation + offset) % len(sources)]
-                i = cursors[stream.stream_id]
-                if i < len(stream.examples):
-                    emit(stream.stream_id, i, stream.examples[i])
-                    cursors[stream.stream_id] = i + 1
-                    rotation = (rotation + offset + 1) % len(sources)
-                    break
+        warm = [math.ceil(warmup_fraction * len(s.examples)) for s in sources]
+        # After each target example but the last, the next source with
+        # examples left past its warm-up gives one, the sources taking turns;
+        # no source gives more than those n_target - 1.
+        drip = _turns([min(len(s.examples) - n, n_target - 1) for s, n in zip(sources, warm)])
+        drip = drip[: n_target - 1]
+        # Target example t follows t target and min(t, len(drip)) drip
+        # examples; drip example d follows d + 1 target and d drip examples.
+        plan = np.empty(n_target + len(drip), dtype=np.intp)
+        t = np.arange(n_target)
+        plan[t + np.minimum(t, len(drip))] = len(sources)
+        plan[1 : 2 * len(drip) : 2] = drip
+        plan = np.concatenate([np.repeat(np.arange(len(sources)), warm), plan])
 
-    return StreamSchedule(tuple(entries), tuple(marks), target.stream_id)
+    # Stream j gives its first used[j] examples, and each entry is the next
+    # (stream id, example) pair of its stream.
+    used = np.bincount(plan, minlength=len(streams)).tolist()
+    prefixes = [zip(itertools.repeat(s.stream_id), s.examples[:n]) for s, n in zip(streams, used)]
+    entries = tuple(map(next, map(prefixes.__getitem__, plan.tolist())))
+    # A stream's example m is its entry m, counting from 0.
+    marks = []
+    for j, (s, n) in enumerate(zip(streams, used)):
+        kept = sorted(m for m in set(s.drift_marks) if 0 <= m < n)
+        if kept:
+            marks.extend((i, s.stream_id) for i in np.flatnonzero(plan == j)[kept].tolist())
+    marks.sort()
+    return StreamSchedule(entries, tuple((sid, i) for i, sid in marks), target.stream_id)
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

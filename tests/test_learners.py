@@ -545,7 +545,7 @@ def test_leaf_learn_equals_estimator_adds_and_a_term_rebuild(case, leaf_predicti
     for values, label, weight, round_trip in examples:
         if round_trip:
             leaf, tree = pickle.loads(pickle.dumps((leaf, tree)))
-        leaf.learn(values, label, weight, nb_adaptive)
+        leaf.learn(values, label, weight)
         reference_leaf_learn(reference, values, label, weight)
         assert leaf_statistics(leaf) == leaf_statistics(reference)
         assert exact(leaf._nb_terms) == terms_of(leaf)
@@ -655,7 +655,7 @@ def test_split_candidates_of_learnt_leaves_equal_the_cdf_form(case):
     d, examples = case
     leaf = _LeafNode(d, False)
     for values, label, weight, _ in examples:
-        leaf.learn(values, label, weight, False)
+        leaf.learn(values, label, weight)
         assert exact(leaf.best_split_per_attribute()) == exact(reference_best_split(leaf))
 
 

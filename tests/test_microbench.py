@@ -2,8 +2,9 @@
 member prediction, tree learning, bagging and boosting training, split
 candidates, test-then-train pair, performance update, voting weights, drift
 detector update, source observe, weighting step (also over frozen concepts
-of single majority leaves), a target step of the grid_csv_boosting shape,
-and the cost model of acceptance 7.
+of single majority leaves), a target step of the grid_csv_boosting shape, a
+schedule build of the online_abrupt shape, and the cost model of acceptance
+7.
 
 They carry the ``bench`` marker, which the default options deselect. Run
 them with ``python -m pytest -m bench tests/test_microbench.py``;
@@ -31,6 +32,7 @@ from marline.model import (
     sub_classifier_weights,
     update_performance_stats,
 )
+from marline.streams import StreamData, benchmark_dataset, generate_synthetic, interleave
 
 pytestmark = pytest.mark.bench
 
@@ -312,6 +314,24 @@ def test_grid_shaped_target_step(benchmark):
 
     benchmark(step)
     assert len(model.concepts) >= 11
+
+
+def test_schedule_build(benchmark):
+    # A run's set-up on the online_abrupt shape: draw the abrupt target (2 x
+    # 2 x 1000 examples) and its one non-similar source, and merge them.
+    dataset = benchmark_dataset("abrupt_non_similar", 1000)
+
+    def build():
+        target = generate_synthetic(dataset.target)
+        source = generate_synthetic(dataset.sources[0])
+        return interleave(
+            StreamData("T", target.examples, target.drift_marks),
+            (StreamData("S1", source.examples, source.drift_marks),),
+        )
+
+    schedule = benchmark(build)
+    assert len(schedule.entries) == 8000
+    assert schedule.target_drift_indices() == (4001,)
 
 
 def test_acceptance_7_cost_model(capsys):

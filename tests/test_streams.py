@@ -6,7 +6,7 @@ import math
 import os
 import tempfile
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 from marline.core import MAX_ABS_FEATURE, NEG, POS, ConfigurationError, DataError, Example
 from marline.streams import (
     BENCHMARK_FAMILIES,
+    INTERLEAVE_POLICIES,
     CsvStreamSpec,
     GaussianConceptSpec,
     RowFilter,
     StreamData,
+    StreamSchedule,
     SyntheticStreamSpec,
     _incremental_stages,
+    _LazyExamples,
     benchmark_dataset,
     export_schedule_csv,
     generate_synthetic,
@@ -188,6 +191,56 @@ def test_generated_examples_are_built_on_access_and_read_only():
         first.features[0] = 0.0
     with pytest.raises(IndexError):
         examples[20]
+
+
+@pytest.mark.parametrize("read", ["index", "slice", "slice after index"])
+def test_a_generated_example_is_the_example_of_its_row(read):
+    features = np.random.default_rng(4).standard_normal((9, 3))
+    labels = [0, 1, 1, 0, 0, 1, 0, 1, 1]
+    examples = _LazyExamples(features, np.array(labels))
+    if read == "index":
+        built = [examples[i] for i in range(9)]
+    elif read == "slice":
+        built = list(examples[::-1])[::-1]
+    else:
+        some = examples[4], examples[-2]
+        built = list(examples[:])
+        assert built[4] is some[0] and built[7] is some[1]
+    assert examples[:] == tuple(built)
+    assert [examples[i] for i in range(9)] == built
+    for i, example in enumerate(built):
+        reference = Example(features[i], labels[i])
+        assert type(example) is Example
+        assert vars(example).keys() == vars(reference).keys()
+        assert example.features.tobytes() == reference.features.tobytes()
+        assert example.features.dtype == reference.features.dtype == np.float64
+        assert example.features.shape == reference.features.shape == (3,)
+        assert not example.features.flags.writeable
+        assert not reference.features.flags.writeable
+        assert type(example.label) is type(reference.label) is int
+        assert example.label == reference.label
+        with pytest.raises(FrozenInstanceError):
+            example.label = 1 - example.label
+        with pytest.raises(FrozenInstanceError):
+            example.features = reference.features
+
+
+@pytest.mark.parametrize(
+    "features, labels",
+    [
+        (np.zeros((2, 2)), [0, 1.0]),
+        (np.zeros((2, 2)), [0, 2]),
+        (np.zeros((2, 2), dtype=np.float32), [0, 1]),
+        (np.zeros(2), [0, 1]),
+        (np.zeros((3, 2)), [0, 1]),
+    ],
+    ids=["float label", "label 2", "float32 matrix", "1-D matrix", "a row without label"],
+)
+def test_a_batch_that_an_example_would_refuse_is_refused_whole(features, labels):
+    # The checks are made before any row is built or the matrix is locked.
+    with pytest.raises(ValueError):
+        _LazyExamples(features, labels)
+    assert features.flags.writeable
 
 
 @pytest.mark.parametrize("label", [0, 1, True, False, np.int64(1), np.int8(0)])
@@ -530,7 +583,7 @@ def test_interleave_ends_at_the_last_target_entry(policy):
 
 
 class CountingExamples(Sequence):
-    """A stream that records the highest index read."""
+    """A stream that records the highest index read, by index or slice."""
 
     def __init__(self, examples):
         self.examples = examples
@@ -540,8 +593,12 @@ class CountingExamples(Sequence):
         return len(self.examples)
 
     def __getitem__(self, index):
-        assert isinstance(index, int) and index >= 0
-        self.highest = max(self.highest, index)
+        if isinstance(index, slice):
+            read = range(*index.indices(len(self.examples)))
+            self.highest = max(self.highest, max(read, default=-1))
+        else:
+            assert isinstance(index, int) and index >= 0
+            self.highest = max(self.highest, index)
         return self.examples[index]
 
 
@@ -568,6 +625,115 @@ def test_interleave_reads_no_source_item_past_the_last_target(policy, fraction, 
     if policy == "target_paced":
         n_warm = math.ceil(fraction * 50)
         assert kinds[: 2 * n_warm] == ["S1"] * n_warm + ["S2"] * n_warm
+
+
+# The per-entry merge that ``interleave`` replaced, kept as it was.
+def reference_interleave(
+    target: StreamData,
+    sources: tuple[StreamData, ...] = (),
+    policy: str = "round_robin",
+    warmup_fraction: float = 0.1,
+) -> StreamSchedule:
+    """Merge source and target streams into one arrival order, ending at the
+    last target example.
+
+    round_robin: one example from each source, then one from the target,
+    cycling; exhausted sources are skipped. target_paced: the leading
+    ``warmup_fraction`` of every source (of its full length) arrives first,
+    then sources are drip-fed one example after each target example but the
+    last. Source examples that would follow the last target example can never
+    influence a scored prediction, so they are never read.
+    """
+    if policy not in INTERLEAVE_POLICIES:
+        raise ConfigurationError(f"unknown interleave policy {policy!r}")
+    if not target.examples:
+        raise ConfigurationError("target stream is empty")
+    if not 0.0 <= warmup_fraction <= 1.0:
+        raise ConfigurationError("warmup_fraction must be in [0, 1]")
+
+    mark_sets = {s.stream_id: set(s.drift_marks) for s in (*sources, target)}
+    entries: list[tuple[str, Example]] = []
+    marks: list[tuple[str, int]] = []
+
+    def emit(stream_id: str, local_index: int, example: Example) -> None:
+        if local_index in mark_sets[stream_id]:
+            marks.append((stream_id, len(entries)))
+        entries.append((stream_id, example))
+
+    if policy == "round_robin":
+        cursors = {s.stream_id: 0 for s in (*sources, target)}
+        order = [*sources, target]
+        while cursors[target.stream_id] < len(target.examples):
+            for stream in order:
+                i = cursors[stream.stream_id]
+                if i < len(stream.examples):
+                    emit(stream.stream_id, i, stream.examples[i])
+                    cursors[stream.stream_id] = i + 1
+    else:
+        cursors = {s.stream_id: 0 for s in sources}
+        for stream in sources:
+            n_warm = math.ceil(warmup_fraction * len(stream.examples))
+            for i in range(n_warm):
+                emit(stream.stream_id, i, stream.examples[i])
+            cursors[stream.stream_id] = n_warm
+        rotation = 0
+        last = len(target.examples) - 1
+        for t, example in enumerate(target.examples):
+            emit(target.stream_id, t, example)
+            if t == last:
+                break
+            for offset in range(len(sources)):
+                stream = sources[(rotation + offset) % len(sources)]
+                i = cursors[stream.stream_id]
+                if i < len(stream.examples):
+                    emit(stream.stream_id, i, stream.examples[i])
+                    cursors[stream.stream_id] = i + 1
+                    rotation = (rotation + offset + 1) % len(sources)
+                    break
+
+    return StreamSchedule(tuple(entries), tuple(marks), target.stream_id)
+
+
+@st.composite
+def interleave_cases(draw):
+    """A target and up to four sources, each a generated batch or a tuple of
+    examples: empty, shorter or longer than the target, with drift marks
+    anywhere, also past the stream's end; a policy and a warm-up fraction."""
+
+    def stream(stream_id, min_size):
+        n = draw(st.integers(min_size, 45))
+        marks = tuple(draw(st.lists(st.integers(-2, n + 2), max_size=4)))
+        features = np.random.default_rng(n).standard_normal((n, 2))
+        labels = np.arange(n) % 2
+        if draw(st.booleans()):
+            examples = _LazyExamples(features, labels)
+        else:
+            examples = tuple(Example(row, int(label)) for row, label in zip(features, labels))
+        return StreamData(stream_id, examples, marks)
+
+    target = stream("T", 1)
+    sources = tuple(stream(f"S{j + 1}", 0) for j in range(draw(st.integers(0, 4))))
+    policy = draw(st.sampled_from(["round_robin", "target_paced"]))
+    fraction = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.37, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    return target, sources, policy, fraction
+
+
+@settings(max_examples=400, deadline=None)
+@given(interleave_cases())
+def test_interleave_equals_the_per_entry_merge(case):
+    # The bulk merge runs first, so a generated batch builds its rows in
+    # bulk, and the reference then reads the same objects by index.
+    target, sources, policy, fraction = case
+    schedule = interleave(target, sources, policy, fraction)
+    expected = reference_interleave(target, sources, policy, fraction)
+    assert len(schedule.entries) == len(expected.entries)
+    for (sid, example), (expected_sid, expected_example) in zip(
+        schedule.entries, expected.entries
+    ):
+        assert sid == expected_sid
+        assert example is expected_example
+    assert schedule.drift_marks == expected.drift_marks
+    assert schedule.target_id == expected.target_id
 
 
 def test_export_schedule_csv_layout(tmp_path):
